@@ -31,7 +31,7 @@ def main(reps):
         k_g=1.0,
     )
     t0 = time.monotonic()
-    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600, omega=1.99))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600))
     print(f"solved in {time.monotonic() - t0:.1f}s; "
           f"contact nodes: {grid.stats[0].contact_count}/{len(grid.xs)}")
 

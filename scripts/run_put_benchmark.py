@@ -40,7 +40,7 @@ def main(cells_list):
     far_value, _ = closed_form(np.array([4.0]))
     for n_cells in cells_list:
         settings = SolverSettings(
-            x_lo=1e-3, x_hi=4.0, n_cells=n_cells, omega=1.997,
+            x_lo=1e-3, x_hi=4.0, n_cells=n_cells,
             bc_hi="value", bc_hi_value=float(far_value[0]),
         )
         grid = solve_scalar(spec, settings)
@@ -53,7 +53,7 @@ def main(cells_list):
             f"n_cells={n_cells:5d}  max rel err (away from x*) = {np.max(rel[away]):.3e}  "
             f"median = {np.median(rel[away]):.3e}  "
             f"free boundary off by {abs(cb - xstar) / h:.2f} cells  "
-            f"sweeps = {grid.stats[0].psor_sweeps}"
+            f"inner iterations = {grid.stats[0].psor_sweeps}"
         )
 
 

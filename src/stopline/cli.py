@@ -92,11 +92,8 @@ def _solver_settings(config: dict) -> SolverSettings:
             x_hi=float(s["x_hi"]),
             n_cells=int(s["n_cells"]),
             tol_fp=float(s.get("tol_fp", 1e-8)),
-            tol_lin=float(s.get("tol_lin", 1e-10)),
             k_max=int(s.get("k_max", 64)),
-            omega=float(s.get("omega", 1.5)),
             max_picard=int(s.get("max_picard", 200)),
-            max_sweeps=int(s.get("max_sweeps", 100_000)),
             bc_lo=s.get("bc_lo", "obstacle"),
             bc_hi=s.get("bc_hi", "obstacle"),
             bc_lo_value=float(s.get("bc_lo_value", 0.0)),
@@ -233,7 +230,8 @@ def cmd_value(config: dict, args) -> int:
     if rule_obj is None:
         raise ConfigError("config needs a 'rule' section for the value command")
     grid = None
-    if rule_obj.get("kind") == "contact_set" or "contact_set" in json.dumps(rule_obj):
+    # a contact_set rule may also sit among the parts of a min_of rule
+    if "contact_set" in json.dumps(rule_obj):
         grid = _solve_grid(spec, config)
     rule = rule_from_json(rule_obj, grid)
     start_obj = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})

@@ -451,13 +451,11 @@ def generating_function_grid(spec: ModelSpec, xs: np.ndarray, w: np.ndarray, k_m
     return np.einsum("ij,ij->i", pmat, powers)
 
 
-def series_tail_bound(spec: ModelSpec, R: float, k_max: int, l_max: int = L_MAX_DEFAULT) -> float:
+def series_tail_bound(spec: ModelSpec, R: float, k_max: int) -> float:
     """Upper bound on the neglected tail sum_{k>k_max} p_k(x) R^k, uniform in x.
 
-    Exact for bounded-support and Poisson families; otherwise falls back to
-    the moment-based estimate sum_k p_k R'^k <= C sqrt(R') with C the
-    evaluated sup of 2^l M_l, restricted to the tail via (R/R')^k_max with
-    R' = R^2 (conservative).
+    Exact for the bounded-support and Poisson families, which make up the
+    closed offspring catalog.
     """
     if R <= 0:
         raise ModelError("tail bound radius R must be positive")
@@ -469,31 +467,22 @@ def series_tail_bound(spec: ModelSpec, R: float, k_max: int, l_max: int = L_MAX_
         p = off.pmf(np.zeros(spec.dimension), support)
         ks = np.arange(support + 1)
         return float(np.sum(p[ks > k_max] * R ** ks[ks > k_max].astype(float)))
-    if off.kind == "poisson":
-        lam = off.lam.supremum()
-        # sum_{k>k_max} e^-lam (lam R)^k / k!, summed upward until negligible
-        term = math.exp(-lam)
-        for k in range(1, k_max + 1):
-            term *= lam * R / k
-        total = 0.0
-        k = k_max
-        while True:
-            k += 1
-            term *= lam * R / k
-            total += term
-            if k > 4 * k_max + 64 and term < 1e-300:
-                break
-            if term < total * 1e-18 and k > k_max + 8:
-                break
-        return total
-    c_bar = max(2.0**ell * off.raw_moment_sup(ell) for ell in range(l_max + 1))
-    if not math.isfinite(c_bar):
-        raise ModelError("moment bound unavailable for this offspring family")
-    if R <= 1.0:
-        # Markov on the count: tail mass <= M_1 / (k_max + 1), each term <= 1
-        return off.raw_moment_sup(1) / (k_max + 1)
-    r_sq = R * R
-    return (R / r_sq) ** k_max * c_bar * math.sqrt(r_sq)
+    # Poisson: sum_{k>k_max} e^-lam (lam R)^k / k!, summed upward until negligible
+    lam = off.lam.supremum()
+    term = math.exp(-lam)
+    for k in range(1, k_max + 1):
+        term *= lam * R / k
+    total = 0.0
+    k = k_max
+    while True:
+        k += 1
+        term *= lam * R / k
+        total += term
+        if k > 4 * k_max + 64 and term < 1e-300:
+            break
+        if term < total * 1e-18 and k > k_max + 8:
+            break
+    return total
 
 
 @dataclass
@@ -554,8 +543,7 @@ def value_bound(spec: ModelSpec, l_max: int = L_MAX_DEFAULT) -> float:
     return math.exp(log_v)
 
 
-def moment_report(spec: ModelSpec, C: float = 0.0, sample_grid: Optional[np.ndarray] = None,
-                  l_max: int = L_MAX_DEFAULT) -> MomentReport:
+def moment_report(spec: ModelSpec, C: float = 0.0, l_max: int = L_MAX_DEFAULT) -> MomentReport:
     """Evaluate the offspring moment ladder and the gamma uniqueness margin.
 
     Passing C = 0 uses the value bound as the comparison constant.  The sup

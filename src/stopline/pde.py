@@ -9,8 +9,11 @@ generation mode solves the deepest level that way and then peels levels
 off by backward induction, each a single linear obstacle solve.
 
 Discretization: central differences for the second-order term, first-order
-upwinding for the drift, which keeps the system an M-matrix; the linear
-complementarity problems are solved by projected SOR in red-black order.
+upwinding for the drift, which keeps the system a tridiagonal M-matrix.  Each
+linear complementarity problem is then solved exactly by policy iteration
+(Howard's algorithm, here the same as the primal-dual active-set method):
+every interior row is either a PDE row or an obstacle row, each iteration is
+one banded solve, and the iteration stops when the row choice repeats.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .model import (
     ModelSpec,
@@ -45,11 +49,8 @@ class SolverSettings:
     x_hi: float
     n_cells: int
     tol_fp: float = 1e-8
-    tol_lin: float = 1e-10
     k_max: int = 64
-    omega: float = 1.5
     max_picard: int = 200
-    max_sweeps: int = 100_000
     bc_lo: str = BC_OBSTACLE
     bc_hi: str = BC_OBSTACLE
     bc_lo_value: float = 0.0
@@ -60,8 +61,6 @@ class SolverSettings:
             raise SolverError("domain must satisfy x_lo < x_hi")
         if self.n_cells < 4:
             raise SolverError("need at least 4 cells")
-        if not (0.0 < self.omega < 2.0):
-            raise SolverError("relaxation omega must lie in (0, 2)")
         for bc in (self.bc_lo, self.bc_hi):
             if bc not in (BC_OBSTACLE, BC_VALUE):
                 raise SolverError(f"unknown boundary condition {bc!r}")
@@ -69,9 +68,8 @@ class SolverSettings:
     def to_json(self) -> dict:
         return {
             "x_lo": self.x_lo, "x_hi": self.x_hi, "n_cells": self.n_cells,
-            "tol_fp": self.tol_fp, "tol_lin": self.tol_lin, "k_max": self.k_max,
-            "omega": self.omega, "max_picard": self.max_picard,
-            "max_sweeps": self.max_sweeps, "bc_lo": self.bc_lo, "bc_hi": self.bc_hi,
+            "tol_fp": self.tol_fp, "k_max": self.k_max,
+            "max_picard": self.max_picard, "bc_lo": self.bc_lo, "bc_hi": self.bc_hi,
             "bc_lo_value": self.bc_lo_value, "bc_hi_value": self.bc_hi_value,
         }
 
@@ -86,6 +84,8 @@ def settings_hash(settings: SolverSettings) -> str:
 @dataclass
 class LevelStats:
     picard_iterations: int
+    # Policy iterations of each linear obstacle solve; the name predates the
+    # exact solver and stays because solver_log.json and the benchmark read it.
     psor_sweeps: List[int]
     step_norms: List[float]
     step_ratios: List[float]
@@ -228,36 +228,45 @@ def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
     return _Stencil(diag=diag, lower=lower, upper=upper, alpha=alpha, h=h)
 
 
-def _psor(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.ndarray,
-          bc_vals: Tuple[float, float], settings: SolverSettings) -> Tuple[np.ndarray, int]:
-    """Projected SOR on the linear complementarity problem.
+def _lcp_residual(st: _Stencil, source: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(A v - source) at interior nodes, A being the upwind M-matrix."""
+    return (st.diag[1:-1] * v[1:-1] - st.lower[1:-1] * v[:-2]
+            - st.upper[1:-1] * v[2:] - source[1:-1])
 
-    Red-black sweep order: interior odd and even nodes update in two
-    vectorized half-sweeps, which is a consistent ordering for a
-    tridiagonal system and keeps runs deterministic.
+
+def _solve_lcp(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.ndarray,
+               bc_vals: Tuple[float, float]) -> Tuple[np.ndarray, int]:
+    """Exact solve of min{A v - source, v - g} = 0 by policy iteration.
+
+    An interior row is an obstacle row (v_i = g_i) exactly where
+    v_i - g_i < (A v - source)_i, and a PDE row ((A v)_i = source_i)
+    otherwise; the first choice is read off v0.  On an M-matrix the policy
+    settles in at most n iterations (Bokanowski, Maroso & Zidani 2009).
+    Returns the solution and the number of banded solves.
     """
     n = len(g)
     v = v0.copy()
     v[0], v[-1] = bc_vals
-    v[1:-1] = np.maximum(v[1:-1], g[1:-1])
-    omega = settings.omega
-    idx = np.arange(1, n - 1)
-    reds = idx[idx % 2 == 1]
-    blacks = idx[idx % 2 == 0]
-    for sweep in range(1, settings.max_sweeps + 1):
-        delta = 0.0
-        for grp in (reds, blacks):
-            if not len(grp):
-                continue
-            gs = (source[grp] + st.lower[grp] * v[grp - 1] + st.upper[grp] * v[grp + 1]) / st.diag[grp]
-            new = np.maximum(g[grp], v[grp] + omega * (gs - v[grp]))
-            delta = max(delta, float(np.max(np.abs(new - v[grp]))))
-            v[grp] = new
-        if delta < settings.tol_lin:
-            return v, sweep
-    raise SolverError(
-        f"projected SOR failed to reach {settings.tol_lin} within {settings.max_sweeps} sweeps"
-    )
+    obstacle = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
+    for it in range(1, n + 1):
+        # Known values (boundary data, obstacle rows) move to the right-hand
+        # side, so obstacle rows decouple and come out exactly equal to g;
+        # an identity row coupled to rows scaled by 1/h^2 would be pivoted
+        # against them and pick up their rounding.
+        v[1:-1] = np.where(obstacle, g[1:-1], 0.0)
+        coupled = ~obstacle[1:] & ~obstacle[:-1]
+        ab = np.zeros((3, n - 2))
+        ab[0, 1:] = np.where(coupled, -st.upper[1:-2], 0.0)
+        ab[1] = np.where(obstacle, 1.0, st.diag[1:-1])
+        ab[2, :-1] = np.where(coupled, -st.lower[2:-1], 0.0)
+        rhs = np.where(obstacle, g[1:-1],
+                       source[1:-1] + st.lower[1:-1] * v[:-2] + st.upper[1:-1] * v[2:])
+        v[1:-1] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+        new = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
+        if np.array_equal(new, obstacle):
+            return v, it
+        obstacle = new
+    raise SolverError(f"policy iteration did not settle within {n} iterations")
 
 
 def _boundary_values(spec: ModelSpec, g: np.ndarray, settings: SolverSettings) -> Tuple[float, float]:
@@ -271,7 +280,7 @@ def _solve_level_linear(spec: ModelSpec, st: _Stencil, xs: np.ndarray, g: np.nda
                         settings: SolverSettings) -> Tuple[np.ndarray, int]:
     source = st.alpha * generating_function_grid(spec, xs, w_next, settings.k_max)
     bc = _boundary_values(spec, g, settings)
-    return _psor(st, source, g, v_start, bc, settings)
+    return _solve_lcp(st, source, g, v_start, bc)
 
 
 def solve_scalar(spec: ModelSpec, settings: SolverSettings,
@@ -386,20 +395,14 @@ def _discrete_residual(spec: ModelSpec, st: _Stencil, xs: np.ndarray, v: np.ndar
     """-(L v) at interior nodes under the upwind stencil; NaN at the ends."""
     res = np.full_like(v, np.nan)
     source = st.alpha * generating_function_grid(spec, xs, w_next, k_max)
-    res[1:-1] = (
-        st.diag[1:-1] * v[1:-1]
-        - st.lower[1:-1] * v[:-2]
-        - st.upper[1:-1] * v[2:]
-        - source[1:-1]
-    )
+    res[1:-1] = _lcp_residual(st, source, v)
     return res
 
 
-def _finalize(spec: ModelSpec, grid: ValueGrid, contact_tol: Optional[float] = None) -> None:
+def _finalize(spec: ModelSpec, grid: ValueGrid) -> None:
     """Flag contact nodes and record complementarity diagnostics per level."""
     settings = grid.settings
-    if contact_tol is None:
-        contact_tol = max(100.0 * settings.tol_lin, 10.0 * settings.tol_fp)
+    contact_tol = 10.0 * settings.tol_fp
     st = _build_stencil(spec, grid.xs)
     for n in range(grid.depth + 1):
         v = grid.values[n]

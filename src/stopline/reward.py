@@ -81,7 +81,9 @@ def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,
     n = len(samples)
     if n < 1:
         raise RewardError("no samples")
-    sd = float(np.std(samples, ddof=1)) if n > 1 else 0.0
+    # deviations from one sample: equal samples give exactly zero spread,
+    # which np.std misses when their sum rounds
+    sd = float(np.std(samples - samples[0], ddof=1)) if n > 1 else 0.0
     return McEstimate(
         mean=float(np.mean(samples)),
         stderr=sd / math.sqrt(n),

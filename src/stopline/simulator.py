@@ -64,9 +64,6 @@ class ParticleRecord:
     times: np.ndarray  # sample times, birth first; ends at min(end, horizon)
     positions: np.ndarray  # shape (len(times), d)
 
-    def position_at_index(self, idx: int) -> np.ndarray:
-        return self.positions[idx]
-
 
 @dataclass
 class GenealogyRecord:

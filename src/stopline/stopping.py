@@ -19,6 +19,7 @@ import numpy as np
 
 from .labels import Label, format_label, generation, is_antichain
 from .model import ModelSpec
+from .pde import ValueGrid
 from .simulator import GenealogyRecord, ParticleRecord
 
 ABANDON = "abandon"
@@ -44,7 +45,7 @@ class StoppingRule:
     center: Tuple[float, ...] = (0.0,)
     radius: float = 1.0
     cap_t: float = math.inf
-    grid: Optional["ValueGridLike"] = None
+    grid: Optional[ValueGrid] = None
     epsilon: float = 0.0
     parts: Tuple["StoppingRule", ...] = ()
 
@@ -74,21 +75,6 @@ class StoppingRule:
         elif self.kind == "min_of":
             out["parts"] = [p.to_json() for p in self.parts]
         return out
-
-
-class ValueGridLike:
-    """Interface the contact rule needs from a solved value grid."""
-
-    model_hash: str
-
-    def values_at(self, n: int, xs: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def obstacles_at(self, n: int, xs: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def contains(self, xs: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
 
 
 def default_t_cut(spec: ModelSpec) -> float:
@@ -122,7 +108,7 @@ def never_rule(t_cut: float, cut_policy: str = ABANDON) -> StoppingRule:
     return StoppingRule("never", t_cut=t_cut, cut_policy=cut_policy)
 
 
-def contact_set_rule(grid: ValueGridLike, epsilon: float, t_cut: float,
+def contact_set_rule(grid: ValueGrid, epsilon: float, t_cut: float,
                      cut_policy: str = ABANDON) -> StoppingRule:
     """Stop a particle the first time its value clearance drops to epsilon.
 
@@ -296,7 +282,7 @@ def write_line_csv(outcome: LineOutcome, path: str) -> None:
                        + [repr(float(v)) for v in s.position] + [s.generation])
 
 
-def rule_from_json(obj: dict, grid: Optional[ValueGridLike] = None) -> StoppingRule:
+def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
     kind = obj["kind"]
     t_cut = float(obj["t_cut"])
     policy = obj.get("cut_policy", ABANDON)

@@ -38,8 +38,7 @@ def bump_model():
     spec = make_spec(diffusion=("constant", 1.5), alpha=0.25,
                      offspring=("deterministic", 2), gamma=1.0,
                      rewards=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),))
-    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600,
-                                             omega=1.99))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600))
     return spec, grid
 
 
@@ -72,8 +71,7 @@ def test_criterion_02_exponential_moment_bound():
 def test_criterion_03_classical_put_oracle(put_spec):
     v_far, xstar = put_oracle(np.array([4.0]))
     settings = SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=2000,
-                              bc_hi="value", bc_hi_value=float(v_far[0]),
-                              omega=1.997)
+                              bc_hi="value", bc_hi_value=float(v_far[0]))
     grid = solve_scalar(put_spec, settings)
     vtrue, xstar = put_oracle(grid.xs)
     h = grid.xs[1] - grid.xs[0]
@@ -94,7 +92,7 @@ def test_criterion_04_alpha_invariance_single_offspring():
                          alpha_bar=max(a, 1e-12),
                          offspring=("deterministic", 1), gamma=1.0, rewards=rewards)
         grid = solve_scalar(spec, SolverSettings(x_lo=-6, x_hi=6, n_cells=600,
-                                                 tol_fp=tol_fp, omega=1.95))
+                                                 tol_fp=tol_fp))
         sols.append(grid.values[0])
     worst = max(float(np.max(np.abs(s - sols[0]))) for s in sols[1:])
     report(4, "solutions are branch-rate invariant under single offspring",
@@ -120,8 +118,8 @@ def test_criterion_06_generation_collapse(bump_spec):
     spec_deep = make_spec(diffusion=("constant", 1.5), alpha=0.25,
                           offspring=("deterministic", 2), gamma=1.0,
                           rewards=(g, g, g, g))
-    settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=800, omega=1.97,
-                              tol_fp=1e-10, tol_lin=1e-12)
+    settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=800,
+                              tol_fp=1e-10)
     multi = solve_generation_system(spec_deep, settings)
     scalar = solve_scalar(bump_spec, settings)
     worst = max(float(np.max(np.abs(multi.values[n] - scalar.values[0])))
@@ -135,8 +133,7 @@ def test_criterion_07_fixed_point_contraction():
                      offspring=("binary", (0.5, 0.5)), gamma=5.0, k_g=2.0,
                      rewards=(RewardFunction("bump", a=2.0, center=0.0, width=1.0),))
     rep = moment_report(spec, C=0.0)
-    grid = solve_scalar(spec, SolverSettings(x_lo=-6, x_hi=6, n_cells=600,
-                                             omega=1.95))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-6, x_hi=6, n_cells=600))
     stats = grid.stats[0]
     # monotone decrease up to the linear-solver tolerance
     monotone = all(s <= 1e-8 for s in stats.step_signed_max)

@@ -115,7 +115,7 @@ def test_override_flag_changes_scalar(tmp_path):
 
 def test_solve_numerical_failure_exit_code(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
-                      **{"solver.max_sweeps": 3, "solver.n_cells": 400})
+                      **{"solver.max_picard": 1, "solver.n_cells": 400})
     assert run_cli(["solve", cfg]) == 3
 
 
@@ -155,6 +155,16 @@ def test_value_with_contact_rule_solves_grid(tmp_path):
     assert run_cli(["--threads", "1", "value", cfg]) == 0
     est = json.loads((tmp_path / "out" / "value.json").read_text())
     assert est["mean"] == pytest.approx(0.8)
+
+
+def test_value_min_of_with_contact_part_solves_grid(tmp_path):
+    contact = {"kind": "contact_set", "epsilon": 0.0002, "t_cut": 6.0,
+               "cut_policy": "force_stop"}
+    fixed = {"kind": "fixed_time", "t": 0.5, "t_cut": 6.0, "cut_policy": "force_stop"}
+    cfg = copy_config(tmp_path, "bump.json",
+                      **{"rule": {"kind": "min_of", "t_cut": 6.0, "parts": [contact, fixed]},
+                         "mc.reps": 20, "solver.n_cells": 200})
+    assert run_cli(["--threads", "1", "value", cfg]) == 0
 
 
 def test_no_writes_outside_output_dir(tmp_path, monkeypatch):

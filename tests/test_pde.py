@@ -66,8 +66,7 @@ def test_put_matches_closed_form(put_spec):
     xs_hi = 4.0
     v_far, xstar = vtrue_fn(np.array([xs_hi]))
     settings = SolverSettings(x_lo=1e-3, x_hi=xs_hi, n_cells=1000,
-                              bc_hi="value", bc_hi_value=float(v_far[0]),
-                              omega=1.99)
+                              bc_hi="value", bc_hi_value=float(v_far[0]))
     grid = solve_scalar(put_spec, settings)
     vtrue, xstar = vtrue_fn(grid.xs)
     h = grid.xs[1] - grid.xs[0]
@@ -78,12 +77,29 @@ def test_put_matches_closed_form(put_spec):
     assert abs(cb - xstar) <= 2 * h
 
 
+def test_put_fine_grid_solves_within_criterion_03(put_spec):
+    # 16000 cells is past where projected SOR ran out of sweeps; the exact
+    # solve needs at most one policy iteration per cell.
+    v_far, _ = put_oracle(np.array([4.0]))
+    n = 16000
+    grid = solve_scalar(put_spec, SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=n,
+                                                 bc_hi="value",
+                                                 bc_hi_value=float(v_far[0])))
+    assert all(k <= n for k in grid.stats[0].psor_sweeps)
+    vtrue, xstar = put_oracle(grid.xs)
+    h = grid.xs[1] - grid.xs[0]
+    mask = np.abs(grid.xs - xstar) > 5 * h
+    rel = np.abs(grid.values[0] - vtrue) / np.maximum(vtrue, 1e-12)
+    assert np.max(rel[mask]) < 0.01
+    assert abs(contact_boundary(grid) - xstar) <= 2 * h
+
+
 def test_put_boundary_bias_shrinks_with_domain(put_spec):
     # default obstacle boundary: truncation bias, measured by domain doubling
     errs = []
     for x_hi, n in ((4.0, 500), (8.0, 1000)):
         grid = solve_scalar(put_spec, SolverSettings(x_lo=1e-3, x_hi=x_hi,
-                                                     n_cells=n, omega=1.99))
+                                                     n_cells=n))
         vtrue, _ = put_oracle(grid.xs)
         i = int(np.argmin(np.abs(grid.xs - 2.0)))
         errs.append(abs(grid.values[0][i] - vtrue[i]))
@@ -96,8 +112,7 @@ def test_alpha_invariance_single_offspring():
     for a in (0.0, 0.5, 2.0):
         spec = make_spec(diffusion=("constant", 1.0), alpha=a, alpha_bar=max(a, 1e-9),
                          offspring=("deterministic", 1), gamma=1.0, rewards=rewards)
-        grid = solve_scalar(spec, SolverSettings(x_lo=-6, x_hi=6, n_cells=400,
-                                                 omega=1.9))
+        grid = solve_scalar(spec, SolverSettings(x_lo=-6, x_hi=6, n_cells=400))
         sols.append(grid.values[0])
     tol_fp = 1e-8
     assert np.max(np.abs(sols[1] - sols[0])) <= 10 * tol_fp
@@ -109,7 +124,7 @@ def test_generation_collapse_equal_rewards(bump_spec):
     spec_deep = make_spec(diffusion=("constant", 1.5), alpha=0.25,
                           offspring=("deterministic", 2), gamma=1.0,
                           rewards=(g, g, g, g))
-    settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=400, omega=1.9)
+    settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=400)
     multi = solve_generation_system(spec_deep, settings)
     scalar = solve_scalar(bump_spec, settings)
     assert multi.depth == 3
@@ -124,7 +139,7 @@ def test_generation_monotone_in_obstacle():
                      offspring=("deterministic", 2), gamma=1.0,
                      rewards=(g_hi, g_lo))
     grid = solve_generation_system(spec, SolverSettings(x_lo=-8, x_hi=8,
-                                                        n_cells=400, omega=1.9))
+                                                        n_cells=400))
     assert np.all(grid.values[0] >= grid.values[1] - 1e-10)
 
 
@@ -135,15 +150,14 @@ def test_generation_depth_one_unit_deep_level():
                      offspring=("deterministic", 2), gamma=1.0,
                      rewards=(g0, g1))
     grid = solve_generation_system(spec, SolverSettings(x_lo=-6, x_hi=6,
-                                                        n_cells=300, omega=1.9))
+                                                        n_cells=300))
     assert np.max(np.abs(grid.values[1] - 1.0)) <= 1e-8
     # level 0 sees a plain source alpha * G(x, 1) = alpha
     assert np.all(grid.values[0] + 1e-12 >= grid.obstacles[0])
 
 
 def test_value_bound_and_maximum_principle(bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=400,
-                                                  omega=1.9))
+    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=400))
     v = grid.values[0]
     assert np.all(v >= -1e-12)
     assert np.all(v <= 1.0 + 1e-8)
@@ -151,16 +165,14 @@ def test_value_bound_and_maximum_principle(bump_spec):
 
 
 def test_picard_monotone_decrease_and_contraction(bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=400,
-                                                  omega=1.9))
+    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=400))
     ratios = grid.stats[0].step_ratios
     assert ratios, "expected at least two Picard steps"
     assert all(r < 1.0 for r in ratios)
 
 
 def test_complementarity_residuals(bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800,
-                                                  omega=1.97))
+    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800))
     rep = residual_report(grid).levels[0]
     assert rep["max_obstacle_violation"] <= 1e-12
     assert rep["max_residual_noncontact"] <= 1e-5
@@ -174,7 +186,7 @@ def test_grid_refinement_improves_put(put_spec):
         v_far, xstar = put_oracle(np.array([4.0]))
         grid = solve_scalar(put_spec, SolverSettings(
             x_lo=1e-3, x_hi=4.0, n_cells=n, bc_hi="value",
-            bc_hi_value=float(v_far[0]), omega=1.95))
+            bc_hi_value=float(v_far[0])))
         vtrue, xstar = put_oracle(grid.xs)
         h = grid.xs[1] - grid.xs[0]
         mask = np.abs(grid.xs - xstar) > 8 * h
@@ -183,8 +195,7 @@ def test_grid_refinement_improves_put(put_spec):
 
 
 def test_unsolved_grid_rejected(bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=100,
-                                                  omega=1.8))
+    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=100))
     grid.solved = False
     with pytest.raises(SolverError):
         residual_report(grid)
@@ -199,8 +210,7 @@ def test_value_bound_overflow_raises():
 
 
 def test_interpolation_and_containment(bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=200,
-                                                  omega=1.8))
+    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=200))
     xs = np.array([-9.0, 0.0, 8.0, 9.0])
     inside = grid.contains(xs)
     assert inside.tolist() == [False, True, True, False]
@@ -210,8 +220,7 @@ def test_interpolation_and_containment(bump_spec):
 
 
 def test_grid_csv_roundtrip_values(tmp_path, bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=100,
-                                                  omega=1.8))
+    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=100))
     path = tmp_path / "grid.csv"
     grid.write_csv(str(path))
     import csv

@@ -23,8 +23,7 @@ def bump_grid():
     spec = make_spec(diffusion=("constant", 1.5), alpha=0.25,
                      offspring=("deterministic", 2), gamma=1.0,
                      rewards=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),))
-    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800,
-                                             omega=1.97))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800))
     return spec, grid
 
 
@@ -114,8 +113,7 @@ def test_dpp_classical_limit_no_branching(bump_grid):
     spec = make_spec(diffusion=("constant", 1.5), alpha=0.0,
                      offspring=("deterministic", 1), gamma=1.0,
                      rewards=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),))
-    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800,
-                                             omega=1.97))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800))
     theta = fixed_time_rule(0.25, t_cut=0.75, cut_policy="force_stop")
     chk = dpp_consistency(spec, grid, theta, point=1.2, reps=2500, dt=0.005,
                           seed=19, epsilon=2e-4)
