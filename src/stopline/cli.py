@@ -25,9 +25,9 @@ import numpy as np
 from .labels import parse_label
 from .model import ModelError, ModelSpec, check_assumptions, moment_report
 from .pde import SolverError, SolverSettings, ValueGrid, solve_generation_system, solve_scalar
-from .reward import McEstimate, estimate_from_samples, mc_value, reward_of_outcome
+from .reward import McEstimate, estimate_from_samples, line_reward, mc_value
 from .simulator import SimulationError, replication_seed, simulate_forest, write_forest_csv, write_paths_csv
-from .stopping import StoppingError, evaluate_line, rule_from_json
+from .stopping import StoppingError, rule_from_json
 from .verify import VerifyError, branching_property_test, cross_validate, dpp_consistency
 
 EXIT_OK = 0
@@ -213,9 +213,7 @@ def _mc_value_parallel(spec, rule, start, reps, dt, seed, n_threads) -> McEstima
         lo, size = chunk
         vals = np.empty(size)
         for j in range(size):
-            rec = simulate_forest(spec, [start], horizon=rule.t_cut, dt=dt,
-                                  seed=replication_seed(seed, lo + j))
-            vals[j] = reward_of_outcome(spec, evaluate_line(rec, rule))
+            vals[j] = line_reward(spec, rule, start, dt, replication_seed(seed, lo + j))
         return vals
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -355,6 +356,16 @@ class ModelSpec:
         """Reward for generation n; levels saturate at the deepest one."""
         return self.reward_levels[min(n, self.reward_depth)]
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """Stable hash of to_json(), computed once per instance.
+
+        cached_property stores it in the instance __dict__, so it is not a
+        dataclass field and leaves equality and hashing alone.
+        """
+        blob = json.dumps(self.to_json(), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16]
+
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -391,8 +402,7 @@ class ModelSpec:
 
 def model_hash(spec: ModelSpec) -> str:
     """Stable fingerprint of the model description."""
-    blob = json.dumps(spec.to_json(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return spec.fingerprint
 
 
 # ---------------------------------------------------------------------------

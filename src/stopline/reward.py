@@ -16,7 +16,12 @@ import numpy as np
 
 from .labels import Label, generation
 from .model import ModelSpec
-from .simulator import GenealogyRecord, replication_seed, simulate_forest
+from .simulator import (
+    DEFAULT_MAX_PARTICLES,
+    GenealogyRecord,
+    replication_seed,
+    simulate_forest,
+)
 from .stopping import (
     FORCE_STOP,
     LineOutcome,
@@ -106,6 +111,29 @@ def merge_estimates(a: McEstimate, b: McEstimate) -> McEstimate:
                       t_cut=a.t_cut, cut_policy=a.cut_policy)
 
 
+def line_reward(
+    spec: ModelSpec,
+    rule: StoppingRule,
+    start: Tuple[Label, Sequence[float]],
+    dt: float,
+    seed: int,
+    max_particles: int = DEFAULT_MAX_PARTICLES,
+) -> float:
+    """Reward of the rule's stop line on one forest simulated with this seed.
+
+    Only particles at or above the line are simulated: a particle the rule
+    claims keeps its own path but not its subtree, which the line walk
+    never reads.  Streams are keyed per label, so the reward is bit for bit
+    the one from the full forest.
+    """
+    roots = {tuple(start[0])}
+    rec = simulate_forest(
+        spec, [start], horizon=rule.t_cut, dt=dt, seed=seed, max_particles=max_particles,
+        prune=lambda p, r: rule_fire_time(rule, p, r, roots) is not None,
+    )
+    return reward_of_outcome(spec, evaluate_line(rec, rule))
+
+
 def mc_value(
     spec: ModelSpec,
     rule: StoppingRule,
@@ -113,24 +141,23 @@ def mc_value(
     reps: int,
     dt: float,
     seed: int,
-    max_particles: int = 1_000_000,
+    max_particles: int = DEFAULT_MAX_PARTICLES,
     rng_salt: str = "",
 ) -> McEstimate:
     """Monte Carlo estimate of the line reward from one starting particle.
 
     Unbiased for the truncated-line reward up to the time-discretization of
     rule firing; the t_cut policy decides what unresolved particles are
-    worth (abandon: one, force_stop: stop there).
+    worth (abandon: one, force_stop: stop there).  `max_particles` caps the
+    particles one replication simulates, which are only those at or above
+    the line (see `line_reward`).
     """
     if reps < 2:
         raise RewardError("reps must be at least 2")
     rewards = np.empty(reps)
     for r in range(reps):
-        rec = simulate_forest(
-            spec, [start], horizon=rule.t_cut, dt=dt,
-            seed=replication_seed(seed, r, rng_salt), max_particles=max_particles,
-        )
-        rewards[r] = reward_of_outcome(spec, evaluate_line(rec, rule))
+        rewards[r] = line_reward(spec, rule, start, dt,
+                                 replication_seed(seed, r, rng_salt), max_particles)
     return estimate_from_samples(rewards, seed, rule.t_cut, rule.cut_policy)
 
 
@@ -213,16 +240,27 @@ def dpp_rhs(
     seed: int,
     rng_salt: str = "",
 ) -> McEstimate:
-    """Monte Carlo estimate of the dynamic-programming right-hand side."""
+    """Monte Carlo estimate of the dynamic-programming right-hand side.
+
+    As in `line_reward`, a particle theta or tau claims keeps its own path
+    but its subtree is not simulated; the estimate is bit for bit the one
+    from full forests.
+    """
     from .model import model_hash
 
     if reps < 2:
         raise RewardError("reps must be at least 2")
     if not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
+    roots = {tuple(start[0])}
+
+    def claimed(p, rec):  # the test by which dpp_product stops descending
+        return (rule_fire_time(theta, p, rec, roots) is not None
+                or rule_fire_time(tau, p, rec, roots) is not None)
+
     vals = np.empty(reps)
     for r in range(reps):
         rec = simulate_forest(spec, [start], horizon=theta.t_cut, dt=dt,
-                              seed=replication_seed(seed, r, rng_salt))
+                              seed=replication_seed(seed, r, rng_salt), prune=claimed)
         vals[r] = dpp_product(spec, rec, theta, tau, grid)
     return estimate_from_samples(vals, seed, theta.t_cut, theta.cut_policy)

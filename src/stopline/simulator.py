@@ -14,7 +14,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,6 +136,7 @@ def simulate_forest(
     path_stride: int = 1,
     rng_salt: str = "",
     t0: float = 0.0,
+    prune: Optional[Callable[[ParticleRecord, GenealogyRecord], bool]] = None,
 ) -> GenealogyRecord:
     """Simulate one forest from time t0 (default 0) up to the horizon.
 
@@ -145,6 +146,12 @@ def simulate_forest(
     the event time exactly.  Offspring counts come from the inverse cdf of
     the local pmf truncated at k_max, residual mass going to k_max.
     Identical arguments reproduce the record bit for bit.
+
+    `prune(particle, record)` is asked about every particle that branched;
+    when it returns True the particle's subtree is not simulated.  Streams
+    are keyed per label, so every particle that is simulated comes out
+    exactly as in the unpruned forest.  `max_particles` caps the particles
+    actually simulated.
     """
     if horizon <= t0:
         raise SimulationError("horizon must exceed the start time")
@@ -239,7 +246,7 @@ def simulate_forest(
             keep[0] = keep[-1] = True
             times_arr = times_arr[keep]
             xs_arr = xs_arr[keep]
-        record.particles[label] = ParticleRecord(
+        particle = record.particles[label] = ParticleRecord(
             label=label,
             parent=par,
             birth_time=birth,
@@ -251,8 +258,9 @@ def simulate_forest(
         )
         if end_kind == "branched":
             record.branch_events.append((label, end_time, count))
-            for k in range(count):
-                work.append((child(label, k), label, end_time, x.copy()))
+            if prune is None or not prune(particle, record):
+                for k in range(count):
+                    work.append((child(label, k), label, end_time, x.copy()))
     return record
 
 

@@ -6,21 +6,32 @@ from pytest import approx
 
 from stopline.labels import MOTHER
 from stopline.model import RewardFunction
+from stopline.pde import SolverSettings, solve_scalar
 from stopline.reward import (
     McEstimate,
     RewardError,
+    dpp_product,
+    dpp_rhs,
     estimate_from_samples,
+    line_reward,
     mc_value,
     merge_estimates,
     reward_of_outcome,
 )
-from stopline.simulator import simulate_forest
+from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
+    ABANDON,
+    FORCE_STOP,
     LineOutcome,
     Stop,
+    contact_set_rule,
     evaluate_line,
+    exit_ball_rule,
+    first_branch_rule,
     fixed_time_rule,
+    min_of_rules,
     never_rule,
+    rule_fire_time,
     trivial_root_rule,
 )
 
@@ -168,3 +179,114 @@ def test_z_score_floor():
     assert est.z_score(0.5) == 0.0
     assert abs(est.z_score(0.5 + 1e-9)) < 1.0
     assert est.z_score(0.4) > 100.0
+
+
+def test_mc_population_cap_counts_only_simulated_particles():
+    # the forest of test_max_particles_guard outgrows the cap, but the
+    # trivial-root line needs the root alone
+    spec = make_spec(alpha=5.0, offspring=("deterministic", 2))
+    est = mc_value(spec, trivial_root_rule(t_cut=10.0), (MOTHER, [0.0]),
+                   reps=4, dt=1.0, seed=1, max_particles=50)
+    assert est.mean == spec.reward_at(0)(np.array([0.0]))
+    assert est.stderr == 0.0
+
+
+# --- pruned forests are the full forests restricted to what the walk reads
+
+PRUNE_T_CUT, PRUNE_DT, PRUNE_X0, PRUNE_SEEDS = 3.0, 0.05, 1.5, range(6)
+BUMP = RewardFunction("bump", a=0.8, center=0.0, width=1.0)
+
+
+@pytest.fixture(scope="module", params=["bump", "binary"])
+def solved_model(request):
+    if request.param == "bump":
+        spec = make_spec(diffusion=("constant", 1.5), alpha=0.25,
+                         offspring=("deterministic", 2), rewards=(BUMP,))
+    else:
+        spec = make_spec(diffusion=("constant", 1.5), alpha=1.0,
+                         offspring=("binary", (0.3, 0.7)), rewards=(BUMP,))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800))
+    return spec, grid
+
+
+def catalog_rule(kind, grid, policy):
+    t_cut = PRUNE_T_CUT
+    if kind == "trivial_root":
+        return trivial_root_rule(t_cut, policy)
+    if kind == "fixed_time":
+        return fixed_time_rule(1.0, t_cut, policy)
+    if kind == "first_branch":
+        return first_branch_rule(t_cut, policy)
+    if kind == "exit_ball":
+        return exit_ball_rule([0.0], 2.5, 2.0, t_cut, policy)
+    if kind == "contact_set":
+        return contact_set_rule(grid, 1e-3, t_cut, policy)
+    if kind == "never":
+        return never_rule(t_cut, policy)
+    return min_of_rules(fixed_time_rule(1.5, t_cut, policy),
+                        contact_set_rule(grid, 1e-3, t_cut, policy))
+
+
+def forest_pair(spec, seed, prune):
+    start = [(MOTHER, [PRUNE_X0])]
+    full = simulate_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed)
+    pruned = simulate_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed,
+                             prune=prune)
+    assert set(pruned.particles) <= set(full.particles)
+    for lab, p in pruned.particles.items():
+        q = full.particles[lab]
+        assert (p.parent, p.birth_time, p.end_time, p.end_kind, p.offspring_count) == \
+            (q.parent, q.birth_time, q.end_time, q.end_kind, q.offspring_count)
+        assert np.array_equal(p.times, q.times)
+        assert np.array_equal(p.positions, q.positions)
+    return full, pruned
+
+
+@pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
+@pytest.mark.parametrize("kind", ["trivial_root", "fixed_time", "first_branch",
+                                  "exit_ball", "contact_set", "never", "min_of"])
+def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
+    spec, grid = solved_model
+    rule = catalog_rule(kind, grid, policy)
+    roots = {MOTHER}
+    fires = lambda p, rec: rule_fire_time(rule, p, rec, roots) is not None  # noqa: E731
+    full_rewards = []
+    for s in PRUNE_SEEDS:
+        seed = replication_seed(5, s)
+        full, pruned = forest_pair(spec, seed, fires)
+        a, b = evaluate_line(full, rule), evaluate_line(pruned, rule)
+        assert [(x.label, x.time, x.generation, x.forced) for x in a.stops] == \
+            [(x.label, x.time, x.generation, x.forced) for x in b.stops]
+        assert all(np.array_equal(x.position, y.position) for x, y in zip(a.stops, b.stops))
+        assert a.passed_alive == b.passed_alive
+        reward = reward_of_outcome(spec, a)
+        assert reward_of_outcome(spec, b) == reward
+        assert line_reward(spec, rule, (MOTHER, [PRUNE_X0]), PRUNE_DT, seed) == reward
+        full_rewards.append(reward)
+        if kind == "trivial_root":
+            assert list(pruned.particles) == [MOTHER]
+    est = mc_value(spec, rule, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
+                   dt=PRUNE_DT, seed=5)
+    assert est == estimate_from_samples(full_rewards, 5, PRUNE_T_CUT, policy)
+
+
+@pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
+def test_pruned_forest_gives_identical_dpp_product(solved_model, policy):
+    spec, grid = solved_model
+    theta = first_branch_rule(PRUNE_T_CUT, policy)
+    tau = contact_set_rule(grid, 1e-3, PRUNE_T_CUT, policy)
+    roots = {MOTHER}
+
+    def claimed(p, rec):
+        return (rule_fire_time(theta, p, rec, roots) is not None
+                or rule_fire_time(tau, p, rec, roots) is not None)
+
+    full_products = []
+    for s in PRUNE_SEEDS:
+        full, pruned = forest_pair(spec, replication_seed(6, s), claimed)
+        product = dpp_product(spec, full, theta, tau, grid)
+        assert dpp_product(spec, pruned, theta, tau, grid) == product
+        full_products.append(product)
+    est = dpp_rhs(spec, theta, tau, grid, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
+                  dt=PRUNE_DT, seed=6)
+    assert est == estimate_from_samples(full_products, 6, PRUNE_T_CUT, policy)
