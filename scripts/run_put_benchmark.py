@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Solve the non-branching geometric put model and score it against the
-closed form: prints nodewise error quantiles and the free-boundary offset.
+closed form: prints each solve's seconds, nodewise error quantiles and the
+free-boundary offset.
 
 Usage: python scripts/run_put_benchmark.py [n_cells ...]
 """
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +45,16 @@ def main(cells_list):
             x_lo=1e-3, x_hi=4.0, n_cells=n_cells,
             bc_hi="value", bc_hi_value=float(far_value[0]),
         )
+        t0 = time.perf_counter()
         grid = solve_scalar(spec, settings)
+        seconds = time.perf_counter() - t0
         vtrue, xstar = closed_form(grid.xs)
         h = grid.xs[1] - grid.xs[0]
         away = np.abs(grid.xs - xstar) > 5 * h
         rel = np.abs(grid.values[0] - vtrue) / np.maximum(vtrue, 1e-12)
         cb = contact_boundary(grid)
         print(
-            f"n_cells={n_cells:5d}  max rel err (away from x*) = {np.max(rel[away]):.3e}  "
+            f"n_cells={n_cells:5d}  solve {seconds:.3f} s  max rel err (away from x*) = {np.max(rel[away]):.3e}  "
             f"median = {np.median(rel[away]):.3e}  "
             f"free boundary off by {abs(cb - xstar) / h:.2f} cells  "
             f"inner iterations = {grid.stats[0].psor_sweeps}"

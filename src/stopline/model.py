@@ -116,6 +116,13 @@ class RateFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self.cap / (1.0 + math.exp(-(x[0] - self.center) / self.width))
 
+    def grid_values(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation on a 1-D grid (each node a 1-D state)."""
+        xs = np.asarray(xs, dtype=float)
+        if self.kind == "constant":
+            return np.full_like(xs, self.value)
+        return self.cap / (1.0 + np.exp(-(xs - self.center) / self.width))
+
     def supremum(self) -> float:
         """Exact sup over all of space (catalog forms are monotone/constant)."""
         return self.value if self.kind == "constant" else self.cap
@@ -445,7 +452,7 @@ def generating_function_grid(spec: ModelSpec, xs: np.ndarray, w: np.ndarray, k_m
         if k_max >= 2:
             out = out + off.p2 * w**2
         return out
-    lams = np.array([off.lam(np.atleast_1d(x)) for x in xs])
+    lams = off.lam.grid_values(xs)
     ks = np.arange(k_max + 1)
     # pmf matrix via cumulative log to stay stable for larger intensities
     with np.errstate(divide="ignore"):

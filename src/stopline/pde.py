@@ -13,7 +13,11 @@ upwinding for the drift, which keeps the system a tridiagonal M-matrix.  Each
 linear complementarity problem is then solved exactly by policy iteration
 (Howard's algorithm, here the same as the primal-dual active-set method):
 every interior row is either a PDE row or an obstacle row, each iteration is
-one banded solve, and the iteration stops when the row choice repeats.
+one banded solve, and the iteration stops when the row choice repeats.  The
+first row choice comes from the same problem solved on a grid of half as
+many cells, recursively (Brandt & Cryer 1983), so each level needs only a
+few iterations and the whole solve is O(n); the answer does not depend on
+that first choice.
 """
 from __future__ import annotations
 
@@ -199,13 +203,13 @@ def apply_operator(spec: ModelSpec, x: float, r: float, q: float, m: float,
 
 @dataclass
 class _Stencil:
-    """Tridiagonal M-matrix pieces of -(linear part of L) on the grid."""
+    """Tridiagonal M-matrix pieces of -(linear part of L) on the grid xs."""
 
+    xs: np.ndarray
     diag: np.ndarray
     lower: np.ndarray  # coefficient multiplying v[i-1]
     upper: np.ndarray  # coefficient multiplying v[i+1]
     alpha: np.ndarray
-    h: float
 
 
 def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
@@ -214,7 +218,7 @@ def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
     h = float(xs[1] - xs[0])
     b = spec.drift(xs)
     s = spec.diffusion(xs)
-    alpha = np.array([spec.branch_rate(np.array([x])) for x in xs])
+    alpha = spec.branch_rate.grid_values(xs)
     diff = 0.5 * s * s / (h * h)
     b_plus = np.maximum(b, 0.0)
     b_minus = np.maximum(-b, 0.0)
@@ -225,7 +229,7 @@ def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
         raise SolverError("discretization lost monotonicity (negative off-diagonal)")
     if np.any(diag <= 0):
         raise SolverError("discretization lost monotonicity (nonpositive diagonal)")
-    return _Stencil(diag=diag, lower=lower, upper=upper, alpha=alpha, h=h)
+    return _Stencil(xs=xs, diag=diag, lower=lower, upper=upper, alpha=alpha)
 
 
 def _lcp_residual(st: _Stencil, source: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -234,20 +238,63 @@ def _lcp_residual(st: _Stencil, source: np.ndarray, v: np.ndarray) -> np.ndarray
             - st.upper[1:-1] * v[2:] - source[1:-1])
 
 
-def _solve_lcp(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.ndarray,
-               bc_vals: Tuple[float, float]) -> Tuple[np.ndarray, int]:
-    """Exact solve of min{A v - source, v - g} = 0 by policy iteration.
+# Grids of at least twice this many cells take their first row choice from
+# the same problem on half as many cells.
+_COARSEST_CELLS = 100
+
+
+def _stencils(spec: ModelSpec, xs: np.ndarray) -> List[_Stencil]:
+    """Stencils on xs and on grids of n_cells // 2, halved again down to
+    _COARSEST_CELLS, finest first; built once per solve."""
+    out = [_build_stencil(spec, xs)]
+    while (len(xs) - 1) // 2 >= _COARSEST_CELLS:
+        xs = np.linspace(xs[0], xs[-1], (len(xs) - 1) // 2 + 1)
+        out.append(_build_stencil(spec, xs))
+    return out
+
+
+def _solve_lcp(stencils: List[_Stencil], source: np.ndarray, g: np.ndarray,
+               v0: np.ndarray,
+               bc_vals: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Exact solve of min{A v - source, v - g} = 0 on stencils[0], coarse to fine.
+
+    The same problem, with source, g and v0 interpolated, is first solved on
+    the next coarser stencil, recursively; its contact set, read at these
+    nodes, is the first row choice of the policy iteration here.  That
+    choice only sets where the iteration starts: it still stops only when
+    the row choice repeats, so the result is the exact solution whatever the
+    coarse grids say.  Returns the solution, the interior obstacle rows and
+    the banded solves over all grids.
+    """
+    st = stencils[0]
+    obstacle = None
+    coarse_solves = 0
+    if len(stencils) > 1:
+        xc = stencils[1].xs
+        coarse = [np.interp(xc, st.xs, a) for a in (source, g, v0)]
+        _, contact, coarse_solves = _solve_lcp(stencils[1:], *coarse, bc_vals)
+        obstacle = np.interp(st.xs[1:-1], xc[1:-1], contact.astype(float)) >= 0.5
+    v, obstacle, solves = _policy_iteration(st, source, g, v0, bc_vals, obstacle)
+    return v, obstacle, solves + coarse_solves
+
+
+def _policy_iteration(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.ndarray,
+                      bc_vals: Tuple[float, float], obstacle: Optional[np.ndarray]
+                      ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Policy iteration on one grid from the first row choice `obstacle`.
 
     An interior row is an obstacle row (v_i = g_i) exactly where
     v_i - g_i < (A v - source)_i, and a PDE row ((A v)_i = source_i)
-    otherwise; the first choice is read off v0.  On an M-matrix the policy
-    settles in at most n iterations (Bokanowski, Maroso & Zidani 2009).
-    Returns the solution and the number of banded solves.
+    otherwise; when `obstacle` is None the first choice is read off v0.  On an
+    M-matrix the policy settles in at most n iterations (Bokanowski, Maroso
+    & Zidani 2009).  Returns the solution, the obstacle rows and the number
+    of banded solves.
     """
     n = len(g)
     v = v0.copy()
     v[0], v[-1] = bc_vals
-    obstacle = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
+    if obstacle is None:
+        obstacle = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
     for it in range(1, n + 1):
         # Known values (boundary data, obstacle rows) move to the right-hand
         # side, so obstacle rows decouple and come out exactly equal to g;
@@ -264,7 +311,7 @@ def _solve_lcp(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.ndarray,
         v[1:-1] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
         new = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
         if np.array_equal(new, obstacle):
-            return v, it
+            return v, obstacle, it
         obstacle = new
     raise SolverError(f"policy iteration did not settle within {n} iterations")
 
@@ -275,16 +322,17 @@ def _boundary_values(spec: ModelSpec, g: np.ndarray, settings: SolverSettings) -
     return float(lo), float(hi)
 
 
-def _solve_level_linear(spec: ModelSpec, st: _Stencil, xs: np.ndarray, g: np.ndarray,
+def _solve_level_linear(spec: ModelSpec, stencils: List[_Stencil], g: np.ndarray,
                         w_next: np.ndarray, v_start: np.ndarray,
                         settings: SolverSettings) -> Tuple[np.ndarray, int]:
-    source = st.alpha * generating_function_grid(spec, xs, w_next, settings.k_max)
+    st = stencils[0]
+    source = st.alpha * generating_function_grid(spec, st.xs, w_next, settings.k_max)
     bc = _boundary_values(spec, g, settings)
-    return _solve_lcp(st, source, g, v_start, bc)
+    v, _, solves = _solve_lcp(stencils, source, g, v_start, bc)
+    return v, solves
 
 
-def solve_scalar(spec: ModelSpec, settings: SolverSettings,
-                 level_index: Optional[int] = None) -> ValueGrid:
+def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
     """Fixed-point solve of the self-coupled obstacle problem (equal rewards).
 
     Picard iteration from the uniform value bound: each step solves the
@@ -293,17 +341,24 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings,
     every shipped model; the step norms and their ratios are logged and a
     failed gamma uniqueness condition produces a warning, not an error.
     """
-    level = spec.reward_depth if level_index is None else level_index
-    g_fun = spec.reward_at(level)
     xs = np.linspace(settings.x_lo, settings.x_hi, settings.n_cells + 1)
-    g = g_fun.grid_values(xs)
+    stencils = _stencils(spec, xs)
+    grid = _picard(spec, settings, stencils, spec.reward_depth)
+    _finalize(spec, stencils[0], grid)
+    return grid
+
+
+def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
+            level: int) -> ValueGrid:
+    """solve_scalar's fixed point for reward level `level`, not yet finalized."""
+    xs = stencils[0].xs
+    g = spec.reward_at(level).grid_values(xs)
     v_bar = value_bound(spec)
     if not math.isfinite(v_bar):
         raise SolverError(
             "the uniform value bound overflows for this model; "
             "rescale rewards to k_g = 1 or reduce alpha_bar"
         )
-    st = _build_stencil(spec, xs)
     report = moment_report(spec)
     warnings: List[str] = []
     if not report.unique_below_bound:
@@ -318,7 +373,7 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings,
     ratios: List[float] = []
     signed: List[float] = []
     for it in range(1, settings.max_picard + 1):
-        v, n_sw = _solve_level_linear(spec, st, xs, g, w, w, settings)
+        v, n_sw = _solve_level_linear(spec, stencils, g, w, w, settings)
         sweeps.append(n_sw)
         step = float(np.max(np.abs(v - w)))
         norms.append(step)
@@ -332,7 +387,7 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings,
         raise SolverError(f"Picard iteration did not converge in {settings.max_picard} steps")
     stats = LevelStats(picard_iterations=it, psor_sweeps=sweeps,
                        step_norms=norms, step_ratios=ratios, step_signed_max=signed)
-    grid = ValueGrid(
+    return ValueGrid(
         xs=xs,
         values=w[None, :].copy(),
         obstacles=g[None, :].copy(),
@@ -344,8 +399,6 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings,
         warnings=warnings,
         tail_budget=series_tail_bound(spec, max(v_bar, 1.0), settings.k_max),
     )
-    _finalize(spec, grid)
-    return grid
 
 
 def solve_generation_system(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
@@ -356,9 +409,9 @@ def solve_generation_system(spec: ModelSpec, settings: SolverSettings) -> ValueG
     the one below, so it needs a single linear obstacle solve.
     """
     depth = spec.reward_depth
-    deep = solve_scalar(spec, settings, level_index=depth)
-    xs = deep.xs
-    st = _build_stencil(spec, xs)
+    xs = np.linspace(settings.x_lo, settings.x_hi, settings.n_cells + 1)
+    stencils = _stencils(spec, xs)
+    deep = _picard(spec, settings, stencils, depth)
     n_levels = depth + 1
     values = np.empty((n_levels, len(xs)))
     obstacles = np.empty_like(values)
@@ -369,7 +422,7 @@ def solve_generation_system(spec: ModelSpec, settings: SolverSettings) -> ValueG
     for n in range(depth - 1, -1, -1):
         g = spec.reward_at(n).grid_values(xs)
         v_start = np.maximum(values[n + 1], g)
-        v, n_sw = _solve_level_linear(spec, st, xs, g, values[n + 1], v_start, settings)
+        v, n_sw = _solve_level_linear(spec, stencils, g, values[n + 1], v_start, settings)
         values[n] = v
         obstacles[n] = g
         stats[n] = LevelStats(picard_iterations=1, psor_sweeps=[n_sw],
@@ -386,7 +439,7 @@ def solve_generation_system(spec: ModelSpec, settings: SolverSettings) -> ValueG
         warnings=deep.warnings,
         tail_budget=deep.tail_budget,
     )
-    _finalize(spec, grid)
+    _finalize(spec, stencils[0], grid)
     return grid
 
 
@@ -399,11 +452,10 @@ def _discrete_residual(spec: ModelSpec, st: _Stencil, xs: np.ndarray, v: np.ndar
     return res
 
 
-def _finalize(spec: ModelSpec, grid: ValueGrid) -> None:
+def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:
     """Flag contact nodes and record complementarity diagnostics per level."""
     settings = grid.settings
     contact_tol = 10.0 * settings.tol_fp
-    st = _build_stencil(spec, grid.xs)
     for n in range(grid.depth + 1):
         v = grid.values[n]
         g = grid.obstacles[n]

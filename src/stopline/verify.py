@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from .labels import MOTHER, Label
 from .model import ModelSpec, model_hash
@@ -231,10 +230,19 @@ def subtree_reward_samples(
     a_vals: List[float] = []
     b_vals: List[float] = []
     child0: Label = (0,)
+
+    def unread(particle, record) -> bool:
+        # Only child 0's subtree of a mother branching inside the window is
+        # read; streams are keyed per label, so skipping the rest changes
+        # no sample.
+        if particle.label == MOTHER:
+            return particle.end_time > branch_window
+        return particle.label[0] != 0
+
     for r in range(reps):
         seed_a = replication_seed(seed, r, "A")
         rec = simulate_forest(spec, [(MOTHER, np.array([float(point)]))],
-                              horizon=horizon_a, dt=dt, seed=seed_a)
+                              horizon=horizon_a, dt=dt, seed=seed_a, prune=unread)
         mother = rec.particles[MOTHER]
         if mother.end_kind != "branched" or not mother.offspring_count:
             continue
@@ -306,6 +314,9 @@ def branching_property_test(
     if len(a) < min_samples:
         return BranchingTest(ks_stat=math.nan, p_value=math.nan,
                              n_samples=len(a), insufficient=True)
+    # scipy.stats takes about a second to import and only this test needs it
+    from scipy import stats as sps
+
     ks = sps.ks_2samp(a, b, method="asymp")
     return BranchingTest(ks_stat=float(ks.statistic), p_value=float(ks.pvalue),
                          n_samples=len(a), insufficient=False)

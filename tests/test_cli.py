@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stopline
 from stopline.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -175,3 +179,13 @@ def test_no_writes_outside_output_dir(tmp_path, monkeypatch):
     before = set(workdir.iterdir())
     assert run_cli(["simulate", cfg]) == 0
     assert set(workdir.iterdir()) == before
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up; only the KS test uses it
+    src = str(Path(stopline.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, stopline, stopline.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -246,6 +246,22 @@ def test_logistic_rate_bounds_and_lipschitz():
     assert np.max(slopes) <= rate.lipschitz() + 1e-9
 
 
+@pytest.mark.parametrize("rate,rtol", [
+    (RateFunction("constant", value=0.35), 0.0),
+    (RateFunction("logistic", cap=0.8, center=0.3, width=0.5), 1e-14),
+])
+def test_rate_grid_values_match_pointwise(rate, rtol):
+    # the stencil and the Poisson generating function read rates on the
+    # whole grid; numpy's exp may round differently from math.exp
+    xs = np.linspace(-10, 10, 401)
+    pointwise = np.array([rate(np.array([x])) for x in xs])
+    grid = rate.grid_values(xs)
+    if rtol == 0.0:
+        assert np.array_equal(grid, pointwise)
+    else:
+        np.testing.assert_allclose(grid, pointwise, rtol=rtol, atol=0.0)
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=25, deadline=None)
 def test_binary_mass_sums(p0):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from stopline import pde
 from stopline.model import RewardFunction
 from stopline.pde import (
     SolverError,
@@ -77,15 +79,18 @@ def test_put_matches_closed_form(put_spec):
     assert abs(cb - xstar) <= 2 * h
 
 
-def test_put_fine_grid_solves_within_criterion_03(put_spec):
-    # 16000 cells is past where projected SOR ran out of sweeps; the exact
-    # solve needs at most one policy iteration per cell.
+def put_settings(n_cells):
     v_far, _ = put_oracle(np.array([4.0]))
-    n = 16000
-    grid = solve_scalar(put_spec, SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=n,
-                                                 bc_hi="value",
-                                                 bc_hi_value=float(v_far[0])))
-    assert all(k <= n for k in grid.stats[0].psor_sweeps)
+    return SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=n_cells, bc_hi="value",
+                          bc_hi_value=float(v_far[0]))
+
+
+def test_put_fine_grid_solves_within_criterion_03(put_spec):
+    # 16000 cells is past where projected SOR ran out of sweeps.  From the
+    # flat start a cold policy iteration needs about n/8 banded solves per
+    # Picard step; the coarse-to-fine first policy needs a few per level.
+    grid = solve_scalar(put_spec, put_settings(16000))
+    assert max(grid.stats[0].psor_sweeps) <= 64
     vtrue, xstar = put_oracle(grid.xs)
     h = grid.xs[1] - grid.xs[0]
     mask = np.abs(grid.xs - xstar) > 5 * h
@@ -230,3 +235,34 @@ def test_grid_csv_roundtrip_values(tmp_path, bump_spec):
     assert len(rows) == len(grid.xs)
     assert float(rows[0]["x"]) == approx(grid.x_lo)
     assert float(rows[50]["v"]) == approx(grid.values[0][50])
+
+
+@pytest.mark.parametrize("model,n_cells", [
+    ("put", 4000), ("put", 1001), ("bump", 1600), ("depth1", 1600),
+])
+def test_cascade_equals_cold_start(model, n_cells, put_spec, bump_spec, monkeypatch):
+    # The coarse grids only choose where policy iteration starts; with the
+    # floor out of reach every solve starts cold from v0, as a single grid.
+    if model == "put":
+        spec, settings = put_spec, put_settings(n_cells)
+    else:
+        spec = bump_spec if model == "bump" else dataclasses.replace(
+            bump_spec, reward_depth=1, reward_levels=bump_spec.reward_levels
+            + (RewardFunction("bump", a=0.5, center=0.0, width=1.0),))
+        settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=n_cells)
+    solve = solve_generation_system if spec.reward_depth else solve_scalar
+    fast = solve(spec, settings)
+    monkeypatch.setattr(pde, "_COARSEST_CELLS", 10 * n_cells)
+    cold = solve(spec, settings)
+    assert np.array_equal(fast.values, cold.values)
+    assert np.array_equal(fast.contact, cold.contact)
+    for f, c in zip(fast.stats, cold.stats):
+        assert f.step_norms == c.step_norms
+    assert sum(fast.stats[-1].psor_sweeps) < sum(cold.stats[-1].psor_sweeps)
+
+
+@pytest.mark.parametrize("n_cells,boundary", [
+    (2000, 0.384904), (4000, 0.384904), (8000, 0.384404125),
+])
+def test_put_contact_boundary_pinned(put_spec, n_cells, boundary):
+    assert contact_boundary(solve_scalar(put_spec, put_settings(n_cells))) == boundary

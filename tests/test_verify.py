@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from stopline.labels import MOTHER
 from stopline.model import RewardFunction
 from stopline.pde import SolverSettings, solve_scalar
-from stopline.stopping import first_branch_rule, fixed_time_rule
+from stopline.reward import reward_of_outcome
+from stopline.simulator import replication_seed, simulate_forest
+from stopline.stopping import evaluate_line, first_branch_rule, fixed_time_rule
 from stopline.verify import (
     VerifyError,
+    _extract_subtree,
     branching_property_test,
     cross_validate,
     dpp_consistency,
@@ -227,6 +231,37 @@ def test_branching_shared_streams_identical():
                                   shared_streams=True)
     assert len(a) >= 100
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_subtree_samples_equal_unpruned_forests(shared):
+    # subtree_reward_samples prunes what it never reads; rebuild its samples
+    # from full forests and compare value for value
+    spec, point, dt, seed, window, s = branching_spec(), 0.3, 0.02, 21, 1.5, 0.5
+    a, b = subtree_reward_samples(spec, point, reps=200, dt=dt, seed=seed,
+                                  branch_window=window, functional_horizon=s,
+                                  shared_streams=shared)
+    rule = fixed_time_rule(s, s + dt, "abandon")
+    child0 = (0,)
+    a_full, b_full = [], []
+    for r in range(200):
+        seed_a = replication_seed(seed, r, "A")
+        rec = simulate_forest(spec, [(MOTHER, np.array([point]))],
+                              horizon=window + s + 2 * dt, dt=dt, seed=seed_a)
+        mother = rec.particles[MOTHER]
+        if (mother.end_kind != "branched" or not mother.offspring_count
+                or mother.end_time > window):
+            continue
+        sub = _extract_subtree(rec, child0)
+        a_full.append(reward_of_outcome(spec, evaluate_line(sub, rule)))
+        rec_b = simulate_forest(spec, [(child0, mother.positions[-1].copy())],
+                                horizon=mother.end_time + (s + dt) + dt, dt=dt,
+                                seed=seed_a if shared else replication_seed(seed, r, "B"),
+                                t0=mother.end_time)
+        b_full.append(reward_of_outcome(spec, evaluate_line(_extract_subtree(rec_b, child0), rule)))
+    assert len(a) >= 50
+    assert a.tolist() == a_full
+    assert b.tolist() == b_full
 
 
 def test_branching_property_no_motion():
