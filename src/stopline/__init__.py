@@ -14,7 +14,6 @@ from .labels import (
     generation,
     is_strict_ancestor,
     parse_label,
-    ulam_distance,
 )
 from .model import (
     Coefficient,
@@ -33,12 +32,11 @@ from .model import (
 from .pde import (
     SolverSettings,
     ValueGrid,
-    apply_operator,
     residual_report,
     solve_generation_system,
     solve_scalar,
 )
-from .reward import McEstimate, dpp_rhs, mc_value, merge_estimates, reward_of_outcome
+from .reward import McEstimate, dpp_rhs, mc_value, reward_of_outcome
 from .simulator import (
     GenealogyRecord,
     ParticleRecord,

@@ -12,21 +12,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .labels import parse_label
 from .model import ModelError, ModelSpec, check_assumptions, moment_report
 from .pde import SolverError, SolverSettings, ValueGrid, solve_generation_system, solve_scalar
-from .reward import McEstimate, estimate_from_samples, line_reward, mc_value
-from .simulator import SimulationError, replication_seed, simulate_forest, write_forest_csv, write_paths_csv
+from .reward import RewardError, mc_value
+from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
 from .stopping import StoppingError, rule_from_json
 from .verify import VerifyError, branching_property_test, cross_validate, dpp_consistency
 
@@ -101,6 +99,30 @@ def _solver_settings(config: dict) -> SolverSettings:
         )
     except KeyError as exc:
         raise ConfigError(f"solver section is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver section: {exc}") from exc
+
+
+class _McSettings(NamedTuple):
+    reps: int
+    dt: float
+    seed: int
+    t_cut: float
+    cut_policy: str
+
+
+def _mc(config: dict) -> _McSettings:
+    mc = config.get("mc", {})
+    try:
+        return _McSettings(
+            reps=int(mc.get("reps", 1000)),
+            dt=float(mc.get("dt", 0.01)),
+            seed=int(mc["seed"]),
+            t_cut=float(mc.get("t_cut", 1.0)),
+            cut_policy=mc.get("cut_policy", "force_stop"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mc section: {exc}") from exc
 
 
 def _out_dir(config: dict) -> Path:
@@ -121,15 +143,6 @@ def _write_sidecar(out: Path, command: str) -> None:
         f.write("\n")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("STOPLINE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _solve_grid(spec: ModelSpec, config: dict) -> ValueGrid:
     settings = _solver_settings(config)
     if spec.reward_depth == 0:
@@ -137,7 +150,7 @@ def _solve_grid(spec: ModelSpec, config: dict) -> ValueGrid:
     return solve_generation_system(spec, settings)
 
 
-def cmd_check(config: dict, args) -> int:
+def cmd_check(config: dict) -> int:
     spec = _spec(config)
     grid_pts = np.asarray(config.get("check_grid", np.linspace(-5, 5, 41).tolist()), dtype=float)
     report = moment_report(spec)
@@ -159,7 +172,7 @@ def cmd_check(config: dict, args) -> int:
     return EXIT_OK if audit.ok else EXIT_VALIDATION
 
 
-def cmd_solve(config: dict, args) -> int:
+def cmd_solve(config: dict) -> int:
     spec = _spec(config)
     grid = _solve_grid(spec, config)
     out = _out_dir(config)
@@ -175,17 +188,14 @@ def cmd_solve(config: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: dict, args) -> int:
+def cmd_simulate(config: dict) -> int:
     spec = _spec(config)
-    mc = config.get("mc", {})
-    sim = config.get("simulate", {})
-    horizon = float(sim.get("horizon", mc.get("t_cut", 1.0)))
-    dt = float(mc.get("dt", 0.01))
-    seed = int(mc["seed"])
+    mc = _mc(config)
+    horizon = float(config.get("simulate", {}).get("horizon", mc.t_cut))
     start = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})
     label = parse_label(start.get("label", "∅"))
     x0 = np.asarray(start["x"], dtype=float)
-    record = simulate_forest(spec, [(label, x0)], horizon=horizon, dt=dt, seed=seed)
+    record = simulate_forest(spec, [(label, x0)], horizon=horizon, dt=mc.dt, seed=mc.seed)
     out = _out_dir(config)
     write_forest_csv(record, str(out / "forest.csv"))
     write_paths_csv(record, str(out / "paths.csv"))
@@ -195,35 +205,9 @@ def cmd_simulate(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _mc_value_parallel(spec, rule, start, reps, dt, seed, n_threads) -> McEstimate:
-    """Split replications across threads; merge in fixed chunk order."""
-    if n_threads <= 1 or reps < 4 * n_threads:
-        return mc_value(spec, rule, start, reps, dt, seed)
-    chunks = []
-    base = reps // n_threads
-    extras = reps % n_threads
-    offset = 0
-    for i in range(n_threads):
-        size = base + (1 if i < extras else 0)
-        if size:
-            chunks.append((offset, size))
-            offset += size
-
-    def run(chunk):
-        lo, size = chunk
-        vals = np.empty(size)
-        for j in range(size):
-            vals[j] = line_reward(spec, rule, start, dt, replication_seed(seed, lo + j))
-        return vals
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        results = list(pool.map(run, chunks))
-    return estimate_from_samples(np.concatenate(results), seed, rule.t_cut, rule.cut_policy)
-
-
-def cmd_value(config: dict, args) -> int:
+def cmd_value(config: dict) -> int:
     spec = _spec(config)
-    mc = config.get("mc", {})
+    mc = _mc(config)
     rule_obj = config.get("rule")
     if rule_obj is None:
         raise ConfigError("config needs a 'rule' section for the value command")
@@ -235,8 +219,7 @@ def cmd_value(config: dict, args) -> int:
     start_obj = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})
     start = (parse_label(start_obj.get("label", "∅")),
              np.asarray(start_obj["x"], dtype=float))
-    est = _mc_value_parallel(spec, rule, start, int(mc.get("reps", 1000)),
-                             float(mc.get("dt", 0.01)), int(mc["seed"]), _threads(args))
+    est = mc_value(spec, rule, start, mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
     est.write_json(str(out / "value.json"))
     _write_sidecar(out, "value")
@@ -244,28 +227,24 @@ def cmd_value(config: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict, args) -> int:
+def cmd_verify(config: dict) -> int:
     spec = _spec(config)
-    mc = config.get("mc", {})
+    mc = _mc(config)
     ver = config.get("verify", {})
     grid = _solve_grid(spec, config)
     points = [float(x) for x in config.get("points", ver.get("points", [0.0]))]
-    reps = int(mc.get("reps", 1000))
-    dt = float(mc.get("dt", 0.01))
-    seed = int(mc["seed"])
     epsilon = float(ver.get("epsilon", 1e-3))
-    t_cut = float(mc.get("t_cut", 1.0))
-    cut_policy = mc.get("cut_policy", "force_stop")
-    sweep_times = [float(t) for t in ver.get("sweep_times", [t_cut / 4, t_cut / 2])]
-    report = cross_validate(spec, grid, points, reps, dt, seed, epsilon,
-                            t_cut, cut_policy, sweep_times)
+    sweep_times = [float(t) for t in ver.get("sweep_times", [mc.t_cut / 4, mc.t_cut / 2])]
+    report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, epsilon,
+                            mc.t_cut, mc.cut_policy, sweep_times)
     theta_spec = ver.get("dpp_theta", {"kind": "first_branch"})
     for point in points:
-        theta = rule_from_json({**theta_spec, "t_cut": t_cut, "cut_policy": cut_policy}, grid)
-        report.dpp.append(dpp_consistency(spec, grid, theta, point, reps, dt, seed, epsilon))
+        theta = rule_from_json({**theta_spec, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, grid)
+        report.dpp.append(dpp_consistency(spec, grid, theta, point, mc.reps, mc.dt, mc.seed,
+                                          epsilon))
     if ver.get("branching", False) and spec.alpha_bar > 0:
         report.branching = branching_property_test(
-            spec, points[0], reps, dt, seed,
+            spec, points[0], mc.reps, mc.dt, mc.seed,
             branch_window=float(ver.get("branch_window", 2.0)),
             functional_horizon=float(ver.get("functional_horizon", 0.5)),
         )
@@ -290,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stopline",
         description="Branching diffusion stopping lines: simulate, solve, cross-validate.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: STOPLINE_THREADS or all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
@@ -322,8 +299,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return COMMANDS[args.command](config, args)
-    except (ConfigError, ModelError, StoppingError) as exc:
+        return COMMANDS[args.command](config)
+    except (ConfigError, ModelError, RewardError, StoppingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:

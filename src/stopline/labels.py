@@ -43,43 +43,9 @@ def child(i: Label, k: int) -> Label:
     return i + (k,)
 
 
-def is_ancestor(j: Label, i: Label) -> bool:
-    """True iff j is i or a prefix of i."""
-    return i[: len(j)] == j
-
-
 def is_strict_ancestor(j: Label, i: Label) -> bool:
     """True iff i strictly extends j, i.e. j is a proper prefix of i."""
     return len(i) > len(j) and i[: len(j)] == j
-
-
-def common_prefix_length(i: Label, j: Label) -> int:
-    p = 0
-    for a, b in zip(i, j):
-        if a != b:
-            break
-        p += 1
-    return p
-
-
-def depth_weight(i: Label) -> int:
-    """Weight of the path from the mother: each index k costs k + 1.
-
-    This equals ulam_distance(i, MOTHER) and grows with both generation
-    and sibling rank, unlike generation() which counts indices only.
-    """
-    return sum(k + 1 for k in i)
-
-
-def ulam_distance(i: Label, j: Label) -> int:
-    """Tree distance: total weight of both paths below the common ancestor.
-
-    Each edge from a parent to its k-th child weighs k + 1, so siblings
-    with large indices are farther apart.  Symmetric, zero iff equal, and
-    satisfies the triangle inequality (it is a weighted tree path metric).
-    """
-    p = common_prefix_length(i, j)
-    return sum(k + 1 for k in i[p:]) + sum(k + 1 for k in j[p:])
 
 
 def is_antichain(labels: Iterable[Label]) -> bool:

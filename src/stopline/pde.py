@@ -182,25 +182,6 @@ class ValueGrid:
         }
 
 
-def apply_operator(spec: ModelSpec, x: float, r: float, q: float, m: float,
-                   next_gen_value: float, k_max: int = 64) -> float:
-    """Pointwise generator value 0.5 s^2 m + b q + alpha G(x, w) - (alpha+gamma) r.
-
-    Generation-symmetric coupling: the product of offspring values collapses
-    to next_gen_value**k inside the generating function.
-    """
-    if spec.dimension != 1:
-        raise SolverError("operator evaluation is implemented for dimension 1 only")
-    pt = np.array([float(x)])
-    b = float(spec.drift(pt)[0])
-    s = float(spec.diffusion(pt)[0])
-    alpha = float(spec.branch_rate(pt))
-    from .model import generating_function
-
-    G = generating_function(spec, pt, next_gen_value, k_max)
-    return 0.5 * s * s * m + b * q + alpha * G - (alpha + spec.gamma) * r
-
-
 @dataclass
 class _Stencil:
     """Tridiagonal M-matrix pieces of -(linear part of L) on the grid xs."""

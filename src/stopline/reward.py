@@ -23,7 +23,6 @@ from .simulator import (
     simulate_forest,
 )
 from .stopping import (
-    FORCE_STOP,
     LineOutcome,
     StoppingRule,
     evaluate_line,
@@ -97,18 +96,6 @@ def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,
         t_cut=t_cut,
         cut_policy=cut_policy,
     )
-
-
-def merge_estimates(a: McEstimate, b: McEstimate) -> McEstimate:
-    """Count-weighted mean with pooled variance; associative."""
-    n = a.reps + b.reps
-    mean = (a.reps * a.mean + b.reps * b.mean) / n
-    ss_a = (a.stderr * math.sqrt(a.reps)) ** 2 * (a.reps - 1)
-    ss_b = (b.stderr * math.sqrt(b.reps)) ** 2 * (b.reps - 1)
-    ss = ss_a + ss_b + a.reps * (a.mean - mean) ** 2 + b.reps * (b.mean - mean) ** 2
-    sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
-    return McEstimate(mean=mean, stderr=sd / math.sqrt(n), reps=n, seed=a.seed,
-                      t_cut=a.t_cut, cut_policy=a.cut_policy)
 
 
 def line_reward(

@@ -22,7 +22,6 @@ from .labels import (
     Label,
     child,
     format_label,
-    generation,
     is_antichain,
 )
 from .model import ModelSpec, model_hash

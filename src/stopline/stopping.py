@@ -10,15 +10,13 @@ stop set is an ancestry antichain by construction.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .labels import Label, format_label, generation, is_antichain
-from .model import ModelSpec
+from .labels import Label, generation, is_antichain
 from .pde import ValueGrid
 from .simulator import GenealogyRecord, ParticleRecord
 
@@ -75,15 +73,6 @@ class StoppingRule:
         elif self.kind == "min_of":
             out["parts"] = [p.to_json() for p in self.parts]
         return out
-
-
-def default_t_cut(spec: ModelSpec) -> float:
-    """log(K_g)/gamma: after this time every stop factor is below one.
-
-    Degenerates to zero when K_g == 1, in which case callers must pick an
-    explicit horizon for simulation-based estimates.
-    """
-    return math.log(spec.k_g) / spec.gamma
 
 
 def trivial_root_rule(t_cut: float, cut_policy: str = ABANDON) -> StoppingRule:
@@ -252,34 +241,6 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
 def validate_line_property(outcome: LineOutcome) -> bool:
     """True iff the stop set is an ancestry antichain."""
     return is_antichain(outcome.stop_labels())
-
-
-def classify_roles(outcome: LineOutcome) -> dict:
-    """Partition every simulated label by its role relative to the line."""
-    record = outcome.record
-    stopped = set(outcome.stop_labels())
-    cut = set(outcome.passed_alive)
-    roles = {}
-    for lab in record.particles:
-        if lab in stopped:
-            roles[lab] = "stopped"
-        elif lab in cut:
-            roles[lab] = "alive_at_cut"
-        elif any(lab[: len(s)] == s and len(lab) > len(s) for s in stopped):
-            roles[lab] = "descendant"
-        else:
-            roles[lab] = "passed"
-    return roles
-
-
-def write_line_csv(outcome: LineOutcome, path: str) -> None:
-    d = outcome.stops[0].position.shape[0] if outcome.stops else 1
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["label", "tau"] + [f"x_{i}" for i in range(d)] + ["generation"])
-        for s in sorted(outcome.stops, key=lambda s: s.label):
-            w.writerow([format_label(s.label), repr(s.time)]
-                       + [repr(float(v)) for v in s.position] + [s.generation])
 
 
 def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:

@@ -33,6 +33,7 @@ from .stopping import (
 
 Z_THRESHOLD = 3.0
 KS_P_THRESHOLD = 0.01
+KS_MIN_SAMPLES = 100  # fewer subtree samples report the KS test as insufficient
 
 
 class VerifyError(RuntimeError):
@@ -305,13 +306,12 @@ def branching_property_test(
     seed: int,
     branch_window: float = 2.0,
     functional_horizon: float = 0.5,
-    min_samples: int = 100,
     max_samples: Optional[int] = None,
 ) -> BranchingTest:
     """Two-sample KS test of subtree rewards against fresh-start rewards."""
     a, b = subtree_reward_samples(spec, point, reps, dt, seed, branch_window,
                                   functional_horizon, max_samples=max_samples)
-    if len(a) < min_samples:
+    if len(a) < KS_MIN_SAMPLES:
         return BranchingTest(ks_stat=math.nan, p_value=math.nan,
                              n_samples=len(a), insufficient=True)
     # scipy.stats takes about a second to import and only this test needs it

@@ -11,6 +11,10 @@ import pytest
 
 import stopline
 from stopline.cli import main
+from stopline.labels import parse_label
+from stopline.model import ModelSpec
+from stopline.reward import mc_value
+from stopline.stopping import rule_from_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -93,19 +97,24 @@ def test_value_trivial_root(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
                       **{"rule": {"kind": "trivial_root", "t_cut": 6.0},
                          "mc.reps": 25})
-    assert run_cli(["--threads", "1", "value", cfg]) == 0
+    assert run_cli(["value", cfg]) == 0
     est = json.loads((tmp_path / "out" / "value.json").read_text())
     assert est["mean"] == pytest.approx(0.8 * np.exp(-1.2**2), rel=1e-9)
     assert est["stderr"] == 0.0
 
 
-def test_value_threads_do_not_change_result(tmp_path):
-    base = copy_config(tmp_path, "bump.json", **{"mc.reps": 64})
-    assert run_cli(["--threads", "1", "value", base]) == 0
-    one = (tmp_path / "out" / "value.json").read_text()
-    assert run_cli(["--threads", "4", "value", base]) == 0
-    four = (tmp_path / "out" / "value.json").read_text()
-    assert one == four
+def test_value_equals_api_estimate(tmp_path):
+    cfg = copy_config(tmp_path, "bump.json", **{"mc.reps": 64})
+    assert run_cli(["value", cfg]) == 0
+    est = json.loads((tmp_path / "out" / "value.json").read_text())
+    config = json.loads(cfg.read_text())
+    rule = rule_from_json(config["rule"])
+    assert rule.kind == "fixed_time"
+    start = (parse_label(config["start"]["label"]), np.asarray(config["start"]["x"], dtype=float))
+    mc = config["mc"]
+    api = mc_value(ModelSpec.from_json(config["model"]), rule, start, 64, mc["dt"], mc["seed"])
+    assert est["mean"] == api.mean
+    assert est["stderr"] == api.stderr
 
 
 def test_override_flag_changes_scalar(tmp_path):
@@ -115,6 +124,18 @@ def test_override_flag_changes_scalar(tmp_path):
         rows = list(csv.DictReader(f))
     for r in rows:
         assert float(r["birth_time"]) <= 0.5
+
+
+@pytest.mark.parametrize("command, override", [
+    ("value", "mc.reps=1"),
+    ("solve", "solver.n_cells=abc"),
+    ("value", "mc.reps=abc"),
+])
+def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
+    cfg = copy_config(tmp_path, "bump.json")
+    assert run_cli([command, cfg, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_numerical_failure_exit_code(tmp_path):
@@ -129,11 +150,11 @@ def test_determinism_byte_identical_outputs(tmp_path):
     assert run_cli(["solve", cfg]) == 0
     grid1 = (tmp_path / "out" / "grid.csv").read_bytes()
     log1 = (tmp_path / "out" / "solver_log.json").read_bytes()
-    assert run_cli(["--threads", "2", "value", cfg]) == 0
+    assert run_cli(["value", cfg]) == 0
     val1 = (tmp_path / "out" / "value.json").read_bytes()
     shutil.rmtree(tmp_path / "out")
     assert run_cli(["solve", cfg]) == 0
-    assert run_cli(["--threads", "2", "value", cfg]) == 0
+    assert run_cli(["value", cfg]) == 0
     assert (tmp_path / "out" / "grid.csv").read_bytes() == grid1
     assert (tmp_path / "out" / "solver_log.json").read_bytes() == log1
     assert (tmp_path / "out" / "value.json").read_bytes() == val1
@@ -156,7 +177,7 @@ def test_value_with_contact_rule_solves_grid(tmp_path):
                                   "t_cut": 6.0, "cut_policy": "force_stop"},
                          "mc.reps": 200, "solver.n_cells": 800,
                          "start": {"label": "∅", "x": [0.0]}})
-    assert run_cli(["--threads", "1", "value", cfg]) == 0
+    assert run_cli(["value", cfg]) == 0
     est = json.loads((tmp_path / "out" / "value.json").read_text())
     assert est["mean"] == pytest.approx(0.8)
 
@@ -168,7 +189,7 @@ def test_value_min_of_with_contact_part_solves_grid(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
                       **{"rule": {"kind": "min_of", "t_cut": 6.0, "parts": [contact, fixed]},
                          "mc.reps": 20, "solver.n_cells": 200})
-    assert run_cli(["--threads", "1", "value", cfg]) == 0
+    assert run_cli(["value", cfg]) == 0
 
 
 def test_no_writes_outside_output_dir(tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from stopline.labels import (
     MOTHER,
     concat,
-    depth_weight,
     format_label,
     generation,
     is_antichain,
@@ -12,7 +11,6 @@ from stopline.labels import (
     make_label,
     parent,
     parse_label,
-    ulam_distance,
 )
 
 labels = st.lists(st.integers(min_value=0, max_value=12), max_size=6).map(tuple)
@@ -40,16 +38,6 @@ def test_strict_ancestor_basic():
     assert not is_strict_ancestor((1, 0), (1,))
 
 
-def test_ulam_distance_examples():
-    assert ulam_distance(MOTHER, MOTHER) == 0
-    assert ulam_distance((0,), MOTHER) == 1
-    assert ulam_distance((1, 2), (1, 0, 3)) == 8
-
-
-def test_depth_weight_is_distance_to_mother():
-    assert depth_weight((1, 2)) == ulam_distance((1, 2), MOTHER) == 5
-
-
 @given(labels, labels)
 def test_concat_generation_additive(i, j):
     assert generation(concat(i, j)) == generation(i) + generation(j)
@@ -64,17 +52,6 @@ def test_concat_creates_strict_descendants(i, k):
 @given(labels, labels, labels)
 def test_concat_associative(i, j, k):
     assert concat(concat(i, j), k) == concat(i, concat(j, k))
-
-
-@given(labels, labels)
-def test_distance_symmetric_and_definite(i, j):
-    assert ulam_distance(i, j) == ulam_distance(j, i)
-    assert (ulam_distance(i, j) == 0) == (i == j)
-
-
-@given(labels, labels, labels)
-def test_distance_triangle_inequality(i, j, k):
-    assert ulam_distance(i, k) <= ulam_distance(i, j) + ulam_distance(j, k)
 
 
 @given(st.lists(labels, max_size=8))

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from stopline.pde import (
     SolverError,
     SolverSettings,
     ValueGrid,
-    apply_operator,
     contact_boundary,
     residual_report,
     solve_generation_system,
@@ -19,34 +17,6 @@ from stopline.pde import (
 )
 
 from conftest import make_spec, put_oracle
-
-
-def test_apply_operator_reduces_to_heat_minus_discount():
-    spec = make_spec(diffusion=("constant", math.sqrt(2.0)), alpha=0.0, gamma=1.0)
-    v, vxx = 0.7, -0.3
-    got = apply_operator(spec, 0.0, v, 0.1, vxx, next_gen_value=v)
-    assert got == approx(vxx - v + 0.1 * 0.0)
-
-
-def test_apply_operator_alpha_cancels_for_single_offspring():
-    base = dict(diffusion=("constant", 1.0), offspring=("deterministic", 1), gamma=0.8)
-    vals = []
-    for a in (0.0, 0.5, 2.0):
-        spec = make_spec(alpha=a, **base)
-        vals.append(apply_operator(spec, 0.3, 0.6, -0.2, 0.4, next_gen_value=0.6))
-    assert vals[0] == approx(vals[1]) == approx(vals[2])
-
-
-def test_apply_operator_constant_one_has_negative_generator():
-    spec = make_spec(alpha=0.7, offspring=("poisson", 0.5), gamma=1.0)
-    got = apply_operator(spec, 0.0, 1.0, 0.0, 0.0, next_gen_value=1.0)
-    assert got == approx(-spec.gamma, abs=1e-10)
-
-
-def test_apply_operator_rejects_multidim():
-    spec = make_spec(dimension=2)
-    with pytest.raises(SolverError):
-        apply_operator(spec, 0.0, 1.0, 0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("offspring", [

@@ -15,7 +15,6 @@ from stopline.reward import (
     estimate_from_samples,
     line_reward,
     mc_value,
-    merge_estimates,
     reward_of_outcome,
 )
 from stopline.simulator import replication_seed, simulate_forest
@@ -140,25 +139,6 @@ def test_rewards_bounded_by_kg_power():
         out = evaluate_line(rec, rule)
         val = reward_of_outcome(spec, out)
         assert 0.0 <= val <= spec.k_g ** max(len(out.stops), 1)
-
-
-def test_merge_estimates_matches_pooled():
-    rng = np.random.default_rng(5)
-    xs = rng.uniform(size=37)
-    full = estimate_from_samples(xs, 0, 1.0, "abandon")
-    a = estimate_from_samples(xs[:20], 0, 1.0, "abandon")
-    b = estimate_from_samples(xs[20:], 0, 1.0, "abandon")
-    merged = merge_estimates(a, b)
-    assert merged.mean == approx(full.mean)
-    assert merged.stderr == approx(full.stderr)
-    assert merged.reps == full.reps
-    # associativity over three chunks
-    c3 = [estimate_from_samples(part, 0, 1.0, "abandon")
-          for part in (xs[:10], xs[10:20], xs[20:])]
-    left = merge_estimates(merge_estimates(c3[0], c3[1]), c3[2])
-    right = merge_estimates(c3[0], merge_estimates(c3[1], c3[2]))
-    assert left.mean == approx(right.mean)
-    assert left.stderr == approx(right.stderr)
 
 
 def test_estimate_json_fields(tmp_path):

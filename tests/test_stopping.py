@@ -10,7 +10,6 @@ from stopline.stopping import (
     LineOutcome,
     Stop,
     StoppingError,
-    classify_roles,
     contact_set_rule,
     evaluate_line,
     exit_ball_rule,
@@ -156,23 +155,6 @@ def test_every_evaluated_line_is_antichain(seed):
         assert validate_line_property(out)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_role_partition_covers_every_label(seed):
-    spec = make_spec(diffusion=("constant", 0.8), alpha=1.5,
-                     offspring=("binary", (0.3, 0.7)))
-    rec = simulate_forest(spec, START, horizon=2.5, dt=0.05,
-                          seed=replication_seed(91, seed))
-    rule = fixed_time_rule(1.0, t_cut=2.5)
-    out = evaluate_line(rec, rule)
-    roles = classify_roles(out)
-    assert set(roles) == set(rec.particles)
-    stopped = {lab for lab, r in roles.items() if r == "stopped"}
-    assert stopped == {s.label for s in out.stops}
-    for lab, r in roles.items():
-        if r == "descendant":
-            assert any(lab[: len(s)] == s and lab != s for s in stopped)
-
-
 def test_min_of_takes_earlier_fire():
     spec = make_spec(diffusion=("constant", 0.5), alpha=0.0)
     rec = forest(spec, horizon=3.0, dt=0.1)
@@ -192,23 +174,6 @@ def test_t_cut_exceeding_horizon_rejected():
 def test_fixed_time_requires_room_below_t_cut():
     with pytest.raises(StoppingError):
         fixed_time_rule(2.0, t_cut=2.0)
-
-
-def test_line_csv_layout(tmp_path):
-    spec = make_spec(diffusion=("constant", 0.5), alpha=1.0,
-                     offspring=("deterministic", 2))
-    rec = forest(spec, horizon=2.0, dt=0.1, seed=6)
-    out = evaluate_line(rec, fixed_time_rule(1.0, t_cut=2.0))
-    path = tmp_path / "line.csv"
-    from stopline.stopping import write_line_csv
-
-    write_line_csv(out, str(path))
-    import csv
-
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == len(out.stops)
-    assert set(rows[0]) == {"label", "tau", "x_0", "generation"}
 
 
 def test_rule_json_roundtrip():
