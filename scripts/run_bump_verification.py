@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Full cross-validation demo on the bump model: solve the obstacle PDE,
-check the first-contact rule and the dynamic-programming identity by
-Monte Carlo, and run the subtree-law KS test.
+"""Full cross-validation demo on the bump model of configs/bump.json: solve
+the obstacle PDE, check the first-contact rule and the dynamic-programming
+identity by Monte Carlo, and run the subtree-law KS test on a branching model
+that has no config.
 
 Usage: python scripts/run_bump_verification.py [reps]
 """
+import json
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from stopline.model import Coefficient, ModelSpec, Offspring, RateFunction, RewardFunction
 from stopline.pde import SolverSettings, solve_scalar
@@ -18,18 +21,8 @@ from stopline.verify import branching_property_test, cross_validate, dpp_consist
 
 
 def main(reps):
-    spec = ModelSpec(
-        dimension=1,
-        drift=Coefficient("constant", value=0.0),
-        diffusion=Coefficient("constant", value=1.5),
-        branch_rate=RateFunction("constant", value=0.25),
-        alpha_bar=0.25,
-        offspring=Offspring("deterministic", k0=2),
-        gamma=1.0,
-        reward_depth=0,
-        reward_levels=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),),
-        k_g=1.0,
-    )
+    with open(ROOT / "configs" / "bump.json") as f:
+        spec = ModelSpec.from_json(json.load(f)["model"])
     t0 = time.monotonic()
     grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600))
     print(f"solved in {time.monotonic() - t0:.1f}s; "

@@ -1,45 +1,38 @@
 #!/usr/bin/env python3
-"""Solve the non-branching geometric put model and score it against the
-closed form: prints each solve's seconds, nodewise error quantiles and the
-free-boundary offset.
+"""Solve the non-branching geometric put model of configs/put.json and score
+it against the closed form: prints each solve's seconds, nodewise error
+quantiles and the free-boundary offset.
 
 Usage: python scripts/run_put_benchmark.py [n_cells ...]
 """
+import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from stopline.model import Coefficient, ModelSpec, Offspring, RateFunction, RewardFunction
+from stopline.model import ModelSpec
 from stopline.pde import SolverSettings, contact_boundary, solve_scalar
 
-R_RATE, VOL, STRIKE = 0.05, 0.4, 1.0
 
-
-def closed_form(xs):
-    beta = 2.0 * R_RATE / VOL**2
-    xstar = beta * STRIKE / (beta + 1.0)
-    amp = (STRIKE - xstar) * xstar**beta
-    return np.where(xs <= xstar, STRIKE - xs, amp * np.maximum(xs, 1e-300) ** (-beta)), xstar
+def closed_form(spec, xs):
+    """Perpetual put with rate gamma, volatility and strike read off the model."""
+    rate, vol = spec.gamma, spec.diffusion.rate
+    strike = spec.reward_levels[0].strike
+    beta = 2.0 * rate / vol**2
+    xstar = beta * strike / (beta + 1.0)
+    amp = (strike - xstar) * xstar**beta
+    return np.where(xs <= xstar, strike - xs, amp * np.maximum(xs, 1e-300) ** (-beta)), xstar
 
 
 def main(cells_list):
-    spec = ModelSpec(
-        dimension=1,
-        drift=Coefficient("linear", rate=R_RATE),
-        diffusion=Coefficient("linear", rate=VOL),
-        branch_rate=RateFunction("constant", value=0.0),
-        alpha_bar=0.0,
-        offspring=Offspring("deterministic", k0=1),
-        gamma=R_RATE,
-        reward_depth=0,
-        reward_levels=(RewardFunction("clipped_put", strike=STRIKE, clip=STRIKE),),
-        k_g=STRIKE,
-    )
-    far_value, _ = closed_form(np.array([4.0]))
+    with open(ROOT / "configs" / "put.json") as f:
+        spec = ModelSpec.from_json(json.load(f)["model"])
+    far_value, _ = closed_form(spec, np.array([4.0]))
     for n_cells in cells_list:
         settings = SolverSettings(
             x_lo=1e-3, x_hi=4.0, n_cells=n_cells,
@@ -48,7 +41,7 @@ def main(cells_list):
         t0 = time.perf_counter()
         grid = solve_scalar(spec, settings)
         seconds = time.perf_counter() - t0
-        vtrue, xstar = closed_form(grid.xs)
+        vtrue, xstar = closed_form(spec, grid.xs)
         h = grid.xs[1] - grid.xs[0]
         away = np.abs(grid.xs - xstar) > 5 * h
         rel = np.abs(grid.values[0] - vtrue) / np.maximum(vtrue, 1e-12)

@@ -23,7 +23,6 @@ from .model import (
     RewardFunction,
     check_assumptions,
     generating_function,
-    mean_offspring,
     model_hash,
     moment_report,
     series_tail_bound,
@@ -32,7 +31,6 @@ from .model import (
 from .pde import (
     SolverSettings,
     ValueGrid,
-    residual_report,
     solve_generation_system,
     solve_scalar,
 )
@@ -55,7 +53,6 @@ from .stopping import (
     min_of_rules,
     never_rule,
     trivial_root_rule,
-    validate_line_property,
 )
 from .verify import branching_property_test, cross_validate, dpp_consistency
 

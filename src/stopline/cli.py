@@ -16,11 +16,11 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .labels import parse_label
+from .labels import Label, parse_label
 from .model import ModelError, ModelSpec, check_assumptions, moment_report
 from .pde import SolverError, SolverSettings, ValueGrid, solve_generation_system, solve_scalar
 from .reward import RewardError, mc_value
@@ -82,16 +82,23 @@ def _spec(config: dict) -> ModelSpec:
     return ModelSpec.from_json(config["model"])
 
 
+def _whole(value, name: str) -> int:
+    """A count or seed; a fraction is refused rather than truncated by int()."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} = {value!r} is not a whole number")
+    return int(value)
+
+
 def _solver_settings(config: dict) -> SolverSettings:
     s = config.get("solver", {})
     try:
         return SolverSettings(
             x_lo=float(s["x_lo"]),
             x_hi=float(s["x_hi"]),
-            n_cells=int(s["n_cells"]),
+            n_cells=_whole(s["n_cells"], "n_cells"),
             tol_fp=float(s.get("tol_fp", 1e-8)),
-            k_max=int(s.get("k_max", 64)),
-            max_picard=int(s.get("max_picard", 200)),
+            k_max=_whole(s.get("k_max", 64), "k_max"),
+            max_picard=_whole(s.get("max_picard", 200), "max_picard"),
             bc_lo=s.get("bc_lo", "obstacle"),
             bc_hi=s.get("bc_hi", "obstacle"),
             bc_lo_value=float(s.get("bc_lo_value", 0.0)),
@@ -115,14 +122,24 @@ def _mc(config: dict) -> _McSettings:
     mc = config.get("mc", {})
     try:
         return _McSettings(
-            reps=int(mc.get("reps", 1000)),
+            reps=_whole(mc.get("reps", 1000), "reps"),
             dt=float(mc.get("dt", 0.01)),
-            seed=int(mc["seed"]),
+            seed=_whole(mc["seed"], "seed"),
             t_cut=float(mc.get("t_cut", 1.0)),
             cut_policy=mc.get("cut_policy", "force_stop"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"mc section: {exc}") from exc
+
+
+def _start(config: dict, spec: ModelSpec) -> Tuple[Label, np.ndarray]:
+    start = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})
+    try:
+        return parse_label(start.get("label", "∅")), np.asarray(start["x"], dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"start section is missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"start section: {exc}") from exc
 
 
 def _out_dir(config: dict) -> Path:
@@ -191,11 +208,12 @@ def cmd_solve(config: dict) -> int:
 def cmd_simulate(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
-    horizon = float(config.get("simulate", {}).get("horizon", mc.t_cut))
-    start = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})
-    label = parse_label(start.get("label", "∅"))
-    x0 = np.asarray(start["x"], dtype=float)
-    record = simulate_forest(spec, [(label, x0)], horizon=horizon, dt=mc.dt, seed=mc.seed)
+    try:
+        horizon = float(config.get("simulate", {}).get("horizon", mc.t_cut))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"simulate section: {exc}") from exc
+    record = simulate_forest(spec, [_start(config, spec)], horizon=horizon, dt=mc.dt,
+                             seed=mc.seed)
     out = _out_dir(config)
     write_forest_csv(record, str(out / "forest.csv"))
     write_paths_csv(record, str(out / "paths.csv"))
@@ -216,10 +234,7 @@ def cmd_value(config: dict) -> int:
     if "contact_set" in json.dumps(rule_obj):
         grid = _solve_grid(spec, config)
     rule = rule_from_json(rule_obj, grid)
-    start_obj = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})
-    start = (parse_label(start_obj.get("label", "∅")),
-             np.asarray(start_obj["x"], dtype=float))
-    est = mc_value(spec, rule, start, mc.reps, mc.dt, mc.seed)
+    est = mc_value(spec, rule, _start(config, spec), mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
     est.write_json(str(out / "value.json"))
     _write_sidecar(out, "value")
@@ -231,10 +246,15 @@ def cmd_verify(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
     ver = config.get("verify", {})
+    try:
+        points = [float(x) for x in config.get("points", ver.get("points", [0.0]))]
+        epsilon = float(ver.get("epsilon", 1e-3))
+        sweep_times = [float(t) for t in ver.get("sweep_times", [mc.t_cut / 4, mc.t_cut / 2])]
+        branch_window = float(ver.get("branch_window", 2.0))
+        functional_horizon = float(ver.get("functional_horizon", 0.5))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"verify settings: {exc}") from exc
     grid = _solve_grid(spec, config)
-    points = [float(x) for x in config.get("points", ver.get("points", [0.0]))]
-    epsilon = float(ver.get("epsilon", 1e-3))
-    sweep_times = [float(t) for t in ver.get("sweep_times", [mc.t_cut / 4, mc.t_cut / 2])]
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
     theta_spec = ver.get("dpp_theta", {"kind": "first_branch"})
@@ -245,8 +265,8 @@ def cmd_verify(config: dict) -> int:
     if ver.get("branching", False) and spec.alpha_bar > 0:
         report.branching = branching_property_test(
             spec, points[0], mc.reps, mc.dt, mc.seed,
-            branch_window=float(ver.get("branch_window", 2.0)),
-            functional_horizon=float(ver.get("functional_horizon", 0.5)),
+            branch_window=branch_window,
+            functional_horizon=functional_horizon,
         )
     out = _out_dir(config)
     report.write_json(str(out / "verify.json"))

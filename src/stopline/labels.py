@@ -26,12 +26,6 @@ def concat(i: Label, j: Label) -> Label:
     return i + j
 
 
-def parent(i: Label) -> Label:
-    if not i:
-        raise ValueError("the mother particle has no parent")
-    return i[:-1]
-
-
 def generation(i: Label) -> int:
     """Depth of the label: number of indices in its path."""
     return len(i)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-L_MAX_DEFAULT = 20
+L_MAX = 20  # the moment ladder sup over l stops here
 
 # internal truncation used when summing Poisson pmfs to machine accuracy
 _PMF_CUTOFF = 256
@@ -202,13 +202,6 @@ class Offspring:
                 p[k] = p[k - 1] * lam / k
         return p
 
-    def mean(self, x: np.ndarray) -> float:
-        if self.kind == "deterministic":
-            return float(self.k0)
-        if self.kind == "binary":
-            return 2.0 * self.p2
-        return self.lam(x)
-
     def raw_moment_sup(self, ell: int) -> float:
         """sup_x of the ell-th raw moment sum_k k^ell p_k(x), exact per family."""
         if ell == 0:
@@ -391,20 +384,28 @@ class ModelSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ModelSpec":
-        reward = obj["reward"]
-        levels = tuple(RewardFunction.from_json(g) for g in reward["levels"])
-        return ModelSpec(
-            dimension=int(obj["dimension"]),
-            drift=Coefficient.from_json(obj["drift"]),
-            diffusion=Coefficient.from_json(obj["diffusion"]),
-            branch_rate=RateFunction.from_json(obj["branch_rate"]),
-            alpha_bar=float(obj["alpha_bar"]),
-            offspring=Offspring.from_json(obj["offspring"]),
-            gamma=float(obj["gamma"]),
-            reward_depth=int(reward["depth"]),
-            reward_levels=levels,
-            k_g=float(obj["k_g"]),
-        )
+        """Build a model from its JSON form; a malformed field is a ModelError."""
+        try:
+            reward = obj["reward"]
+            levels = tuple(RewardFunction.from_json(g) for g in reward["levels"])
+            return ModelSpec(
+                dimension=int(obj["dimension"]),
+                drift=Coefficient.from_json(obj["drift"]),
+                diffusion=Coefficient.from_json(obj["diffusion"]),
+                branch_rate=RateFunction.from_json(obj["branch_rate"]),
+                alpha_bar=float(obj["alpha_bar"]),
+                offspring=Offspring.from_json(obj["offspring"]),
+                gamma=float(obj["gamma"]),
+                reward_depth=int(reward["depth"]),
+                reward_levels=levels,
+                k_g=float(obj["k_g"]),
+            )
+        except ModelError:
+            raise
+        except KeyError as exc:
+            raise ModelError(f"model is missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ModelError(f"model: {exc}") from exc
 
 
 def model_hash(spec: ModelSpec) -> str:
@@ -414,11 +415,6 @@ def model_hash(spec: ModelSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # derived quantities
-
-
-def mean_offspring(spec: ModelSpec, x) -> float:
-    """Mean offspring count at state x, exact for every catalog family."""
-    return spec.offspring.mean(np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def generating_function(spec: ModelSpec, x, w: float, k_max: int = 64) -> float:
@@ -536,18 +532,18 @@ class MomentReport:
         }
 
 
-def evaluated_moment_bound(spec: ModelSpec, l_max: int = L_MAX_DEFAULT) -> float:
-    """sup over l <= l_max of 2^l M_l (the l = 0 term contributes 1)."""
-    return max(2.0**ell * spec.offspring.raw_moment_sup(ell) for ell in range(l_max + 1))
+def evaluated_moment_bound(spec: ModelSpec) -> float:
+    """sup over l <= L_MAX of 2^l M_l (the l = 0 term contributes 1)."""
+    return max(2.0**ell * spec.offspring.raw_moment_sup(ell) for ell in range(L_MAX + 1))
 
 
-def value_bound(spec: ModelSpec, l_max: int = L_MAX_DEFAULT) -> float:
+def value_bound(spec: ModelSpec) -> float:
     """Uniform bound on the value function: exp(log(K_g) K_g^(abar Mbar / gamma)).
 
     Computed in log space; may overflow to inf for heavy offspring families,
     in which case callers must treat the bound as unavailable.
     """
-    m_bar = evaluated_moment_bound(spec, l_max)
+    m_bar = evaluated_moment_bound(spec)
     log_kg = math.log(spec.k_g)
     expo = spec.alpha_bar * m_bar / spec.gamma
     # K_g^expo in log space
@@ -560,21 +556,21 @@ def value_bound(spec: ModelSpec, l_max: int = L_MAX_DEFAULT) -> float:
     return math.exp(log_v)
 
 
-def moment_report(spec: ModelSpec, C: float = 0.0, l_max: int = L_MAX_DEFAULT) -> MomentReport:
+def moment_report(spec: ModelSpec, C: float = 0.0) -> MomentReport:
     """Evaluate the offspring moment ladder and the gamma uniqueness margin.
 
     Passing C = 0 uses the value bound as the comparison constant.  The sup
-    over l stops at l_max; whether the maximum is attained strictly inside
+    over l stops at L_MAX; whether the maximum is attained strictly inside
     the range is reported, since families with growing 2^l M_l only satisfy
     the moment condition in this truncated sense.
     """
     if C < 0:
         raise ModelError("comparison constant C must be nonnegative")
-    m_ell = [spec.offspring.raw_moment_sup(ell) for ell in range(1, l_max + 1)]
+    m_ell = [spec.offspring.raw_moment_sup(ell) for ell in range(1, L_MAX + 1)]
     weighted = [1.0] + [2.0**ell * m for ell, m in enumerate(m_ell, start=1)]
     argmax = int(np.argmax(weighted))
     m_bar = weighted[argmax]
-    v_bar = value_bound(spec, l_max)
+    v_bar = value_bound(spec)
     c_used = v_bar if C == 0.0 else C
     if not math.isfinite(c_used) or c_used <= 1.0:
         threshold = math.inf
@@ -591,8 +587,8 @@ def moment_report(spec: ModelSpec, C: float = 0.0, l_max: int = L_MAX_DEFAULT) -
         M_ell=m_ell,
         M_bar=m_bar,
         M_bar_argmax=argmax,
-        M_bar_interior=0 < argmax < l_max,
-        l_max=l_max,
+        M_bar_interior=0 < argmax < L_MAX,
+        l_max=L_MAX,
         C=c_used,
         gamma_threshold=threshold,
         unique_below_bound=spec.gamma > threshold,
@@ -622,8 +618,8 @@ class AssumptionCheck:
         }
 
 
-def check_assumptions(spec: ModelSpec, sample_grid: Optional[np.ndarray] = None,
-                      pmf_tol: float = 1e-12) -> AssumptionCheck:
+def check_assumptions(spec: ModelSpec,
+                      sample_grid: Optional[np.ndarray] = None) -> AssumptionCheck:
     """Numerical audit of the standing model requirements on a sample grid.
 
     Hard failures: pmf not summing to one, branch rate exceeding its declared
@@ -639,7 +635,7 @@ def check_assumptions(spec: ModelSpec, sample_grid: Optional[np.ndarray] = None,
     for x in sample_grid:
         pt = np.full(spec.dimension, float(x))
         total = float(np.sum(spec.offspring.pmf(pt, k_probe)))
-        if abs(total - 1.0) > pmf_tol:
+        if abs(total - 1.0) > 1e-12:
             hard.append(f"offspring pmf sums to {total!r} at x={x!r}")
             break
     alpha_sup = spec.branch_rate.supremum()

@@ -127,7 +127,6 @@ class ValueGrid:
     stats: List[LevelStats]
     warnings: List[str] = field(default_factory=list)
     tail_budget: float = 0.0
-    solved: bool = True
 
     @property
     def x_lo(self) -> float:
@@ -297,7 +296,7 @@ def _policy_iteration(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.nd
     raise SolverError(f"policy iteration did not settle within {n} iterations")
 
 
-def _boundary_values(spec: ModelSpec, g: np.ndarray, settings: SolverSettings) -> Tuple[float, float]:
+def _boundary_values(g: np.ndarray, settings: SolverSettings) -> Tuple[float, float]:
     lo = g[0] if settings.bc_lo == BC_OBSTACLE else settings.bc_lo_value
     hi = g[-1] if settings.bc_hi == BC_OBSTACLE else settings.bc_hi_value
     return float(lo), float(hi)
@@ -308,7 +307,7 @@ def _solve_level_linear(spec: ModelSpec, stencils: List[_Stencil], g: np.ndarray
                         settings: SolverSettings) -> Tuple[np.ndarray, int]:
     st = stencils[0]
     source = st.alpha * generating_function_grid(spec, st.xs, w_next, settings.k_max)
-    bc = _boundary_values(spec, g, settings)
+    bc = _boundary_values(g, settings)
     v, _, solves = _solve_lcp(stencils, source, g, v_start, bc)
     return v, solves
 
@@ -348,7 +347,7 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
             % (spec.gamma, report.gamma_threshold)
         )
     w = np.full_like(xs, v_bar)
-    w[0], w[-1] = _boundary_values(spec, g, settings)
+    w[0], w[-1] = _boundary_values(g, settings)
     sweeps: List[int] = []
     norms: List[float] = []
     ratios: List[float] = []
@@ -453,31 +452,6 @@ def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:
             s.max_residual_noncontact = float(np.max(np.abs(res_i[~contact_i])))
         if np.any(contact_i):
             s.min_residual_contact = float(np.min(res_i[contact_i]))
-
-
-@dataclass
-class ResidualReport:
-    levels: List[dict]
-
-    def to_json(self) -> dict:
-        return {"levels": self.levels}
-
-
-def residual_report(grid: ValueGrid) -> ResidualReport:
-    """Complementarity statistics per level of a solved grid."""
-    if not grid.solved:
-        raise SolverError("grid has not been solved")
-    rows = []
-    for n, s in enumerate(grid.stats):
-        rows.append({
-            "level": n,
-            "max_obstacle_violation": s.max_obstacle_violation,
-            "max_residual_noncontact": s.max_residual_noncontact,
-            "min_residual_contact": s.min_residual_contact,
-            "contact_count": s.contact_count,
-            "tail_budget": grid.tail_budget,
-        })
-    return ResidualReport(levels=rows)
 
 
 def contact_boundary(grid: ValueGrid, level: int = 0) -> Optional[float]:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .labels import Label, generation
-from .model import ModelSpec
+from .labels import Label
+from .model import ModelSpec, model_hash
 from .simulator import (
     DEFAULT_MAX_PARTICLES,
     GenealogyRecord,
@@ -23,10 +23,12 @@ from .simulator import (
     simulate_forest,
 )
 from .stopping import (
+    FORCE_STOP,
     LineOutcome,
+    Stop,
     StoppingRule,
     evaluate_line,
-    rule_fire_time,
+    rule_fires,
 )
 
 
@@ -34,15 +36,22 @@ class RewardError(ValueError):
     pass
 
 
+def _discounted_product(spec: ModelSpec, stops: Sequence[Stop],
+                        factor: Callable[[Stop], float]) -> float:
+    """Product over the stops of exp(-gamma time) factor(stop), in log space."""
+    log_total = 0.0
+    for s in stops:
+        f = factor(s)
+        if f <= 0.0:
+            return 0.0
+        log_total += -spec.gamma * s.time + math.log(f)
+    return math.exp(log_total)
+
+
 def reward_of_outcome(spec: ModelSpec, outcome: LineOutcome) -> float:
     """Product of discounted reward factors over the stop line."""
-    log_total = 0.0
-    for s in outcome.stops:
-        g = spec.reward_at(s.generation)(s.position)
-        if g <= 0.0:
-            return 0.0
-        log_total += -spec.gamma * s.time + math.log(g)
-    return math.exp(log_total)
+    return _discounted_product(spec, outcome.stops,
+                               lambda s: spec.reward_at(s.generation)(s.position))
 
 
 @dataclass
@@ -98,6 +107,22 @@ def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,
     )
 
 
+def _line_forest(spec: ModelSpec, rule: StoppingRule, start: Tuple[Label, Sequence[float]],
+                 dt: float, seed: int,
+                 max_particles: int = DEFAULT_MAX_PARTICLES) -> GenealogyRecord:
+    """One forest from `start` to t_cut, holding only what the rule's line reads.
+
+    A particle the rule fires on keeps its own path but not its subtree,
+    which the line walk never reads.  Streams are keyed per label, so every
+    particle kept is bit for bit the one in the full forest.
+    """
+    roots = {tuple(start[0])}
+    return simulate_forest(
+        spec, [start], horizon=rule.t_cut, dt=dt, seed=seed, max_particles=max_particles,
+        prune=lambda p, r: rule_fires(rule, p, r, roots),
+    )
+
+
 def line_reward(
     spec: ModelSpec,
     rule: StoppingRule,
@@ -108,16 +133,10 @@ def line_reward(
 ) -> float:
     """Reward of the rule's stop line on one forest simulated with this seed.
 
-    Only particles at or above the line are simulated: a particle the rule
-    claims keeps its own path but not its subtree, which the line walk
-    never reads.  Streams are keyed per label, so the reward is bit for bit
-    the one from the full forest.
+    Only particles at or above the line are simulated (see `_line_forest`),
+    so the reward is bit for bit the one from the full forest.
     """
-    roots = {tuple(start[0])}
-    rec = simulate_forest(
-        spec, [start], horizon=rule.t_cut, dt=dt, seed=seed, max_particles=max_particles,
-        prune=lambda p, r: rule_fire_time(rule, p, r, roots) is not None,
-    )
+    rec = _line_forest(spec, rule, start, dt, seed, max_particles)
     return reward_of_outcome(spec, evaluate_line(rec, rule))
 
 
@@ -148,6 +167,15 @@ def mc_value(
     return estimate_from_samples(rewards, seed, rule.t_cut, rule.cut_policy)
 
 
+def _dpp_rule(theta: StoppingRule, tau: StoppingRule) -> StoppingRule:
+    """The line of theta ^ tau: the earlier rule on each lineage, ties to theta,
+    and a forced stop at t_cut."""
+    if theta.t_cut != tau.t_cut:
+        raise RewardError("theta and tau must share t_cut")
+    return StoppingRule("min_of", t_cut=theta.t_cut, cut_policy=FORCE_STOP,
+                        parts=(theta, tau))
+
+
 def dpp_product(
     spec: ModelSpec,
     record: GenealogyRecord,
@@ -157,55 +185,20 @@ def dpp_product(
 ) -> float:
     """One sample of the dynamic-programming identity's right-hand side.
 
-    Both rules are resolved on the same forest.  Walking each lineage, the
-    earlier-firing rule claims the particle (ties go to theta): a theta
-    claim contributes exp(-gamma theta) v_n(x) read off the solved grid, a
-    tau claim contributes exp(-gamma tau) g_n(x).  A particle neither rule
-    claims before branching passes to its children; one still unresolved at
-    t_cut is treated as claimed by theta there with a v factor, which keeps
-    the identity exact under truncation.
+    The sample is scored on the line of theta ^ tau, evaluated on the
+    forest like any other rule: a tau stop contributes exp(-gamma tau)
+    g_n(x), a theta stop exp(-gamma theta) v_n(x) read off the solved grid.
+    A particle still unresolved at t_cut is stopped there with a v factor,
+    as if theta claimed it, which keeps the identity exact under truncation.
     """
-    if theta.t_cut != tau.t_cut:
-        raise RewardError("theta and tau must share t_cut")
-    t_cut = theta.t_cut
-    roots = set(record.roots())
-    log_total = 0.0
-    stack = sorted(roots, reverse=True)
-    while stack:
-        lab = stack.pop()
-        p = record.particles[lab]
-        f_theta = rule_fire_time(theta, p, record, roots)
-        f_tau = rule_fire_time(tau, p, record, roots)
-        t_th = f_theta[0] if f_theta is not None else math.inf
-        t_ta = f_tau[0] if f_tau is not None else math.inf
-        if t_th <= t_ta and f_theta is not None:
-            t_fire, idx = f_theta
-            n = generation(lab)
-            v = _grid_value(grid, spec, n, p.positions[idx])
-            if v <= 0.0:
-                return 0.0
-            log_total += -spec.gamma * t_fire + math.log(v)
-            continue
-        if f_tau is not None:
-            t_fire, idx = f_tau
-            g = spec.reward_at(generation(lab))(p.positions[idx])
-            if g <= 0.0:
-                return 0.0
-            log_total += -spec.gamma * t_fire + math.log(g)
-            continue
-        if p.end_time <= t_cut:
-            if p.end_kind == "branched" and p.offspring_count:
-                for k in range(p.offspring_count):
-                    stack.append(lab + (k,))
-            continue
-        # unresolved at the cut: theta claims it with a value factor
-        idx = int(np.searchsorted(p.times, t_cut - 1e-12))
-        idx = min(idx, len(p.times) - 1)
-        v = _grid_value(grid, spec, generation(lab), p.positions[idx])
-        if v <= 0.0:
-            return 0.0
-        log_total += -spec.gamma * t_cut + math.log(v)
-    return math.exp(log_total)
+    line = evaluate_line(record, _dpp_rule(theta, tau))
+
+    def factor(s: Stop) -> float:
+        if s.part == 1:
+            return spec.reward_at(s.generation)(s.position)
+        return _grid_value(grid, spec, s.generation, s.position)
+
+    return _discounted_product(spec, line.stops, factor)
 
 
 def _grid_value(grid, spec: ModelSpec, n: int, position: np.ndarray) -> float:
@@ -229,25 +222,16 @@ def dpp_rhs(
 ) -> McEstimate:
     """Monte Carlo estimate of the dynamic-programming right-hand side.
 
-    As in `line_reward`, a particle theta or tau claims keeps its own path
-    but its subtree is not simulated; the estimate is bit for bit the one
-    from full forests.
+    Each forest is simulated, as in `line_reward`, only down to the line of
+    theta ^ tau; the estimate is bit for bit the one from full forests.
     """
-    from .model import model_hash
-
     if reps < 2:
         raise RewardError("reps must be at least 2")
     if not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
-    roots = {tuple(start[0])}
-
-    def claimed(p, rec):  # the test by which dpp_product stops descending
-        return (rule_fire_time(theta, p, rec, roots) is not None
-                or rule_fire_time(tau, p, rec, roots) is not None)
-
+    line = _dpp_rule(theta, tau)
     vals = np.empty(reps)
     for r in range(reps):
-        rec = simulate_forest(spec, [start], horizon=theta.t_cut, dt=dt,
-                              seed=replication_seed(seed, r, rng_salt), prune=claimed)
+        rec = _line_forest(spec, line, start, dt, replication_seed(seed, r, rng_salt))
         vals[r] = dpp_product(spec, rec, theta, tau, grid)
     return estimate_from_samples(vals, seed, theta.t_cut, theta.cut_policy)

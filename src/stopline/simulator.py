@@ -27,6 +27,7 @@ from .labels import (
 from .model import ModelSpec, model_hash
 
 DEFAULT_MAX_PARTICLES = 1_000_000
+K_MAX = 64  # offspring counts are truncated here, residual mass going to K_MAX
 
 
 class SimulationError(RuntimeError):
@@ -131,9 +132,6 @@ def simulate_forest(
     dt: float,
     seed: int,
     max_particles: int = DEFAULT_MAX_PARTICLES,
-    k_max: int = 64,
-    path_stride: int = 1,
-    rng_salt: str = "",
     t0: float = 0.0,
     prune: Optional[Callable[[ParticleRecord, GenealogyRecord], bool]] = None,
 ) -> GenealogyRecord:
@@ -143,7 +141,7 @@ def simulate_forest(
     (no events at all when the bound is zero); only the diffusion between
     them is discretized, with the substep before an event shortened to hit
     the event time exactly.  Offspring counts come from the inverse cdf of
-    the local pmf truncated at k_max, residual mass going to k_max.
+    the local pmf truncated at K_MAX, residual mass going to K_MAX.
     Identical arguments reproduce the record bit for bit.
 
     `prune(particle, record)` is asked about every particle that branched;
@@ -156,8 +154,6 @@ def simulate_forest(
         raise SimulationError("horizon must exceed the start time")
     if dt <= 0 or dt >= horizon - t0:
         raise SimulationError("dt must satisfy 0 < dt < horizon - t0")
-    if path_stride < 1:
-        raise SimulationError("path_stride must be >= 1")
     init = [(tuple(lab), np.atleast_1d(np.asarray(x, dtype=float)).copy())
             for lab, x in initial]
     if not init:
@@ -192,7 +188,7 @@ def simulate_forest(
         label, par, birth, x0 = work.pop()
         if len(record.particles) >= max_particles:
             raise SimulationError(f"population exceeded max_particles={max_particles}")
-        rng = label_stream(seed, label, rng_salt)
+        rng = label_stream(seed, label)
         t_segments = [np.array([birth])]
         x_segments = [x0[None, :]]
         t = birth
@@ -225,9 +221,9 @@ def simulate_forest(
                 continue
             # accepted event: the same mark picks the offspring interval
             v = u / alpha_here
-            pmf = spec.offspring.pmf(x, k_max)
+            pmf = spec.offspring.pmf(x, K_MAX)
             cum = 0.0
-            count = k_max
+            count = K_MAX
             for k, pk in enumerate(pmf):
                 cum += pk
                 if v < cum:
@@ -237,14 +233,6 @@ def simulate_forest(
             end_kind = "branched"
             break
 
-        times_arr = np.concatenate(t_segments)
-        xs_arr = np.concatenate(x_segments, axis=0)
-        if path_stride > 1 and len(times_arr) > 2:
-            keep = np.zeros(len(times_arr), dtype=bool)
-            keep[::path_stride] = True
-            keep[0] = keep[-1] = True
-            times_arr = times_arr[keep]
-            xs_arr = xs_arr[keep]
         particle = record.particles[label] = ParticleRecord(
             label=label,
             parent=par,
@@ -252,8 +240,8 @@ def simulate_forest(
             end_time=end_time,
             end_kind=end_kind,
             offspring_count=count,
-            times=times_arr,
-            positions=xs_arr,
+            times=np.concatenate(t_segments),
+            positions=np.concatenate(x_segments, axis=0),
         )
         if end_kind == "branched":
             record.branch_events.append((label, end_time, count))

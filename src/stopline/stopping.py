@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .labels import Label, generation, is_antichain
+from .labels import Label, generation
 from .pde import ValueGrid
 from .simulator import GenealogyRecord, ParticleRecord
 
@@ -122,6 +122,7 @@ class Stop:
     position: np.ndarray
     generation: int
     forced: bool = False
+    part: int = 0  # the min_of part that fired; 0 for other kinds and forced stops
 
 
 @dataclass
@@ -135,42 +136,64 @@ class LineOutcome:
 
 
 def rule_fire_time(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
-                   roots: set) -> Optional[Tuple[float, int]]:
-    """First firing (time, sample index) of the rule on this particle.
+                   roots: set) -> Optional[Tuple[float, int, int]]:
+    """First firing (time, sample index, part) of the rule on this particle.
 
     Firing must happen strictly before both the particle's death and t_cut;
-    returns None when the rule never fires in that window.
+    returns None when the rule never fires in that window.  `part` is the
+    index of the min_of part that fired first, ties going to part 0; it is
+    0 for every other kind.
     """
-    times = p.times
-    live = times < min(p.end_time, rule.t_cut)
+    if rule.kind == "min_of":
+        first = None
+        for k, part in enumerate(rule.parts):
+            fire = rule_fire_time(part, p, record, roots)
+            if fire is not None and (first is None or fire[0] < first[0]):
+                first = (fire[0], fire[1], k)
+        return first
+    idx = _fire_index(rule, p, record, roots)
+    return None if idx is None else (float(p.times[idx]), idx, 0)
+
+
+def rule_fires(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
+               roots: set) -> bool:
+    """Whether the rule fires on this particle at all.
+
+    A min_of rule stops at the first part that fires, so this is cheaper
+    than asking `rule_fire_time` which part fires first.
+    """
+    if rule.kind != "min_of":
+        return _fire_index(rule, p, record, roots) is not None
+    for part in rule.parts:
+        if rule_fires(part, p, record, roots):
+            return True
+    return False
+
+
+def _fire_index(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
+                roots: set) -> Optional[int]:
+    """First firing sample of a rule other than min_of, or None."""
     if rule.kind == "never":
         return None
+    times = p.times
+    end = min(p.end_time, rule.t_cut)  # a sample is live strictly before this
     if rule.kind == "trivial_root":
-        if p.label in roots and live[0]:
-            return float(times[0]), 0
-        return None
+        return 0 if p.label in roots and times[0] < end else None
     if rule.kind == "first_branch":
-        if p.parent is not None and p.parent in roots and live[0]:
-            return float(times[0]), 0
-        return None
+        return 0 if p.parent is not None and p.parent in roots and times[0] < end else None
     if rule.kind == "fixed_time":
         if rule.t < p.birth_time - 1e-12:
             return None
         idx = int(np.searchsorted(times, rule.t - 1e-12))
-        if idx < len(times) and live[idx]:
-            return float(times[idx]), idx
-        return None
+        return idx if idx < len(times) and times[idx] < end else None
+    live = times < end
     if rule.kind == "exit_ball":
         center = np.asarray(rule.center)
         dist2 = np.sum((p.positions - center[None, :]) ** 2, axis=1)
         outside = dist2 >= rule.radius**2
         capped = times >= rule.cap_t - 1e-12
         hits = np.flatnonzero((outside | capped) & live)
-        if len(hits):
-            idx = int(hits[0])
-            return float(times[idx]), idx
-        return None
-    if rule.kind == "contact_set":
+    elif rule.kind == "contact_set":
         grid = rule.grid
         if grid is None:
             raise StoppingError("contact rule has no value grid attached")
@@ -181,17 +204,9 @@ def rule_fire_time(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecor
         clearance = grid.values_at(n, xs) - grid.obstacles_at(n, xs)
         clearance = np.where(grid.contains(xs), clearance, 0.0)
         hits = np.flatnonzero((clearance <= rule.epsilon) & live)
-        if len(hits):
-            idx = int(hits[0])
-            return float(times[idx]), idx
-        return None
-    if rule.kind == "min_of":
-        fires = [f for f in (rule_fire_time(part, p, record, roots) for part in rule.parts)
-                 if f is not None]
-        if not fires:
-            return None
-        return min(fires, key=lambda f: f[0])
-    raise StoppingError(f"unhandled rule kind {rule.kind!r}")
+    else:
+        raise StoppingError(f"unhandled rule kind {rule.kind!r}")
+    return int(hits[0]) if len(hits) else None
 
 
 def _position_at_cut(p: ParticleRecord, t_cut: float) -> np.ndarray:
@@ -221,8 +236,9 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
         p = record.particles[lab]
         fire = rule_fire_time(rule, p, record, roots)
         if fire is not None:
-            t_fire, idx = fire
-            stops.append(Stop(lab, t_fire, p.positions[idx].copy(), generation(lab)))
+            t_fire, idx, part = fire
+            stops.append(Stop(lab, t_fire, p.positions[idx].copy(), generation(lab),
+                              part=part))
             continue
         if p.end_time <= rule.t_cut + 1e-15:
             # resolved by its own death before the cut; children inherit
@@ -238,33 +254,36 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     return LineOutcome(stops=stops, passed_alive=passed_alive, record=record)
 
 
-def validate_line_property(outcome: LineOutcome) -> bool:
-    """True iff the stop set is an ancestry antichain."""
-    return is_antichain(outcome.stop_labels())
-
-
 def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
-    kind = obj["kind"]
-    t_cut = float(obj["t_cut"])
-    policy = obj.get("cut_policy", ABANDON)
-    if kind == "trivial_root":
-        return trivial_root_rule(t_cut, policy)
-    if kind == "fixed_time":
-        return fixed_time_rule(float(obj["t"]), t_cut, policy)
-    if kind == "first_branch":
-        return first_branch_rule(t_cut, policy)
-    if kind == "exit_ball":
-        return exit_ball_rule(obj["center"], float(obj["radius"]),
-                              float(obj.get("cap_t", math.inf)), t_cut, policy)
-    if kind == "never":
-        return never_rule(t_cut, policy)
-    if kind == "contact_set":
-        if grid is None:
-            raise StoppingError("contact_set rule needs a solved grid")
-        return contact_set_rule(grid, float(obj["epsilon"]), t_cut, policy)
-    if kind == "min_of":
-        parts = [rule_from_json(p, grid) for p in obj["parts"]]
-        if len(parts) != 2:
-            raise StoppingError("min_of takes exactly two parts")
-        return min_of_rules(parts[0], parts[1])
-    raise StoppingError(f"unknown rule kind {kind!r}")
+    """Build a rule from its JSON form; a malformed field is a StoppingError."""
+    try:
+        kind = obj["kind"]
+        t_cut = float(obj["t_cut"])
+        policy = obj.get("cut_policy", ABANDON)
+        if kind == "trivial_root":
+            return trivial_root_rule(t_cut, policy)
+        if kind == "fixed_time":
+            return fixed_time_rule(float(obj["t"]), t_cut, policy)
+        if kind == "first_branch":
+            return first_branch_rule(t_cut, policy)
+        if kind == "exit_ball":
+            return exit_ball_rule(obj["center"], float(obj["radius"]),
+                                  float(obj.get("cap_t", math.inf)), t_cut, policy)
+        if kind == "never":
+            return never_rule(t_cut, policy)
+        if kind == "contact_set":
+            if grid is None:
+                raise StoppingError("contact_set rule needs a solved grid")
+            return contact_set_rule(grid, float(obj["epsilon"]), t_cut, policy)
+        if kind == "min_of":
+            parts = [rule_from_json(p, grid) for p in obj["parts"]]
+            if len(parts) != 2:
+                raise StoppingError("min_of takes exactly two parts")
+            return min_of_rules(parts[0], parts[1])
+        raise StoppingError(f"unknown rule kind {kind!r}")
+    except StoppingError:
+        raise
+    except KeyError as exc:
+        raise StoppingError(f"rule is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise StoppingError(f"rule: {exc}") from exc

@@ -130,6 +130,15 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", "mc.reps=1"),
     ("solve", "solver.n_cells=abc"),
     ("value", "mc.reps=abc"),
+    ("value", "start.label=a.b"),
+    ("value", 'model.drift={"kind":"constant"}'),
+    ("value", "rule.t=abc"),
+    ("verify", "points=[abc]"),
+    ("value", "mc.reps=4.9"),
+    ("value", "mc.seed=1.5"),
+    ("solve", "solver.n_cells=400.7"),
+    ("solve", "solver.k_max=64.5"),
+    ("solve", "solver.max_picard=3.2"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")

@@ -9,7 +9,6 @@ from stopline.labels import (
     is_antichain,
     is_strict_ancestor,
     make_label,
-    parent,
     parse_label,
 )
 
@@ -24,12 +23,6 @@ def test_concat_identity():
 def test_concat_definition():
     assert concat((1, 2), (0,)) == (1, 2, 0)
     assert concat((0,), (0,)) == (0, 0)
-
-
-def test_parent():
-    assert parent((1, 2, 0)) == (1, 2)
-    with pytest.raises(ValueError):
-        parent(MOTHER)
 
 
 def test_strict_ancestor_basic():

@@ -15,7 +15,6 @@ from stopline.model import (
     evaluated_moment_bound,
     generating_function,
     generating_function_grid,
-    mean_offspring,
     model_hash,
     moment_report,
     series_tail_bound,
@@ -36,12 +35,6 @@ def poisson_moment(lam, ell, terms=400):
         pk *= lam / k
         total += k**ell * pk
     return total
-
-
-def test_mean_offspring_families():
-    assert mean_offspring(make_spec(offspring=("binary", (0.5, 0.5))), X0) == approx(1.0)
-    assert mean_offspring(make_spec(offspring=("deterministic", 1)), X0) == approx(1.0)
-    assert mean_offspring(make_spec(offspring=("poisson", 0.5)), X0) == approx(0.5)
 
 
 def test_generating_function_at_one_is_mass():

@@ -11,7 +11,6 @@ from stopline.pde import (
     SolverSettings,
     ValueGrid,
     contact_boundary,
-    residual_report,
     solve_generation_system,
     solve_scalar,
 )
@@ -29,8 +28,7 @@ def test_constant_obstacle_solves_to_one(offspring):
     grid = solve_scalar(spec, SolverSettings(x_lo=-2, x_hi=2, n_cells=120))
     assert np.max(np.abs(grid.values[0] - 1.0)) <= 1e-8
     assert grid.stats[0].contact_count == len(grid.xs)
-    rep = residual_report(grid).levels[0]
-    assert rep["max_obstacle_violation"] <= 1e-12
+    assert grid.stats[0].max_obstacle_violation <= 1e-12
 
 
 def test_put_matches_closed_form(put_spec):
@@ -148,11 +146,11 @@ def test_picard_monotone_decrease_and_contraction(bump_spec):
 
 def test_complementarity_residuals(bump_spec):
     grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=800))
-    rep = residual_report(grid).levels[0]
-    assert rep["max_obstacle_violation"] <= 1e-12
-    assert rep["max_residual_noncontact"] <= 1e-5
-    assert rep["min_residual_contact"] >= -1e-5
-    assert 0 < rep["contact_count"] < len(grid.xs)
+    rep = grid.stats[0]
+    assert rep.max_obstacle_violation <= 1e-12
+    assert rep.max_residual_noncontact <= 1e-5
+    assert rep.min_residual_contact >= -1e-5
+    assert 0 < rep.contact_count < len(grid.xs)
 
 
 def test_grid_refinement_improves_put(put_spec):
@@ -167,13 +165,6 @@ def test_grid_refinement_improves_put(put_spec):
         mask = np.abs(grid.xs - xstar) > 8 * h
         errs.append(np.max(np.abs(grid.values[0] - vtrue)[mask]))
     assert errs[1] < errs[0]
-
-
-def test_unsolved_grid_rejected(bump_spec):
-    grid = solve_scalar(bump_spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=100))
-    grid.solved = False
-    with pytest.raises(SolverError):
-        residual_report(grid)
 
 
 def test_value_bound_overflow_raises():

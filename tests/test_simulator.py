@@ -257,14 +257,3 @@ def test_max_particles_guard():
     spec = make_spec(alpha=5.0, offspring=("deterministic", 2))
     with pytest.raises(SimulationError):
         simulate_forest(spec, START, horizon=10.0, dt=1.0, seed=1, max_particles=50)
-
-
-def test_path_stride_keeps_endpoints():
-    spec = make_spec(diffusion=("constant", 1.0), alpha=0.0)
-    full = simulate_forest(spec, START, horizon=1.0, dt=0.01, seed=4)
-    thin = simulate_forest(spec, START, horizon=1.0, dt=0.01, seed=4, path_stride=10)
-    pf, pt = full.particles[MOTHER], thin.particles[MOTHER]
-    assert len(pt.times) < len(pf.times)
-    assert pt.times[0] == pf.times[0]
-    assert pt.times[-1] == pf.times[-1]
-    assert np.allclose(pt.positions[-1], pf.positions[-1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from stopline.labels import MOTHER
+from stopline.labels import MOTHER, is_antichain
 from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
     LineOutcome,
@@ -19,7 +19,6 @@ from stopline.stopping import (
     never_rule,
     rule_from_json,
     trivial_root_rule,
-    validate_line_property,
 )
 
 from conftest import make_spec
@@ -131,9 +130,9 @@ def test_line_property_validator():
         stops=[Stop((1,), 0.1, np.zeros(1), 1), Stop((1, 0), 0.2, np.zeros(1), 2)],
         passed_alive=[], record=rec)
     empty = LineOutcome(stops=[], passed_alive=[], record=rec)
-    assert validate_line_property(good)
-    assert not validate_line_property(bad)
-    assert validate_line_property(empty)
+    assert is_antichain(good.stop_labels())
+    assert not is_antichain(bad.stop_labels())
+    assert is_antichain(empty.stop_labels())
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -152,7 +151,7 @@ def test_every_evaluated_line_is_antichain(seed):
     ]
     for rule in rules:
         out = evaluate_line(rec, rule)
-        assert validate_line_property(out)
+        assert is_antichain(out.stop_labels())
 
 
 def test_min_of_takes_earlier_fire():
@@ -162,6 +161,11 @@ def test_min_of_takes_earlier_fire():
     late = fixed_time_rule(2.0, 3.0)
     out = evaluate_line(rec, min_of_rules(late, early))
     assert out.stops[0].time == approx(0.5, abs=1e-9)
+    assert out.stops[0].part == 1
+    # a tie goes to the first part
+    tied = evaluate_line(rec, min_of_rules(early, fixed_time_rule(0.5, 3.0)))
+    assert tied.stops[0].time == approx(0.5, abs=1e-9)
+    assert tied.stops[0].part == 0
 
 
 def test_t_cut_exceeding_horizon_rejected():

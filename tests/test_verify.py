@@ -168,16 +168,31 @@ def test_contact_rule_huge_epsilon_dominates(bump_grid):
     assert out.stops[0].time == 0.0
 
 
-def test_dpp_tau_never_leaves_only_value_product(bump_grid):
-    # independent oracle: evaluate the value factors by hand on the same forests
-    from stopline.reward import dpp_rhs
+@pytest.mark.parametrize("t_tau", [None, 0.2, 0.4], ids=["tau_never", "tau_earlier", "tau_tied"])
+def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
+    # independent oracle: walk each forest by hand; theta claims a particle
+    # when it fires no later than tau (v factor), tau when it fires earlier
+    # (g factor), and a particle unresolved at t_cut takes a v factor there
+    from stopline.reward import dpp_product, dpp_rhs, estimate_from_samples
     from stopline.simulator import replication_seed, simulate_forest
     from stopline.stopping import fixed_time_rule, never_rule
 
     spec, grid = bump_grid
     t, t_cut, reps, dt, x0 = 0.4, 1.0, 300, 0.05, 1.2
     theta = fixed_time_rule(t, t_cut, cut_policy="force_stop")
-    tau = never_rule(t_cut, cut_policy="force_stop")
+    if t_tau is None:
+        tau = never_rule(t_cut, cut_policy="force_stop")
+    else:
+        tau = fixed_time_rule(t_tau, t_cut, cut_policy="force_stop")
+
+    def fire_index(p, at):
+        if at is None or at < p.birth_time - 1e-12:
+            return None
+        idx = int(np.searchsorted(p.times, at - 1e-12))
+        if idx < len(p.times) and p.times[idx] < min(p.end_time, t_cut):
+            return idx
+        return None
+
     est = dpp_rhs(spec, theta, tau, grid, ((), [x0]), reps, dt, seed=77,
                   rng_salt="dpp")
     vals = np.empty(reps)
@@ -189,12 +204,13 @@ def test_dpp_tau_never_leaves_only_value_product(bump_grid):
         while stack:
             lab = stack.pop()
             p = rec.particles[lab]
-            idx = int(np.searchsorted(p.times, t - 1e-12))
-            fires = (t >= p.birth_time - 1e-12 and idx < len(p.times)
-                     and p.times[idx] < min(p.end_time, t_cut))
-            if fires:
-                v = float(grid.values_at(len(lab), p.positions[idx][:1])[0])
-                log_prod += -spec.gamma * p.times[idx] + math.log(v)
+            i_th, i_ta = fire_index(p, t), fire_index(p, t_tau)
+            if i_th is not None and (i_ta is None or p.times[i_th] <= p.times[i_ta]):
+                v = float(grid.values_at(len(lab), p.positions[i_th][:1])[0])
+                log_prod += -spec.gamma * p.times[i_th] + math.log(v)
+            elif i_ta is not None:
+                g = spec.reward_at(len(lab))(p.positions[i_ta])
+                log_prod += -spec.gamma * p.times[i_ta] + math.log(g)
             elif p.end_time <= t_cut:
                 stack.extend(lab + (k,) for k in range(p.offspring_count))
             else:
@@ -202,7 +218,8 @@ def test_dpp_tau_never_leaves_only_value_product(bump_grid):
                 v = float(grid.values_at(len(lab), p.positions[j][:1])[0])
                 log_prod += -spec.gamma * t_cut + math.log(v)
         vals[r] = math.exp(log_prod)
-    assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
+        assert dpp_product(spec, rec, theta, tau, grid) == vals[r]
+    assert est == estimate_from_samples(vals, 77, t_cut, "force_stop")
 
 
 def test_dpp_rhs_rejects_mismatched_grid(bump_grid):
