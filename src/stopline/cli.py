@@ -51,12 +51,37 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
         node[keys[-1]] = raw
 
 
+def _section(config: dict, name: str, default: Optional[dict] = None) -> dict:
+    """A config section; one that is not a JSON object is a usage error."""
+    section = config.get(name, {} if default is None else default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {section!r}")
+    return section
+
+
+def _load_model_file(config: dict, base: Path) -> None:
+    """Replace a model given as a file path, relative to `base`, by its contents."""
+    if not isinstance(config.get("model"), str):
+        return
+    model_path = Path(config["model"])
+    if not model_path.is_absolute():
+        model_path = base / model_path
+    if not model_path.exists():
+        raise ConfigError(f"model file {model_path} does not exist")
+    with open(model_path) as f:
+        config["model"] = json.load(f)
+
+
 def load_config(path: str, overrides: Sequence[str] = ()) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path} does not exist")
     with open(p) as f:
         config = json.load(f)
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    # load a model file first, so that --set model.<field> edits its contents
+    _load_model_file(config, p.parent)
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not key=value")
@@ -64,17 +89,11 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> dict:
         _apply_override(config, key, raw)
     if "model" not in config:
         raise ConfigError("config needs a 'model' section")
-    if isinstance(config["model"], str):
-        model_path = Path(config["model"])
-        if not model_path.is_absolute():
-            model_path = p.parent / model_path
-        if not model_path.exists():
-            raise ConfigError(f"model file {model_path} does not exist")
-        with open(model_path) as f:
-            config["model"] = json.load(f)
-    mc = config.get("mc", {})
-    if "seed" not in mc:
+    _load_model_file(config, p.parent)  # a model path set by --set
+    if "seed" not in _section(config, "mc"):
         raise ConfigError("config must pin mc.seed; wall-clock seeding is not supported")
+    if not isinstance(config.get("outputs", ""), str):
+        raise ConfigError(f"outputs must be a directory path, not {config['outputs']!r}")
     return config
 
 
@@ -90,7 +109,7 @@ def _whole(value, name: str) -> int:
 
 
 def _solver_settings(config: dict) -> SolverSettings:
-    s = config.get("solver", {})
+    s = _section(config, "solver")
     try:
         return SolverSettings(
             x_lo=float(s["x_lo"]),
@@ -119,7 +138,7 @@ class _McSettings(NamedTuple):
 
 
 def _mc(config: dict) -> _McSettings:
-    mc = config.get("mc", {})
+    mc = _section(config, "mc")
     try:
         return _McSettings(
             reps=_whole(mc.get("reps", 1000), "reps"),
@@ -169,7 +188,10 @@ def _solve_grid(spec: ModelSpec, config: dict) -> ValueGrid:
 
 def cmd_check(config: dict) -> int:
     spec = _spec(config)
-    grid_pts = np.asarray(config.get("check_grid", np.linspace(-5, 5, 41).tolist()), dtype=float)
+    try:
+        grid_pts = np.array([float(x) for x in config.get("check_grid", np.linspace(-5, 5, 41))])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"check_grid: {exc}") from exc
     report = moment_report(spec)
     audit = check_assumptions(spec, grid_pts)
     out = _out_dir(config)
@@ -208,9 +230,10 @@ def cmd_solve(config: dict) -> int:
 def cmd_simulate(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
+    sim = _section(config, "simulate")
     try:
-        horizon = float(config.get("simulate", {}).get("horizon", mc.t_cut))
-    except (AttributeError, TypeError, ValueError) as exc:
+        horizon = float(sim.get("horizon", mc.t_cut))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulate section: {exc}") from exc
     record = simulate_forest(spec, [_start(config, spec)], horizon=horizon, dt=mc.dt,
                              seed=mc.seed)
@@ -245,19 +268,19 @@ def cmd_value(config: dict) -> int:
 def cmd_verify(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
-    ver = config.get("verify", {})
+    ver = _section(config, "verify")
+    theta_spec = _section(ver, "dpp_theta", {"kind": "first_branch"})
     try:
         points = [float(x) for x in config.get("points", ver.get("points", [0.0]))]
         epsilon = float(ver.get("epsilon", 1e-3))
         sweep_times = [float(t) for t in ver.get("sweep_times", [mc.t_cut / 4, mc.t_cut / 2])]
         branch_window = float(ver.get("branch_window", 2.0))
         functional_horizon = float(ver.get("functional_horizon", 0.5))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"verify settings: {exc}") from exc
     grid = _solve_grid(spec, config)
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
-    theta_spec = ver.get("dpp_theta", {"kind": "first_branch"})
     for point in points:
         theta = rule_from_json({**theta_spec, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, grid)
         report.dpp.append(dpp_consistency(spec, grid, theta, point, mc.reps, mc.dt, mc.seed,
@@ -316,7 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = load_config(args.config, args.overrides)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](config)

@@ -16,20 +16,8 @@ import numpy as np
 
 from .labels import Label
 from .model import ModelSpec, model_hash
-from .simulator import (
-    DEFAULT_MAX_PARTICLES,
-    GenealogyRecord,
-    replication_seed,
-    simulate_forest,
-)
-from .stopping import (
-    FORCE_STOP,
-    LineOutcome,
-    Stop,
-    StoppingRule,
-    evaluate_line,
-    rule_fires,
-)
+from .simulator import DEFAULT_MAX_PARTICLES, GenealogyRecord, open_forest, replication_seed
+from .stopping import FORCE_STOP, LineOutcome, Stop, StoppingRule, evaluate_line
 
 
 class RewardError(ValueError):
@@ -107,22 +95,6 @@ def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,
     )
 
 
-def _line_forest(spec: ModelSpec, rule: StoppingRule, start: Tuple[Label, Sequence[float]],
-                 dt: float, seed: int,
-                 max_particles: int = DEFAULT_MAX_PARTICLES) -> GenealogyRecord:
-    """One forest from `start` to t_cut, holding only what the rule's line reads.
-
-    A particle the rule fires on keeps its own path but not its subtree,
-    which the line walk never reads.  Streams are keyed per label, so every
-    particle kept is bit for bit the one in the full forest.
-    """
-    roots = {tuple(start[0])}
-    return simulate_forest(
-        spec, [start], horizon=rule.t_cut, dt=dt, seed=seed, max_particles=max_particles,
-        prune=lambda p, r: rule_fires(rule, p, r, roots),
-    )
-
-
 def line_reward(
     spec: ModelSpec,
     rule: StoppingRule,
@@ -133,10 +105,10 @@ def line_reward(
 ) -> float:
     """Reward of the rule's stop line on one forest simulated with this seed.
 
-    Only particles at or above the line are simulated (see `_line_forest`),
-    so the reward is bit for bit the one from the full forest.
+    The forest is open, so only the particles the line walk reads are
+    simulated, and the reward is bit for bit the one from the full forest.
     """
-    rec = _line_forest(spec, rule, start, dt, seed, max_particles)
+    rec = open_forest(spec, [start], rule.t_cut, dt, seed, max_particles)
     return reward_of_outcome(spec, evaluate_line(rec, rule))
 
 
@@ -155,8 +127,8 @@ def mc_value(
     Unbiased for the truncated-line reward up to the time-discretization of
     rule firing; the t_cut policy decides what unresolved particles are
     worth (abandon: one, force_stop: stop there).  `max_particles` caps the
-    particles one replication simulates, which are only those at or above
-    the line (see `line_reward`).
+    particles one replication simulates, which are only those the line walk
+    reads (see `line_reward`).
     """
     if reps < 2:
         raise RewardError("reps must be at least 2")
@@ -222,16 +194,16 @@ def dpp_rhs(
 ) -> McEstimate:
     """Monte Carlo estimate of the dynamic-programming right-hand side.
 
-    Each forest is simulated, as in `line_reward`, only down to the line of
-    theta ^ tau; the estimate is bit for bit the one from full forests.
+    Each forest is open, as in `line_reward`, so only what the walk to the
+    line of theta ^ tau reads is simulated; the estimate is bit for bit the
+    one from full forests.
     """
     if reps < 2:
         raise RewardError("reps must be at least 2")
     if not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
-    line = _dpp_rule(theta, tau)
     vals = np.empty(reps)
     for r in range(reps):
-        rec = _line_forest(spec, line, start, dt, replication_seed(seed, r, rng_salt))
+        rec = open_forest(spec, [start], theta.t_cut, dt, replication_seed(seed, r, rng_salt))
         vals[r] = dpp_product(spec, rec, theta, tau, grid)
     return estimate_from_samples(vals, seed, theta.t_cut, theta.cut_policy)

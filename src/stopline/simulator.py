@@ -6,15 +6,19 @@ rejects the candidate (thinning) or selects the offspring count from the
 local reproduction probabilities.  Offspring are born where the mother
 dies.  Every particle consumes randomness from its own counter-based
 stream keyed on (seed, label), so the law of a subtree depends only on
-its root's state and not on what siblings do.
+its root's state and not on what siblings do.  A forest is open: each
+particle is simulated when a walk over the forest first reads it, so a
+stop-line walk draws only the particles it reads, and `simulate_forest`
+reads them all.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import weakref
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +79,6 @@ class GenealogyRecord:
     spec_hash: str
     proposals: int = 0
     rejections: int = 0
-    branch_events: List[Tuple[Label, float, int]] = field(default_factory=list)
 
     def roots(self) -> List[Label]:
         return [lab for lab, _ in self.initial]
@@ -125,7 +128,87 @@ def _diffuse_general(x, t, steps, spec, rng):
     return ts, xs
 
 
-def simulate_forest(
+class _OpenParticles(dict):
+    """The particles of an open forest: reading a missing label simulates it.
+
+    A label that names no particle of the forest raises KeyError and draws
+    nothing.  The record is held by a weak reference, so a forest and its
+    mapping form no reference cycle and a dropped forest is freed at once.
+    """
+
+    def __init__(self, record: GenealogyRecord, spec: ModelSpec, t0: float,
+                 max_particles: int):
+        super().__init__()
+        self._record = weakref.ref(record)
+        self._spec = spec
+        self._starts = {lab: (t0, x) for lab, x in record.initial}
+        self._max_particles = max_particles
+        self._const = None
+        if spec.drift.kind == "constant" and spec.diffusion.kind == "constant":
+            b, s = spec.drift(np.zeros(spec.dimension)), spec.diffusion(np.zeros(spec.dimension))
+            self._const = (b, s, bool(np.any(s != 0)))
+
+    def __missing__(self, label: Label) -> ParticleRecord:
+        parent = None
+        if label in self._starts:
+            birth, x = self._starts[label]
+        elif not label:
+            raise KeyError(label)
+        else:
+            parent = label[:-1]
+            mother = self[parent]
+            if mother.end_kind != "branched" or not 0 <= label[-1] < mother.offspring_count:
+                raise KeyError(label)
+            birth, x = mother.end_time, mother.positions[-1]
+        if len(self) >= self._max_particles:
+            raise SimulationError(f"population exceeded max_particles={self._max_particles}")
+        record, spec = self._record(), self._spec
+        if record is None:
+            raise SimulationError("the forest of these particles was dropped; keep the record")
+        a_bar, horizon = spec.alpha_bar, record.horizon
+        rng = label_stream(record.seed, label)
+        t_segments, x_segments = [np.array([birth])], [x[None, :]]
+        t = birth
+        count = None
+        while True:
+            proposal = t + rng.exponential(1.0 / a_bar) if a_bar > 0 else math.inf
+            target = min(proposal, horizon)
+            steps = _segment_steps(t, target, record.dt)
+            if len(steps):
+                if self._const is not None:
+                    ts, xp = _diffuse_constant(x, t, steps, *self._const, rng)
+                else:
+                    ts, xp = _diffuse_general(x, t, steps, spec, rng)
+                t_segments.append(ts)
+                x_segments.append(xp)
+                t = float(ts[-1])
+                x = xp[-1]
+            else:
+                t = target
+            if proposal > horizon:
+                break
+            record.proposals += 1
+            u = rng.uniform(0.0, a_bar)
+            alpha_here = spec.branch_rate(x)
+            if u < alpha_here:
+                # accepted event: the same mark picks the offspring interval
+                v, cum, count = u / alpha_here, 0.0, K_MAX
+                for k, pk in enumerate(spec.offspring.pmf(x, K_MAX)):
+                    cum += pk
+                    if v < cum:
+                        count = k
+                        break
+                break
+            record.rejections += 1
+        branched = count is not None
+        particle = self[label] = ParticleRecord(
+            label=label, parent=parent, birth_time=birth, end_time=t if branched else math.inf,
+            end_kind="branched" if branched else "alive_at_horizon", offspring_count=count,
+            times=np.concatenate(t_segments), positions=np.concatenate(x_segments, axis=0))
+        return particle
+
+
+def open_forest(
     spec: ModelSpec,
     initial: Sequence[Tuple[Label, Sequence[float]]],
     horizon: float,
@@ -133,22 +216,12 @@ def simulate_forest(
     seed: int,
     max_particles: int = DEFAULT_MAX_PARTICLES,
     t0: float = 0.0,
-    prune: Optional[Callable[[ParticleRecord, GenealogyRecord], bool]] = None,
 ) -> GenealogyRecord:
-    """Simulate one forest from time t0 (default 0) up to the horizon.
+    """A forest as in `simulate_forest`, each particle simulated when its
+    label is first read from `particles`.
 
-    Candidate event times are exact exponential arrivals at rate alpha_bar
-    (no events at all when the bound is zero); only the diffusion between
-    them is discretized, with the substep before an event shortened to hit
-    the event time exactly.  Offspring counts come from the inverse cdf of
-    the local pmf truncated at K_MAX, residual mass going to K_MAX.
-    Identical arguments reproduce the record bit for bit.
-
-    `prune(particle, record)` is asked about every particle that branched;
-    when it returns True the particle's subtree is not simulated.  Streams
-    are keyed per label, so every particle that is simulated comes out
-    exactly as in the unpruned forest.  `max_particles` caps the particles
-    actually simulated.
+    A walk over the forest thus draws exactly the particles it reads, each
+    bit for bit as in the whole forest; `max_particles` caps those.
     """
     if horizon <= t0:
         raise SimulationError("horizon must exceed the start time")
@@ -165,89 +238,40 @@ def simulate_forest(
             raise SimulationError(
                 f"initial position has dimension {x.shape}, model wants ({spec.dimension},)"
             )
+    record = GenealogyRecord(particles={}, initial=init, horizon=horizon, dt=dt, seed=seed,
+                             spec_hash=model_hash(spec))
+    record.particles = _OpenParticles(record, spec, t0, max_particles)
+    return record
 
-    record = GenealogyRecord(
-        particles={},
-        initial=init,
-        horizon=horizon,
-        dt=dt,
-        seed=seed,
-        spec_hash=model_hash(spec),
-    )
-    a_bar = spec.alpha_bar
-    const_coeffs = spec.drift.kind == "constant" and spec.diffusion.kind == "constant"
-    if const_coeffs:
-        b_const = spec.drift(np.zeros(spec.dimension))
-        s_const = spec.diffusion(np.zeros(spec.dimension))
-        noisy = bool(np.any(s_const != 0))
 
-    work: List[Tuple[Label, Optional[Label], float, np.ndarray]] = [
-        (lab, None, t0, x) for lab, x in init
-    ]
-    while work:
-        label, par, birth, x0 = work.pop()
-        if len(record.particles) >= max_particles:
-            raise SimulationError(f"population exceeded max_particles={max_particles}")
-        rng = label_stream(seed, label)
-        t_segments = [np.array([birth])]
-        x_segments = [x0[None, :]]
-        t = birth
-        x = x0
-        end_time = math.inf
-        end_kind = "alive_at_horizon"
-        count: Optional[int] = None
-        while True:
-            proposal = t + rng.exponential(1.0 / a_bar) if a_bar > 0 else math.inf
-            target = min(proposal, horizon)
-            steps = _segment_steps(t, target, dt)
-            if len(steps):
-                if const_coeffs:
-                    ts, xp = _diffuse_constant(x, t, steps, b_const, s_const, noisy, rng)
-                else:
-                    ts, xp = _diffuse_general(x, t, steps, spec, rng)
-                t_segments.append(ts)
-                x_segments.append(xp)
-                t = float(ts[-1])
-                x = xp[-1]
-            else:
-                t = target
-            if proposal > horizon:
-                break
-            record.proposals += 1
-            u = rng.uniform(0.0, a_bar)
-            alpha_here = spec.branch_rate(x)
-            if u >= alpha_here:
-                record.rejections += 1
-                continue
-            # accepted event: the same mark picks the offspring interval
-            v = u / alpha_here
-            pmf = spec.offspring.pmf(x, K_MAX)
-            cum = 0.0
-            count = K_MAX
-            for k, pk in enumerate(pmf):
-                cum += pk
-                if v < cum:
-                    count = k
-                    break
-            end_time = t
-            end_kind = "branched"
-            break
+def simulate_forest(
+    spec: ModelSpec,
+    initial: Sequence[Tuple[Label, Sequence[float]]],
+    horizon: float,
+    dt: float,
+    seed: int,
+    max_particles: int = DEFAULT_MAX_PARTICLES,
+    t0: float = 0.0,
+) -> GenealogyRecord:
+    """Simulate one whole forest from time t0 (default 0) up to the horizon.
 
-        particle = record.particles[label] = ParticleRecord(
-            label=label,
-            parent=par,
-            birth_time=birth,
-            end_time=end_time,
-            end_kind=end_kind,
-            offspring_count=count,
-            times=np.concatenate(t_segments),
-            positions=np.concatenate(x_segments, axis=0),
-        )
-        if end_kind == "branched":
-            record.branch_events.append((label, end_time, count))
-            if prune is None or not prune(particle, record):
-                for k in range(count):
-                    work.append((child(label, k), label, end_time, x.copy()))
+    Candidate event times are exact exponential arrivals at rate alpha_bar
+    (no events at all when the bound is zero); only the diffusion between
+    them is discretized, with the substep before an event shortened to hit
+    the event time exactly.  Offspring counts come from the inverse cdf of
+    the local pmf truncated at K_MAX, residual mass going to K_MAX.
+    Identical arguments reproduce the record bit for bit.
+
+    This is `open_forest` with every particle read, depth first; a walk
+    that needs only part of the forest reads an open one instead.
+    `max_particles` caps the particles simulated.
+    """
+    record = open_forest(spec, initial, horizon, dt, seed, max_particles, t0)
+    stack = record.roots()
+    while stack:
+        p = record.particles[stack.pop()]
+        if p.end_kind == "branched":
+            stack.extend(child(p.label, k) for k in range(p.offspring_count))
     return record
 
 

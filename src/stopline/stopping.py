@@ -155,21 +155,6 @@ def rule_fire_time(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecor
     return None if idx is None else (float(p.times[idx]), idx, 0)
 
 
-def rule_fires(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
-               roots: set) -> bool:
-    """Whether the rule fires on this particle at all.
-
-    A min_of rule stops at the first part that fires, so this is cheaper
-    than asking `rule_fire_time` which part fires first.
-    """
-    if rule.kind != "min_of":
-        return _fire_index(rule, p, record, roots) is not None
-    for part in rule.parts:
-        if rule_fires(part, p, record, roots):
-            return True
-    return False
-
-
 def _fire_index(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
                 roots: set) -> Optional[int]:
     """First firing sample of a rule other than min_of, or None."""
@@ -221,7 +206,9 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     Particles are resolved in lineage order; every particle is either
     stopped (subtree pruned), passed through to its children at a branch,
     or handled by the cut policy at t_cut.  The stop set cannot contain
-    two particles of the same lineage.
+    two particles of the same lineage.  On an open forest (`open_forest`)
+    each particle is simulated when this walk first reads it, so nothing
+    below a stop is drawn.
     """
     if rule.t_cut > record.horizon + 1e-12:
         raise StoppingError(

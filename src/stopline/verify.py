@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from .labels import MOTHER, Label
 from .model import ModelSpec, model_hash
 from .pde import ValueGrid
 from .reward import McEstimate, dpp_rhs, mc_value, reward_of_outcome
-from .simulator import replication_seed, simulate_forest
+from .simulator import GenealogyRecord, ParticleRecord, open_forest, replication_seed
 from .stopping import (
     FORCE_STOP,
     StoppingRule,
@@ -220,7 +220,9 @@ def subtree_reward_samples(
     reward on it.  Sample B: a fresh forest started from a particle with
     child 0's label at the recorded branch position, same functional.  With
     shared_streams the fresh forest reuses the same per-label streams, so
-    the two samples must agree outcome by outcome.
+    the two samples must agree outcome by outcome.  Both forests are open,
+    so only the particles the mother check and the line walks read are
+    simulated.
     """
     if spec.alpha_bar <= 0:
         raise VerifyError("branching test needs a nonzero branch rate")
@@ -231,37 +233,23 @@ def subtree_reward_samples(
     a_vals: List[float] = []
     b_vals: List[float] = []
     child0: Label = (0,)
-
-    def unread(particle, record) -> bool:
-        # Only child 0's subtree of a mother branching inside the window is
-        # read; streams are keyed per label, so skipping the rest changes
-        # no sample.
-        if particle.label == MOTHER:
-            return particle.end_time > branch_window
-        return particle.label[0] != 0
-
     for r in range(reps):
         seed_a = replication_seed(seed, r, "A")
-        rec = simulate_forest(spec, [(MOTHER, np.array([float(point)]))],
-                              horizon=horizon_a, dt=dt, seed=seed_a, prune=unread)
+        rec = open_forest(spec, [(MOTHER, np.array([float(point)]))],
+                          horizon=horizon_a, dt=dt, seed=seed_a)
         mother = rec.particles[MOTHER]
-        if mother.end_kind != "branched" or not mother.offspring_count:
-            continue
-        if mother.end_time > branch_window:
+        if (mother.end_kind != "branched" or not mother.offspring_count
+                or mother.end_time > branch_window):
             continue
         sub = _extract_subtree(rec, child0)
         a_vals.append(reward_of_outcome(spec, evaluate_line(sub, rule)))
         x_branch = mother.positions[-1].copy()
-        if shared_streams:
-            seed_b = seed_a
-        else:
-            seed_b = replication_seed(seed, r, "B")
+        seed_b = seed_a if shared_streams else replication_seed(seed, r, "B")
         # start the fresh forest at the recorded branch epoch and rebase its
         # clock exactly like the subtree, so reward atoms align bit for bit
         base = mother.end_time
-        rec_b = simulate_forest(spec, [(child0, x_branch)],
-                                horizon=base + t_cut_sub + dt,
-                                dt=dt, seed=seed_b, t0=base)
+        rec_b = open_forest(spec, [(child0, x_branch)], horizon=base + t_cut_sub + dt,
+                            dt=dt, seed=seed_b, t0=base)
         sub_b = _extract_subtree(rec_b, child0)
         b_vals.append(reward_of_outcome(spec, evaluate_line(sub_b, rule)))
         if max_samples is not None and len(a_vals) >= max_samples:
@@ -269,33 +257,33 @@ def subtree_reward_samples(
     return np.asarray(a_vals), np.asarray(b_vals)
 
 
-def _extract_subtree(record, root: Label):
-    """Copy the subtree below `root`, clocks restarted at its birth."""
-    from .simulator import GenealogyRecord, ParticleRecord
+class _Subtree(dict):
+    """The particles below `root` of a source forest, clocks restarted at the
+    root's birth; each is copied from the source on its first read."""
 
-    base = record.particles[root].birth_time
-    parts = {}
-    for lab, p in record.particles.items():
-        if lab[: len(root)] != root:
-            continue
-        parts[lab] = ParticleRecord(
-            label=lab,
-            parent=p.parent if lab != root else None,
-            birth_time=p.birth_time - base,
-            end_time=p.end_time - base if math.isfinite(p.end_time) else math.inf,
-            end_kind=p.end_kind,
-            offspring_count=p.offspring_count,
-            times=p.times - base,
-            positions=p.positions,
-        )
-    return GenealogyRecord(
-        particles=parts,
-        initial=[(root, parts[root].positions[0])],
-        horizon=record.horizon - base,
-        dt=record.dt,
-        seed=record.seed,
-        spec_hash=record.spec_hash,
-    )
+    def __init__(self, source: GenealogyRecord, root: Label):
+        super().__init__()
+        self._source = source
+        self._root = root
+        self.base = source.particles[root].birth_time
+
+    def __missing__(self, lab: Label) -> ParticleRecord:
+        if lab[: len(self._root)] != self._root:
+            raise KeyError(lab)
+        p = self._source.particles[lab]
+        copy = self[lab] = replace(
+            p, parent=p.parent if lab != self._root else None, birth_time=p.birth_time - self.base,
+            end_time=p.end_time - self.base, times=p.times - self.base)
+        return copy
+
+
+def _extract_subtree(record: GenealogyRecord, root: Label) -> GenealogyRecord:
+    """The subtree below `root`, clocks restarted at its birth, as a view
+    that copies each particle on its first read."""
+    parts = _Subtree(record, root)
+    return GenealogyRecord(particles=parts, initial=[(root, parts[root].positions[0])],
+                           horizon=record.horizon - parts.base, dt=record.dt,
+                           seed=record.seed, spec_hash=record.spec_hash)
 
 
 def branching_property_test(

@@ -139,12 +139,34 @@ def test_override_flag_changes_scalar(tmp_path):
     ("solve", "solver.n_cells=400.7"),
     ("solve", "solver.k_max=64.5"),
     ("solve", "solver.max_picard=3.2"),
+    ("value", "mc=3"),
+    ("value", "outputs=3"),
+    ("check", "check_grid=abc"),
+    ("check", "check_grid=3"),
+    ("verify", "verify.dpp_theta=3"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
     assert run_cli([command, cfg, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_override_edits_model_loaded_from_file(tmp_path):
+    # --set model.<field> must edit the model a path names, not replace the path
+    inline = copy_config(tmp_path, "bump.json", **{"mc.reps": 50})
+    config = json.loads(inline.read_text())
+    (tmp_path / "model.json").write_text(json.dumps(config["model"]))
+    config["model"] = "model.json"
+    config["outputs"] = str(tmp_path / "out_path")
+    by_path = tmp_path / "by_path.json"
+    by_path.write_text(json.dumps(config))
+    for cfg in (inline, by_path):
+        assert run_cli(["value", cfg, "--set", "model.gamma=2.0"]) == 0
+    value = (tmp_path / "out" / "value.json").read_bytes()
+    assert (tmp_path / "out_path" / "value.json").read_bytes() == value
+    assert run_cli(["value", inline]) == 0
+    assert (tmp_path / "out" / "value.json").read_bytes() != value
 
 
 def test_solve_numerical_failure_exit_code(tmp_path):

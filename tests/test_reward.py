@@ -17,7 +17,7 @@ from stopline.reward import (
     mc_value,
     reward_of_outcome,
 )
-from stopline.simulator import replication_seed, simulate_forest
+from stopline.simulator import open_forest, replication_seed, simulate_forest
 from stopline.stopping import (
     ABANDON,
     FORCE_STOP,
@@ -30,7 +30,6 @@ from stopline.stopping import (
     fixed_time_rule,
     min_of_rules,
     never_rule,
-    rule_fire_time,
     trivial_root_rule,
 )
 
@@ -171,7 +170,7 @@ def test_mc_population_cap_counts_only_simulated_particles():
     assert est.stderr == 0.0
 
 
-# --- pruned forests are the full forests restricted to what the walk reads
+# --- an open forest after a walk holds the full forest's particles that the walk read
 
 PRUNE_T_CUT, PRUNE_DT, PRUNE_X0, PRUNE_SEEDS = 3.0, 0.05, 1.5, range(6)
 BUMP = RewardFunction("bump", a=0.8, center=0.0, width=1.0)
@@ -207,19 +206,21 @@ def catalog_rule(kind, grid, policy):
                         contact_set_rule(grid, 1e-3, t_cut, policy))
 
 
-def forest_pair(spec, seed, prune):
+def forest_pair(spec, seed, walk):
+    """The full forest, an open one and what `walk` returned on the open one;
+    every particle the walk read is the full forest's, bit for bit."""
     start = [(MOTHER, [PRUNE_X0])]
     full = simulate_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed)
-    pruned = simulate_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed,
-                             prune=prune)
-    assert set(pruned.particles) <= set(full.particles)
-    for lab, p in pruned.particles.items():
+    opened = open_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed)
+    result = walk(opened)
+    assert set(opened.particles) <= set(full.particles)
+    for lab, p in opened.particles.items():
         q = full.particles[lab]
         assert (p.parent, p.birth_time, p.end_time, p.end_kind, p.offspring_count) == \
             (q.parent, q.birth_time, q.end_time, q.end_kind, q.offspring_count)
         assert np.array_equal(p.times, q.times)
         assert np.array_equal(p.positions, q.positions)
-    return full, pruned
+    return full, opened, result
 
 
 @pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
@@ -228,13 +229,11 @@ def forest_pair(spec, seed, prune):
 def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
     spec, grid = solved_model
     rule = catalog_rule(kind, grid, policy)
-    roots = {MOTHER}
-    fires = lambda p, rec: rule_fire_time(rule, p, rec, roots) is not None  # noqa: E731
     full_rewards = []
     for s in PRUNE_SEEDS:
         seed = replication_seed(5, s)
-        full, pruned = forest_pair(spec, seed, fires)
-        a, b = evaluate_line(full, rule), evaluate_line(pruned, rule)
+        full, opened, b = forest_pair(spec, seed, lambda rec: evaluate_line(rec, rule))
+        a = evaluate_line(full, rule)
         assert [(x.label, x.time, x.generation, x.forced) for x in a.stops] == \
             [(x.label, x.time, x.generation, x.forced) for x in b.stops]
         assert all(np.array_equal(x.position, y.position) for x, y in zip(a.stops, b.stops))
@@ -244,7 +243,7 @@ def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
         assert line_reward(spec, rule, (MOTHER, [PRUNE_X0]), PRUNE_DT, seed) == reward
         full_rewards.append(reward)
         if kind == "trivial_root":
-            assert list(pruned.particles) == [MOTHER]
+            assert list(opened.particles) == [MOTHER]
     est = mc_value(spec, rule, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
                    dt=PRUNE_DT, seed=5)
     assert est == estimate_from_samples(full_rewards, 5, PRUNE_T_CUT, policy)
@@ -255,17 +254,12 @@ def test_pruned_forest_gives_identical_dpp_product(solved_model, policy):
     spec, grid = solved_model
     theta = first_branch_rule(PRUNE_T_CUT, policy)
     tau = contact_set_rule(grid, 1e-3, PRUNE_T_CUT, policy)
-    roots = {MOTHER}
-
-    def claimed(p, rec):
-        return (rule_fire_time(theta, p, rec, roots) is not None
-                or rule_fire_time(tau, p, rec, roots) is not None)
-
     full_products = []
     for s in PRUNE_SEEDS:
-        full, pruned = forest_pair(spec, replication_seed(6, s), claimed)
+        full, _, opened_product = forest_pair(
+            spec, replication_seed(6, s), lambda rec: dpp_product(spec, rec, theta, tau, grid))
         product = dpp_product(spec, full, theta, tau, grid)
-        assert dpp_product(spec, pruned, theta, tau, grid) == product
+        assert opened_product == product
         full_products.append(product)
     est = dpp_rhs(spec, theta, tau, grid, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
                   dt=PRUNE_DT, seed=6)
