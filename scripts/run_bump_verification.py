@@ -22,9 +22,10 @@ from stopline.verify import branching_property_test, cross_validate, dpp_consist
 
 def main(reps):
     with open(ROOT / "configs" / "bump.json") as f:
-        spec = ModelSpec.from_json(json.load(f)["model"])
+        config = json.load(f)
+    spec = ModelSpec.from_json(config["model"])
     t0 = time.monotonic()
-    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600))
+    grid = solve_scalar(spec, SolverSettings(**config["solver"]))
     print(f"solved in {time.monotonic() - t0:.1f}s; "
           f"contact nodes: {grid.stats[0].contact_count}/{len(grid.xs)}")
 

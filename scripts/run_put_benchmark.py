@@ -31,13 +31,10 @@ def closed_form(spec, xs):
 
 def main(cells_list):
     with open(ROOT / "configs" / "put.json") as f:
-        spec = ModelSpec.from_json(json.load(f)["model"])
-    far_value, _ = closed_form(spec, np.array([4.0]))
+        config = json.load(f)
+    spec = ModelSpec.from_json(config["model"])
     for n_cells in cells_list:
-        settings = SolverSettings(
-            x_lo=1e-3, x_hi=4.0, n_cells=n_cells,
-            bc_hi="value", bc_hi_value=float(far_value[0]),
-        )
+        settings = SolverSettings(**{**config["solver"], "n_cells": n_cells})
         t0 = time.perf_counter()
         grid = solve_scalar(spec, settings)
         seconds = time.perf_counter() - t0

@@ -28,12 +28,7 @@ from .model import (
     series_tail_bound,
     value_bound,
 )
-from .pde import (
-    SolverSettings,
-    ValueGrid,
-    solve_generation_system,
-    solve_scalar,
-)
+from .pde import SolverSettings, ValueGrid, solve_scalar
 from .reward import McEstimate, dpp_rhs, mc_value, reward_of_outcome
 from .simulator import (
     GenealogyRecord,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 assumption or validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from .labels import Label, parse_label
 from .model import ModelError, ModelSpec, check_assumptions, moment_report
-from .pde import SolverError, SolverSettings, ValueGrid, solve_generation_system, solve_scalar
+from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
 from .stopping import StoppingError, rule_from_json
@@ -92,8 +93,13 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> dict:
     _load_model_file(config, p.parent)  # a model path set by --set
     if "seed" not in _section(config, "mc"):
         raise ConfigError("config must pin mc.seed; wall-clock seeding is not supported")
-    if not isinstance(config.get("outputs", ""), str):
-        raise ConfigError(f"outputs must be a directory path, not {config['outputs']!r}")
+    out = config.get("outputs", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"outputs must be a directory path, not {out!r}")
+    # refuse before any work: the directory is made only when results are written
+    nearest = next(d for d in (Path(out), *Path(out).parents) if d.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"outputs {out!r} cannot be a directory: {nearest} is a file")
     return config
 
 
@@ -110,18 +116,15 @@ def _whole(value, name: str) -> int:
 
 def _solver_settings(config: dict) -> SolverSettings:
     s = _section(config, "solver")
+    unknown = sorted(set(s) - {f.name for f in dataclasses.fields(SolverSettings)})
+    if unknown:
+        raise ConfigError(f"solver section has unknown field(s): {', '.join(unknown)}")
     try:
         return SolverSettings(
             x_lo=float(s["x_lo"]),
             x_hi=float(s["x_hi"]),
             n_cells=_whole(s["n_cells"], "n_cells"),
-            tol_fp=float(s.get("tol_fp", 1e-8)),
-            k_max=_whole(s.get("k_max", 64), "k_max"),
-            max_picard=_whole(s.get("max_picard", 200), "max_picard"),
-            bc_lo=s.get("bc_lo", "obstacle"),
-            bc_hi=s.get("bc_hi", "obstacle"),
-            bc_lo_value=float(s.get("bc_lo_value", 0.0)),
-            bc_hi_value=float(s.get("bc_hi_value", 0.0)),
+            **{k: float(s[k]) for k in ("tol_fp", "bc_lo_value", "bc_hi_value") if k in s},
         )
     except KeyError as exc:
         raise ConfigError(f"solver section is missing {exc}") from exc
@@ -179,19 +182,14 @@ def _write_sidecar(out: Path, command: str) -> None:
         f.write("\n")
 
 
-def _solve_grid(spec: ModelSpec, config: dict) -> ValueGrid:
-    settings = _solver_settings(config)
-    if spec.reward_depth == 0:
-        return solve_scalar(spec, settings)
-    return solve_generation_system(spec, settings)
-
-
 def cmd_check(config: dict) -> int:
     spec = _spec(config)
     try:
         grid_pts = np.array([float(x) for x in config.get("check_grid", np.linspace(-5, 5, 41))])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"check_grid: {exc}") from exc
+    if not len(grid_pts):
+        raise ConfigError("check_grid must list at least one point")
     report = moment_report(spec)
     audit = check_assumptions(spec, grid_pts)
     out = _out_dir(config)
@@ -213,7 +211,7 @@ def cmd_check(config: dict) -> int:
 
 def cmd_solve(config: dict) -> int:
     spec = _spec(config)
-    grid = _solve_grid(spec, config)
+    grid = solve_scalar(spec, _solver_settings(config))
     out = _out_dir(config)
     grid.write_csv(str(out / "grid.csv"))
     with open(out / "solver_log.json", "w") as f:
@@ -255,7 +253,7 @@ def cmd_value(config: dict) -> int:
     grid = None
     # a contact_set rule may also sit among the parts of a min_of rule
     if "contact_set" in json.dumps(rule_obj):
-        grid = _solve_grid(spec, config)
+        grid = solve_scalar(spec, _solver_settings(config))
     rule = rule_from_json(rule_obj, grid)
     est = mc_value(spec, rule, _start(config, spec), mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
@@ -278,7 +276,7 @@ def cmd_verify(config: dict) -> int:
         functional_horizon = float(ver.get("functional_horizon", 0.5))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"verify settings: {exc}") from exc
-    grid = _solve_grid(spec, config)
+    grid = solve_scalar(spec, _solver_settings(config))
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
     for point in points:

@@ -18,6 +18,9 @@ from typing import Optional
 import numpy as np
 
 L_MAX = 20  # the moment ladder sup over l stops here
+# offspring counts are truncated here, by the generating function the solver
+# sums and by the simulator's draws (residual mass going to K_MAX)
+K_MAX = 64
 
 # internal truncation used when summing Poisson pmfs to machine accuracy
 _PMF_CUTOFF = 256
@@ -417,7 +420,7 @@ def model_hash(spec: ModelSpec) -> str:
 # derived quantities
 
 
-def generating_function(spec: ModelSpec, x, w: float, k_max: int = 64) -> float:
+def generating_function(spec: ModelSpec, x, w: float, k_max: int = K_MAX) -> float:
     """Truncated offspring generating function sum_{k<=k_max} p_k(x) w^k.
 
     The truncation error is bounded by series_tail_bound(spec, w, k_max);
@@ -434,7 +437,7 @@ def generating_function(spec: ModelSpec, x, w: float, k_max: int = 64) -> float:
     return float(np.dot(p, powers))
 
 
-def generating_function_grid(spec: ModelSpec, xs: np.ndarray, w: np.ndarray, k_max: int = 64) -> np.ndarray:
+def generating_function_grid(spec: ModelSpec, xs: np.ndarray, w: np.ndarray, k_max: int = K_MAX) -> np.ndarray:
     """generating_function evaluated nodewise on a 1-D grid (w per node)."""
     xs = np.asarray(xs, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -3,10 +3,11 @@
 On a 1-D grid the solver handles min{-(L v); v - g} = 0 where L collects
 diffusion, drift, discounting, killing at the branch rate, and a source
 alpha(x) G(x, w) fed by the next-generation value through the offspring
-generating function.  Scalar mode (one reward for all generations) fixes
-w = v by outer Picard iteration started at the uniform value bound;
-generation mode solves the deepest level that way and then peels levels
-off by backward induction, each a single linear obstacle solve.
+generating function.  The deepest reward level is self-coupled (its
+children share its reward), so w = v there, fixed by outer Picard iteration
+started at the uniform value bound; every shallower level couples only to
+the one below and is one linear obstacle solve of backward induction.
+Equal rewards are the depth-0 case, with no shallower level.
 
 Discretization: central differences for the second-order term, first-order
 upwinding for the drift, which keeps the system a tridiagonal M-matrix.  Each
@@ -24,23 +25,22 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import (
+    K_MAX,
     ModelSpec,
     generating_function_grid,
     model_hash,
     moment_report,
     series_tail_bound,
-    value_bound,
 )
 
-BC_OBSTACLE = "obstacle"  # Dirichlet v = g at the domain end
-BC_VALUE = "value"  # Dirichlet with caller-supplied data
+MAX_PICARD = 200
 
 
 class SolverError(RuntimeError):
@@ -49,33 +49,24 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Grid, Picard tolerance and the Dirichlet data at each domain end;
+    a boundary value of None pins v = g there."""
+
     x_lo: float
     x_hi: float
     n_cells: int
     tol_fp: float = 1e-8
-    k_max: int = 64
-    max_picard: int = 200
-    bc_lo: str = BC_OBSTACLE
-    bc_hi: str = BC_OBSTACLE
-    bc_lo_value: float = 0.0
-    bc_hi_value: float = 0.0
+    bc_lo_value: Optional[float] = None
+    bc_hi_value: Optional[float] = None
 
     def __post_init__(self):
         if self.x_hi <= self.x_lo:
             raise SolverError("domain must satisfy x_lo < x_hi")
         if self.n_cells < 4:
             raise SolverError("need at least 4 cells")
-        for bc in (self.bc_lo, self.bc_hi):
-            if bc not in (BC_OBSTACLE, BC_VALUE):
-                raise SolverError(f"unknown boundary condition {bc!r}")
 
     def to_json(self) -> dict:
-        return {
-            "x_lo": self.x_lo, "x_hi": self.x_hi, "n_cells": self.n_cells,
-            "tol_fp": self.tol_fp, "k_max": self.k_max,
-            "max_picard": self.max_picard, "bc_lo": self.bc_lo, "bc_hi": self.bc_hi,
-            "bc_lo_value": self.bc_lo_value, "bc_hi_value": self.bc_hi_value,
-        }
+        return asdict(self)
 
 
 def settings_hash(settings: SolverSettings) -> str:
@@ -297,8 +288,8 @@ def _policy_iteration(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.nd
 
 
 def _boundary_values(g: np.ndarray, settings: SolverSettings) -> Tuple[float, float]:
-    lo = g[0] if settings.bc_lo == BC_OBSTACLE else settings.bc_lo_value
-    hi = g[-1] if settings.bc_hi == BC_OBSTACLE else settings.bc_hi_value
+    lo = g[0] if settings.bc_lo_value is None else settings.bc_lo_value
+    hi = g[-1] if settings.bc_hi_value is None else settings.bc_hi_value
     return float(lo), float(hi)
 
 
@@ -306,53 +297,78 @@ def _solve_level_linear(spec: ModelSpec, stencils: List[_Stencil], g: np.ndarray
                         w_next: np.ndarray, v_start: np.ndarray,
                         settings: SolverSettings) -> Tuple[np.ndarray, int]:
     st = stencils[0]
-    source = st.alpha * generating_function_grid(spec, st.xs, w_next, settings.k_max)
+    source = st.alpha * generating_function_grid(spec, st.xs, w_next, K_MAX)
     bc = _boundary_values(g, settings)
     v, _, solves = _solve_lcp(stencils, source, g, v_start, bc)
     return v, solves
 
 
 def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
-    """Fixed-point solve of the self-coupled obstacle problem (equal rewards).
+    """Value functions of every reward level, 0 to spec.reward_depth.
 
-    Picard iteration from the uniform value bound: each step solves the
-    linear obstacle problem whose source freezes the generating-function
-    argument at the previous iterate.  Iterates decrease monotonically on
-    every shipped model; the step norms and their ratios are logged and a
-    failed gamma uniqueness condition produces a warning, not an error.
+    The deepest level is self-consistent (children share its reward): Picard
+    iteration from the uniform value bound, each step solving the linear
+    obstacle problem whose source freezes the generating-function argument
+    at the previous iterate.  Every shallower level couples only to the one
+    below, so backward induction gives it in a single linear obstacle solve;
+    with equal rewards (depth 0) there is no such level.  Iterates decrease
+    monotonically on every shipped model; the step norms and their ratios
+    are logged and a failed gamma uniqueness condition produces a warning,
+    not an error.
     """
+    depth = spec.reward_depth
     xs = np.linspace(settings.x_lo, settings.x_hi, settings.n_cells + 1)
     stencils = _stencils(spec, xs)
-    grid = _picard(spec, settings, stencils, spec.reward_depth)
-    _finalize(spec, stencils[0], grid)
-    return grid
-
-
-def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
-            level: int) -> ValueGrid:
-    """solve_scalar's fixed point for reward level `level`, not yet finalized."""
-    xs = stencils[0].xs
-    g = spec.reward_at(level).grid_values(xs)
-    v_bar = value_bound(spec)
+    report = moment_report(spec)
+    v_bar = report.value_bound
     if not math.isfinite(v_bar):
         raise SolverError(
             "the uniform value bound overflows for this model; "
             "rescale rewards to k_g = 1 or reduce alpha_bar"
         )
-    report = moment_report(spec)
     warnings: List[str] = []
     if not report.unique_below_bound:
         warnings.append(
             "gamma %.6g below uniqueness threshold %.6g: solution may not be unique"
             % (spec.gamma, report.gamma_threshold)
         )
-    w = np.full_like(xs, v_bar)
+    obstacles = np.array([spec.reward_at(n).grid_values(xs) for n in range(depth + 1)])
+    values = np.empty_like(obstacles)
+    stats: List[Optional[LevelStats]] = [None] * (depth + 1)
+    values[depth], stats[depth] = _picard(spec, settings, stencils, obstacles[depth], v_bar)
+    for n in range(depth - 1, -1, -1):
+        g = obstacles[n]
+        v_start = np.maximum(values[n + 1], g)
+        values[n], n_sw = _solve_level_linear(spec, stencils, g, values[n + 1], v_start,
+                                              settings)
+        stats[n] = LevelStats(picard_iterations=1, psor_sweeps=[n_sw],
+                              step_norms=[], step_ratios=[])
+    grid = ValueGrid(
+        xs=xs,
+        values=values,
+        obstacles=obstacles,
+        contact=np.zeros_like(values, dtype=bool),
+        model_hash=f"{model_hash(spec)}:{settings_hash(settings)}",
+        settings=settings,
+        depth=depth,
+        stats=stats,
+        warnings=warnings,
+        tail_budget=series_tail_bound(spec, max(v_bar, 1.0), K_MAX),
+    )
+    _finalize(spec, stencils[0], grid)
+    return grid
+
+
+def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
+            g: np.ndarray, v_bar: float) -> Tuple[np.ndarray, LevelStats]:
+    """Fixed point of the self-coupled level with obstacle g, from v_bar."""
+    w = np.full_like(g, v_bar)
     w[0], w[-1] = _boundary_values(g, settings)
     sweeps: List[int] = []
     norms: List[float] = []
     ratios: List[float] = []
     signed: List[float] = []
-    for it in range(1, settings.max_picard + 1):
+    for it in range(1, MAX_PICARD + 1):
         v, n_sw = _solve_level_linear(spec, stencils, g, w, w, settings)
         sweeps.append(n_sw)
         step = float(np.max(np.abs(v - w)))
@@ -364,84 +380,29 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
         if step < settings.tol_fp:
             break
     else:
-        raise SolverError(f"Picard iteration did not converge in {settings.max_picard} steps")
-    stats = LevelStats(picard_iterations=it, psor_sweeps=sweeps,
-                       step_norms=norms, step_ratios=ratios, step_signed_max=signed)
-    return ValueGrid(
-        xs=xs,
-        values=w[None, :].copy(),
-        obstacles=g[None, :].copy(),
-        contact=np.zeros((1, len(xs)), dtype=bool),
-        model_hash=f"{model_hash(spec)}:{settings_hash(settings)}",
-        settings=settings,
-        depth=0,
-        stats=[stats],
-        warnings=warnings,
-        tail_budget=series_tail_bound(spec, max(v_bar, 1.0), settings.k_max),
-    )
-
-
-def solve_generation_system(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
-    """Backward induction over generations for depth-indexed rewards.
-
-    The deepest level is self-consistent (children share its reward) and is
-    solved as the scalar fixed point; every shallower level couples only to
-    the one below, so it needs a single linear obstacle solve.
-    """
-    depth = spec.reward_depth
-    xs = np.linspace(settings.x_lo, settings.x_hi, settings.n_cells + 1)
-    stencils = _stencils(spec, xs)
-    deep = _picard(spec, settings, stencils, depth)
-    n_levels = depth + 1
-    values = np.empty((n_levels, len(xs)))
-    obstacles = np.empty_like(values)
-    values[depth] = deep.values[0]
-    obstacles[depth] = deep.obstacles[0]
-    stats: List[Optional[LevelStats]] = [None] * n_levels
-    stats[depth] = deep.stats[0]
-    for n in range(depth - 1, -1, -1):
-        g = spec.reward_at(n).grid_values(xs)
-        v_start = np.maximum(values[n + 1], g)
-        v, n_sw = _solve_level_linear(spec, stencils, g, values[n + 1], v_start, settings)
-        values[n] = v
-        obstacles[n] = g
-        stats[n] = LevelStats(picard_iterations=1, psor_sweeps=[n_sw],
-                              step_norms=[], step_ratios=[])
-    grid = ValueGrid(
-        xs=xs,
-        values=values,
-        obstacles=obstacles,
-        contact=np.zeros_like(values, dtype=bool),
-        model_hash=deep.model_hash,
-        settings=settings,
-        depth=depth,
-        stats=list(stats),
-        warnings=deep.warnings,
-        tail_budget=deep.tail_budget,
-    )
-    _finalize(spec, stencils[0], grid)
-    return grid
+        raise SolverError(f"Picard iteration did not converge in {MAX_PICARD} steps")
+    return w, LevelStats(picard_iterations=it, psor_sweeps=sweeps,
+                         step_norms=norms, step_ratios=ratios, step_signed_max=signed)
 
 
 def _discrete_residual(spec: ModelSpec, st: _Stencil, xs: np.ndarray, v: np.ndarray,
-                       w_next: np.ndarray, k_max: int) -> np.ndarray:
+                       w_next: np.ndarray) -> np.ndarray:
     """-(L v) at interior nodes under the upwind stencil; NaN at the ends."""
     res = np.full_like(v, np.nan)
-    source = st.alpha * generating_function_grid(spec, xs, w_next, k_max)
+    source = st.alpha * generating_function_grid(spec, xs, w_next, K_MAX)
     res[1:-1] = _lcp_residual(st, source, v)
     return res
 
 
 def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:
     """Flag contact nodes and record complementarity diagnostics per level."""
-    settings = grid.settings
-    contact_tol = 10.0 * settings.tol_fp
+    contact_tol = 10.0 * grid.settings.tol_fp
     for n in range(grid.depth + 1):
         v = grid.values[n]
         g = grid.obstacles[n]
         w_next = grid.values[min(n + 1, grid.depth)]
         grid.contact[n] = v - g <= contact_tol
-        res = _discrete_residual(spec, st, grid.xs, v, w_next, settings.k_max)
+        res = _discrete_residual(spec, st, grid.xs, v, w_next)
         interior = slice(1, -1)
         contact_i = grid.contact[n][interior]
         res_i = res[interior]

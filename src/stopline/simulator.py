@@ -28,10 +28,9 @@ from .labels import (
     format_label,
     is_antichain,
 )
-from .model import ModelSpec, model_hash
+from .model import K_MAX, ModelSpec, evaluated_moment_bound, model_hash
 
 DEFAULT_MAX_PARTICLES = 1_000_000
-K_MAX = 64  # offspring counts are truncated here, residual mass going to K_MAX
 
 
 class SimulationError(RuntimeError):
@@ -312,8 +311,6 @@ def empirical_moment_bound_check(
         raise SimulationError("K must be positive")
     if reps < 100:
         raise SimulationError("reps must be at least 100")
-    from .model import evaluated_moment_bound
-
     if x0 is None:
         x0 = np.zeros(spec.dimension)
     if dt is None:

@@ -16,7 +16,7 @@ import pytest
 from stopline.cli import main as cli_main
 from stopline.labels import MOTHER
 from stopline.model import RewardFunction, moment_report, value_bound
-from stopline.pde import SolverSettings, contact_boundary, solve_generation_system, solve_scalar
+from stopline.pde import SolverSettings, contact_boundary, solve_scalar
 from stopline.reward import mc_value
 from stopline.simulator import empirical_moment_bound_check, population_count, replication_seed, simulate_forest
 from stopline.stopping import first_branch_rule, fixed_time_rule, trivial_root_rule
@@ -71,7 +71,7 @@ def test_criterion_02_exponential_moment_bound():
 def test_criterion_03_classical_put_oracle(put_spec):
     v_far, xstar = put_oracle(np.array([4.0]))
     settings = SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=2000,
-                              bc_hi="value", bc_hi_value=float(v_far[0]))
+                              bc_hi_value=float(v_far[0]))
     grid = solve_scalar(put_spec, settings)
     vtrue, xstar = put_oracle(grid.xs)
     h = grid.xs[1] - grid.xs[0]
@@ -120,7 +120,7 @@ def test_criterion_06_generation_collapse(bump_spec):
                           rewards=(g, g, g, g))
     settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=800,
                               tol_fp=1e-10)
-    multi = solve_generation_system(spec_deep, settings)
+    multi = solve_scalar(spec_deep, settings)
     scalar = solve_scalar(bump_spec, settings)
     worst = max(float(np.max(np.abs(multi.values[n] - scalar.values[0])))
                 for n in range(multi.depth + 1))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import stopline
+from stopline import pde
 from stopline.cli import main
 from stopline.labels import parse_label
 from stopline.model import ModelSpec
@@ -143,7 +144,10 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", "outputs=3"),
     ("check", "check_grid=abc"),
     ("check", "check_grid=3"),
+    ("check", "check_grid=[]"),
     ("verify", "verify.dpp_theta=3"),
+    ("solve", "solver.omega=1.5"),
+    ("solve", "solver.bc_hi=value"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
@@ -169,9 +173,26 @@ def test_override_edits_model_loaded_from_file(tmp_path):
     assert (tmp_path / "out" / "value.json").read_bytes() != value
 
 
-def test_solve_numerical_failure_exit_code(tmp_path):
-    cfg = copy_config(tmp_path, "bump.json",
-                      **{"solver.max_picard": 1, "solver.n_cells": 400})
+def test_outputs_naming_a_file_is_usage_error(tmp_path, capsys):
+    cfg = copy_config(tmp_path, "bump.json")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for outputs in (taken, taken / "sub"):
+        assert run_cli(["check", cfg, "--set", f"outputs={outputs}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert taken.read_text() == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_every_shipped_config_solves(tmp_path, name):
+    cfg = copy_config(tmp_path, name, **{"solver.n_cells": 200})
+    assert run_cli(["solve", cfg]) == 0
+
+
+def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(pde, "MAX_PICARD", 1)
+    cfg = copy_config(tmp_path, "bump.json", **{"solver.n_cells": 400})
     assert run_cli(["solve", cfg]) == 3
 
 

@@ -11,7 +11,6 @@ from stopline.pde import (
     SolverSettings,
     ValueGrid,
     contact_boundary,
-    solve_generation_system,
     solve_scalar,
 )
 
@@ -36,7 +35,7 @@ def test_put_matches_closed_form(put_spec):
     xs_hi = 4.0
     v_far, xstar = vtrue_fn(np.array([xs_hi]))
     settings = SolverSettings(x_lo=1e-3, x_hi=xs_hi, n_cells=1000,
-                              bc_hi="value", bc_hi_value=float(v_far[0]))
+                              bc_hi_value=float(v_far[0]))
     grid = solve_scalar(put_spec, settings)
     vtrue, xstar = vtrue_fn(grid.xs)
     h = grid.xs[1] - grid.xs[0]
@@ -49,7 +48,7 @@ def test_put_matches_closed_form(put_spec):
 
 def put_settings(n_cells):
     v_far, _ = put_oracle(np.array([4.0]))
-    return SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=n_cells, bc_hi="value",
+    return SolverSettings(x_lo=1e-3, x_hi=4.0, n_cells=n_cells,
                           bc_hi_value=float(v_far[0]))
 
 
@@ -98,7 +97,7 @@ def test_generation_collapse_equal_rewards(bump_spec):
                           offspring=("deterministic", 2), gamma=1.0,
                           rewards=(g, g, g, g))
     settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=400)
-    multi = solve_generation_system(spec_deep, settings)
+    multi = solve_scalar(spec_deep, settings)
     scalar = solve_scalar(bump_spec, settings)
     assert multi.depth == 3
     for n in range(4):
@@ -111,9 +110,17 @@ def test_generation_monotone_in_obstacle():
     spec = make_spec(diffusion=("constant", 1.5), alpha=0.25,
                      offspring=("deterministic", 2), gamma=1.0,
                      rewards=(g_hi, g_lo))
-    grid = solve_generation_system(spec, SolverSettings(x_lo=-8, x_hi=8,
-                                                        n_cells=400))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=400))
     assert np.all(grid.values[0] >= grid.values[1] - 1e-10)
+
+
+def test_solve_scalar_solves_every_reward_level(bump_spec):
+    # a second reward level must come back as its own level, not replace level 0
+    spec = dataclasses.replace(bump_spec, reward_depth=1, reward_levels=(
+        bump_spec.reward_levels[0], RewardFunction("bump", a=0.5, center=0.0, width=1.0)))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=400))
+    assert grid.depth == 1
+    assert grid.value_at_point(0, 0.0) > grid.value_at_point(1, 0.0)
 
 
 def test_generation_depth_one_unit_deep_level():
@@ -122,8 +129,7 @@ def test_generation_depth_one_unit_deep_level():
     spec = make_spec(diffusion=("constant", 1.0), alpha=0.5,
                      offspring=("deterministic", 2), gamma=1.0,
                      rewards=(g0, g1))
-    grid = solve_generation_system(spec, SolverSettings(x_lo=-6, x_hi=6,
-                                                        n_cells=300))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-6, x_hi=6, n_cells=300))
     assert np.max(np.abs(grid.values[1] - 1.0)) <= 1e-8
     # level 0 sees a plain source alpha * G(x, 1) = alpha
     assert np.all(grid.values[0] + 1e-12 >= grid.obstacles[0])
@@ -158,8 +164,7 @@ def test_grid_refinement_improves_put(put_spec):
     for n in (250, 500):
         v_far, xstar = put_oracle(np.array([4.0]))
         grid = solve_scalar(put_spec, SolverSettings(
-            x_lo=1e-3, x_hi=4.0, n_cells=n, bc_hi="value",
-            bc_hi_value=float(v_far[0])))
+            x_lo=1e-3, x_hi=4.0, n_cells=n, bc_hi_value=float(v_far[0])))
         vtrue, xstar = put_oracle(grid.xs)
         h = grid.xs[1] - grid.xs[0]
         mask = np.abs(grid.xs - xstar) > 8 * h
@@ -211,10 +216,9 @@ def test_cascade_equals_cold_start(model, n_cells, put_spec, bump_spec, monkeypa
             bump_spec, reward_depth=1, reward_levels=bump_spec.reward_levels
             + (RewardFunction("bump", a=0.5, center=0.0, width=1.0),))
         settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=n_cells)
-    solve = solve_generation_system if spec.reward_depth else solve_scalar
-    fast = solve(spec, settings)
+    fast = solve_scalar(spec, settings)
     monkeypatch.setattr(pde, "_COARSEST_CELLS", 10 * n_cells)
-    cold = solve(spec, settings)
+    cold = solve_scalar(spec, settings)
     assert np.array_equal(fast.values, cold.values)
     assert np.array_equal(fast.contact, cold.contact)
     for f, c in zip(fast.stats, cold.stats):
