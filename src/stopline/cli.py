@@ -128,7 +128,8 @@ def _solver_settings(config: dict) -> SolverSettings:
         )
     except KeyError as exc:
         raise ConfigError(f"solver section is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, SolverError) as exc:
+        # settings the solver refuses are a config mistake, not non-convergence
         raise ConfigError(f"solver section: {exc}") from exc
 
 

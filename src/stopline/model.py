@@ -5,13 +5,19 @@ reward ingredients of a branching diffusion together with the discount
 and the declared bounds.  The coefficient catalog is closed: every entry
 is one of a few named closed forms, so Lipschitz constants and offspring
 moments are known analytically and configs stay bit-reproducible.
+
+The offspring probabilities p_k(x) are formed in one place,
+`Offspring.pmf`, vectorised over 1-D nodes: exact for the bounded
+families, in log space for Poisson.  The simulator's draws, the
+generating function the solver sums, the Poisson moment ladder and the
+assumption audit all read it, so Monte Carlo and the PDE share one law.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -159,6 +165,19 @@ class RateFunction:
 # offspring families
 
 
+def _poisson_pmf(lams: np.ndarray, k_max: int) -> np.ndarray:
+    """Poisson p_0..p_{k_max} for each intensity, shape (len(lams), k_max + 1).
+
+    Formed as exp(k log lam - lam - log k!), which stays finite for large
+    intensities; an intensity of 0 gets the exact row (1, 0, ..., 0).
+    """
+    ks = np.arange(k_max + 1)
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k_max + 1)))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = ks[None, :] * np.log(lams)[:, None] - lams[:, None] - logfact[None, :]
+    return np.where(lams[:, None] == 0, (ks == 0)[None, :], np.exp(logp))
+
+
 @dataclass(frozen=True)
 class Offspring:
     """Offspring-count distribution p_k(x).
@@ -188,21 +207,21 @@ class Offspring:
             return 2
         return None
 
-    def pmf(self, x: np.ndarray, k_max: int) -> np.ndarray:
-        """Probabilities p_0..p_{k_max} at state x (tail mass not folded in)."""
-        p = np.zeros(k_max + 1)
+    def pmf(self, xs: np.ndarray, k_max: int) -> np.ndarray:
+        """Probabilities p_0..p_{k_max} at each 1-D node of xs (a state's first
+        coordinate, the only one the intensity reads), shape
+        (len(xs), k_max + 1); tail mass is not folded in."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if self.kind == "poisson":
+            return _poisson_pmf(self.lam.grid_values(xs), k_max)
+        p = np.zeros((len(xs), k_max + 1))
         if self.kind == "deterministic":
             if self.k0 <= k_max:
-                p[self.k0] = 1.0
-        elif self.kind == "binary":
-            p[0] = self.p0
-            if k_max >= 2:
-                p[2] = self.p2
+                p[:, self.k0] = 1.0
         else:
-            lam = self.lam(x)
-            p[0] = math.exp(-lam)
-            for k in range(1, k_max + 1):
-                p[k] = p[k - 1] * lam / k
+            p[:, 0] = self.p0
+            if k_max >= 2:
+                p[:, 2] = self.p2
         return p
 
     def raw_moment_sup(self, ell: int) -> float:
@@ -214,13 +233,8 @@ class Offspring:
         if self.kind == "binary":
             return self.p2 * 2.0**ell
         # Poisson moments increase with the intensity, so the sup sits at its cap
-        lam = self.lam.supremum()
-        pk = math.exp(-lam)
-        total = 0.0
-        for k in range(1, _PMF_CUTOFF):
-            pk *= lam / k
-            total += (float(k) ** ell) * pk
-        return total
+        p = _poisson_pmf(np.array([self.lam.supremum()]), _PMF_CUTOFF - 1)[0]
+        return float(np.dot(np.arange(_PMF_CUTOFF, dtype=float) ** ell, p))
 
     def intensity_sup(self) -> Optional[float]:
         return self.lam.supremum() if self.kind == "poisson" else None
@@ -420,51 +434,30 @@ def model_hash(spec: ModelSpec) -> str:
 # derived quantities
 
 
-def generating_function(spec: ModelSpec, x, w: float, k_max: int = K_MAX) -> float:
-    """Truncated offspring generating function sum_{k<=k_max} p_k(x) w^k.
+def generating_function(spec: ModelSpec, xs, w, k_max: int = K_MAX) -> np.ndarray:
+    """Offspring generating function sum_k p_k(x) w^k at each 1-D node of xs,
+    w per node (either may be a scalar, broadcast against the other).
 
-    The truncation error is bounded by series_tail_bound(spec, w, k_max);
-    families with bounded support are summed exactly once k_max covers
-    their support.
+    The sum stops at k_max and at the family's support, so bounded families
+    are summed exactly and no power past the support can overflow; the
+    neglected Poisson tail is bounded by series_tail_bound(spec, w, k_max).
+    The powers w^k are running products (w^2 is w * w, which pow(w, 2)
+    need not be), the same for every family.
     """
-    if w < 0:
+    xs, w = np.broadcast_arrays(np.atleast_1d(np.asarray(xs, dtype=float)),
+                                np.asarray(w, dtype=float))
+    if np.any(w < 0):
         raise ModelError("generating function argument w must be nonnegative")
     if k_max < 1:
         raise ModelError("k_max must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = spec.offspring.pmf(x, k_max)
-    powers = np.power(float(w), np.arange(k_max + 1))
-    return float(np.dot(p, powers))
-
-
-def generating_function_grid(spec: ModelSpec, xs: np.ndarray, w: np.ndarray, k_max: int = K_MAX) -> np.ndarray:
-    """generating_function evaluated nodewise on a 1-D grid (w per node)."""
-    xs = np.asarray(xs, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise ModelError("generating function argument w must be nonnegative")
-    off = spec.offspring
-    if off.kind == "deterministic":
-        return w ** off.k0 if off.k0 <= k_max else np.zeros_like(w)
-    if off.kind == "binary":
-        out = np.full_like(w, off.p0)
-        if k_max >= 2:
-            out = out + off.p2 * w**2
-        return out
-    lams = off.lam.grid_values(xs)
-    ks = np.arange(k_max + 1)
-    # pmf matrix via cumulative log to stay stable for larger intensities
-    with np.errstate(divide="ignore"):
-        logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k_max + 1)))))
-        loglam = np.where(lams > 0, np.log(np.maximum(lams, 1e-300)), -math.inf)
-    logp = ks[None, :] * loglam[:, None] - lams[:, None] - logfact[None, :]
-    pmat = np.exp(logp)
-    if np.any(lams == 0):
-        zero = lams == 0
-        pmat[zero] = 0.0
-        pmat[zero, 0] = 1.0
-    powers = w[:, None] ** ks[None, :]
-    return np.einsum("ij,ij->i", pmat, powers)
+    support = spec.offspring.max_support()
+    top = k_max if support is None else min(k_max, support)
+    p = spec.offspring.pmf(xs, top)
+    total, power = p[:, 0].copy(), np.ones_like(w)
+    for k in range(1, top + 1):
+        power *= w
+        total += p[:, k] * power
+    return total
 
 
 def series_tail_bound(spec: ModelSpec, R: float, k_max: int) -> float:
@@ -480,7 +473,7 @@ def series_tail_bound(spec: ModelSpec, R: float, k_max: int) -> float:
     if support is not None:
         if k_max >= support:
             return 0.0
-        p = off.pmf(np.zeros(spec.dimension), support)
+        p = off.pmf(np.zeros(1), support)[0]
         ks = np.arange(support + 1)
         return float(np.sum(p[ks > k_max] * R ** ks[ks > k_max].astype(float)))
     # Poisson: sum_{k>k_max} e^-lam (lam R)^k / k!, summed upward until negligible
@@ -519,20 +512,7 @@ class MomentReport:
     lipschitz: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "M_ell": self.M_ell,
-            "M_bar": self.M_bar,
-            "M_bar_argmax": self.M_bar_argmax,
-            "M_bar_interior": self.M_bar_interior,
-            "l_max": self.l_max,
-            "C": self.C,
-            "gamma_threshold": self.gamma_threshold,
-            "unique_below_bound": self.unique_below_bound,
-            "value_bound": self.value_bound,
-            "intensity_sup": self.intensity_sup,
-            "lipschitz": self.lipschitz,
-        }
+        return asdict(self)
 
 
 def evaluated_moment_bound(spec: ModelSpec) -> float:
@@ -613,12 +593,7 @@ class AssumptionCheck:
     continuity_samples: dict
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "hard_violations": self.hard_violations,
-            "warnings": self.warnings,
-            "continuity_samples": self.continuity_samples,
-        }
+        return asdict(self)
 
 
 def check_assumptions(spec: ModelSpec,
@@ -634,13 +609,13 @@ def check_assumptions(spec: ModelSpec,
         sample_grid = np.linspace(-5.0, 5.0, 41)
     hard = []
     warn = []
-    k_probe = 200 if spec.offspring.kind == "poisson" else 8
-    for x in sample_grid:
-        pt = np.full(spec.dimension, float(x))
-        total = float(np.sum(spec.offspring.pmf(pt, k_probe)))
-        if abs(total - 1.0) > 1e-12:
-            hard.append(f"offspring pmf sums to {total!r} at x={x!r}")
-            break
+    grid = np.asarray(sample_grid, dtype=float)
+    pmf = spec.offspring.pmf(grid, 200 if spec.offspring.kind == "poisson" else 8)
+    totals = pmf.sum(axis=1)
+    off_mass = np.flatnonzero(np.abs(totals - 1.0) > 1e-12)
+    if len(off_mass):
+        i = off_mass[0]
+        hard.append(f"offspring pmf sums to {float(totals[i])!r} at x={sample_grid[i]!r}")
     alpha_sup = spec.branch_rate.supremum()
     if alpha_sup > spec.alpha_bar + 1e-12:
         hard.append(f"branch rate supremum {alpha_sup} exceeds declared bound {spec.alpha_bar}")
@@ -652,7 +627,7 @@ def check_assumptions(spec: ModelSpec,
                 hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={x!r}")
                 break
     for n, g in enumerate(spec.reward_levels):
-        vals = g.grid_values(np.asarray(sample_grid, dtype=float))
+        vals = g.grid_values(grid)
         if np.any(vals < -1e-12) or np.any(vals > spec.k_g + 1e-12):
             hard.append(f"reward level {n} escapes [0, {spec.k_g}] on the sample grid")
     lam_sup = spec.offspring.intensity_sup()
@@ -669,15 +644,13 @@ def check_assumptions(spec: ModelSpec,
             "2^l M_l is still growing at l_max=%d (M_bar=%.6g is a truncated sup)"
             % (report.l_max, report.M_bar)
         )
-    # modulus-of-continuity samples: max increment over adjacent grid points
-    grid = np.asarray(sample_grid, dtype=float)
-    pts = [np.full(spec.dimension, float(x)) for x in grid]
-    alpha_vals = np.array([spec.branch_rate(p) for p in pts])
-    pmf_vals = np.array([spec.offspring.pmf(p, 8) for p in pts])
+    # modulus-of-continuity samples: max increment over adjacent grid points,
+    # of the branch rate and of p_0..p_8
+    alpha_vals = np.array([spec.branch_rate(np.full(spec.dimension, x)) for x in grid])
     continuity = {
         "grid_step": float(np.max(np.diff(grid))) if len(grid) > 1 else 0.0,
         "alpha_max_increment": float(np.max(np.abs(np.diff(alpha_vals)))) if len(grid) > 1 else 0.0,
-        "pmf_max_increment": float(np.max(np.abs(np.diff(pmf_vals, axis=0)))) if len(grid) > 1 else 0.0,
+        "pmf_max_increment": float(np.max(np.abs(np.diff(pmf[:, :9], axis=0)))) if len(grid) > 1 else 0.0,
     }
     return AssumptionCheck(ok=not hard, hard_violations=hard, warnings=warn,
                            continuity_samples=continuity)

@@ -29,12 +29,11 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import (
     K_MAX,
     ModelSpec,
-    generating_function_grid,
+    generating_function,
     model_hash,
     moment_report,
     series_tail_bound,
@@ -64,6 +63,8 @@ class SolverSettings:
             raise SolverError("domain must satisfy x_lo < x_hi")
         if self.n_cells < 4:
             raise SolverError("need at least 4 cells")
+        if not self.tol_fp > 0:
+            raise SolverError("tol_fp must be positive")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -91,17 +92,7 @@ class LevelStats:
     contact_count: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "picard_iterations": self.picard_iterations,
-            "psor_sweeps": self.psor_sweeps,
-            "step_norms": self.step_norms,
-            "step_ratios": self.step_ratios,
-            "step_signed_max": self.step_signed_max,
-            "max_obstacle_violation": self.max_obstacle_violation,
-            "max_residual_noncontact": self.max_residual_noncontact,
-            "min_residual_contact": self.min_residual_contact,
-            "contact_count": self.contact_count,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -261,6 +252,9 @@ def _policy_iteration(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.nd
     & Zidani 2009).  Returns the solution, the obstacle rows and the number
     of banded solves.
     """
+    # scipy.linalg takes a noticeable share of start-up; only solves need it
+    from scipy.linalg import solve_banded
+
     n = len(g)
     v = v0.copy()
     v[0], v[-1] = bc_vals
@@ -297,7 +291,7 @@ def _solve_level_linear(spec: ModelSpec, stencils: List[_Stencil], g: np.ndarray
                         w_next: np.ndarray, v_start: np.ndarray,
                         settings: SolverSettings) -> Tuple[np.ndarray, int]:
     st = stencils[0]
-    source = st.alpha * generating_function_grid(spec, st.xs, w_next, K_MAX)
+    source = st.alpha * generating_function(spec, st.xs, w_next, K_MAX)
     bc = _boundary_values(g, settings)
     v, _, solves = _solve_lcp(stencils, source, g, v_start, bc)
     return v, solves
@@ -389,7 +383,7 @@ def _discrete_residual(spec: ModelSpec, st: _Stencil, xs: np.ndarray, v: np.ndar
                        w_next: np.ndarray) -> np.ndarray:
     """-(L v) at interior nodes under the upwind stencil; NaN at the ends."""
     res = np.full_like(v, np.nan)
-    source = st.alpha * generating_function_grid(spec, xs, w_next, K_MAX)
+    source = st.alpha * generating_function(spec, xs, w_next, K_MAX)
     res[1:-1] = _lcp_residual(st, source, v)
     return res
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -61,14 +61,7 @@ class McEstimate:
         return gap / max(self.stderr, atol)
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "reps": self.reps,
-            "seed": self.seed,
-            "t_cut": self.t_cut,
-            "cut_policy": self.cut_policy,
-        }
+        return asdict(self)
 
     def write_json(self, path: str) -> None:
         with open(path, "w") as f:
@@ -163,14 +156,17 @@ def dpp_product(
     A particle still unresolved at t_cut is stopped there with a v factor,
     as if theta claimed it, which keeps the identity exact under truncation.
     """
-    line = evaluate_line(record, _dpp_rule(theta, tau))
+    return _dpp_sample(spec, record, _dpp_rule(theta, tau), grid)
 
+
+def _dpp_sample(spec: ModelSpec, record: GenealogyRecord, rule: StoppingRule, grid) -> float:
+    """`dpp_product` for a line rule already built by `_dpp_rule`."""
     def factor(s: Stop) -> float:
         if s.part == 1:
             return spec.reward_at(s.generation)(s.position)
         return _grid_value(grid, spec, s.generation, s.position)
 
-    return _discounted_product(spec, line.stops, factor)
+    return _discounted_product(spec, evaluate_line(record, rule).stops, factor)
 
 
 def _grid_value(grid, spec: ModelSpec, n: int, position: np.ndarray) -> float:
@@ -202,8 +198,9 @@ def dpp_rhs(
         raise RewardError("reps must be at least 2")
     if not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
+    rule = _dpp_rule(theta, tau)
     vals = np.empty(reps)
     for r in range(reps):
         rec = open_forest(spec, [start], theta.t_cut, dt, replication_seed(seed, r, rng_salt))
-        vals[r] = dpp_product(spec, rec, theta, tau, grid)
+        vals[r] = _dpp_sample(spec, rec, rule, grid)
     return estimate_from_samples(vals, seed, theta.t_cut, theta.cut_policy)

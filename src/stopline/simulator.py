@@ -190,13 +190,10 @@ class _OpenParticles(dict):
             u = rng.uniform(0.0, a_bar)
             alpha_here = spec.branch_rate(x)
             if u < alpha_here:
-                # accepted event: the same mark picks the offspring interval
-                v, cum, count = u / alpha_here, 0.0, K_MAX
-                for k, pk in enumerate(spec.offspring.pmf(x, K_MAX)):
-                    cum += pk
-                    if v < cum:
-                        count = k
-                        break
+                # accepted event: the same mark picks the offspring interval,
+                # residual mass going to K_MAX
+                cdf = spec.offspring.pmf(x[:1], K_MAX)[0].cumsum()
+                count = min(int(cdf.searchsorted(u / alpha_here, side="right")), K_MAX)
                 break
             record.rejections += 1
         branched = count is not None

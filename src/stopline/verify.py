@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,10 +50,7 @@ class PointCheck:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x, "v_pde": self.v_pde, "estimate": self.estimate.to_json(),
-            "gap": self.gap, "z": self.z, "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -65,10 +62,7 @@ class SweepEntry:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "rule": self.rule, "x": self.x, "estimate": self.estimate.to_json(),
-            "margin": self.margin, "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -79,10 +73,7 @@ class BranchingTest:
     insufficient: bool
 
     def to_json(self) -> dict:
-        return {
-            "ks_stat": self.ks_stat, "p_value": self.p_value,
-            "n_samples": self.n_samples, "insufficient": self.insufficient,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,17 +96,7 @@ class VerificationReport:
         return ok
 
     def to_json(self) -> dict:
-        return {
-            "points": [p.to_json() for p in self.points],
-            "sweep": [e.to_json() for e in self.sweep],
-            "dpp": [p.to_json() for p in self.dpp],
-            "branching": self.branching.to_json() if self.branching else None,
-            "seed": self.seed,
-            "settings": self.settings,
-            "z_threshold": self.z_threshold,
-            "ks_p_threshold": self.ks_p_threshold,
-            "all_passed": self.all_passed(),
-        }
+        return {**asdict(self), "all_passed": self.all_passed()}
 
     def write_json(self, path: str) -> None:
         with open(path, "w") as f:

@@ -148,6 +148,9 @@ def test_override_flag_changes_scalar(tmp_path):
     ("verify", "verify.dpp_theta=3"),
     ("solve", "solver.omega=1.5"),
     ("solve", "solver.bc_hi=value"),
+    ("solve", "solver.n_cells=2"),
+    ("solve", "solver.x_hi=-9"),
+    ("solve", "solver.tol_fp=0"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
@@ -255,10 +258,12 @@ def test_no_writes_outside_output_dir(tmp_path, monkeypatch):
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of start-up; only the KS test uses it
+    # scipy.stats costs about a second of start-up and only the KS test uses
+    # it; scipy.linalg is needed only once a solve starts
     src = str(Path(stopline.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, stopline, stopline.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, stopline, stopline.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from stopline.model import (
     check_assumptions,
     evaluated_moment_bound,
     generating_function,
-    generating_function_grid,
     model_hash,
     moment_report,
     series_tail_bound,
@@ -43,51 +43,57 @@ def test_generating_function_at_one_is_mass():
         make_spec(offspring=("deterministic", 2)),
         make_spec(offspring=("poisson", 0.5)),
     ):
-        total = generating_function(spec, X0, 1.0, k_max=64)
+        total = generating_function(spec, X0, 1.0, k_max=64)[0]
         assert total <= 1.0 + 1e-12
         assert total + series_tail_bound(spec, 1.0, 64) >= 1.0 - 1e-12
 
 
 def test_generating_function_examples():
     spec = make_spec(offspring=("binary", (0.5, 0.5)))
-    assert generating_function(spec, X0, 0.5) == approx(0.625)
+    assert generating_function(spec, X0, 0.5)[0] == approx(0.625)
     pois = make_spec(offspring=("poisson", 0.5))
-    assert generating_function(pois, X0, 0.0) == approx(0.6065306597126334, abs=1e-12)
+    assert generating_function(pois, X0, 0.0)[0] == approx(0.6065306597126334, abs=1e-12)
 
 
 def test_generating_function_rejects_negative_w():
     with pytest.raises(ModelError):
-        generating_function(make_spec(), X0, -0.1)
+        generating_function(make_spec(), np.zeros(3), np.array([0.5, -0.1, 0.5]))
 
 
 def test_generating_function_matches_poisson_closed_form():
     spec = make_spec(offspring=("poisson", 0.5))
     lam = 0.5
-    for w in np.linspace(0.0, 2.0, 9):
-        exact = math.exp(lam * (w - 1.0))
-        assert generating_function(spec, X0, w, k_max=40) == approx(exact, abs=1e-10)
+    ws = np.linspace(0.0, 2.0, 9)
+    exact = np.exp(lam * (ws - 1.0))
+    np.testing.assert_allclose(generating_function(spec, np.zeros(9), ws, k_max=40), exact,
+                               rtol=0.0, atol=1e-10)
 
 
 def test_generating_function_monotone_convex_in_w():
     spec = make_spec(offspring=("poisson", 0.5))
     ws = np.linspace(0.0, 3.0, 31)
-    vals = np.array([generating_function(spec, X0, w) for w in ws])
+    vals = generating_function(spec, np.zeros(31), ws)
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-12)
     assert np.all(np.diff(diffs) >= -1e-12)
 
 
-def test_generating_function_grid_matches_pointwise():
-    for spec in (
-        make_spec(offspring=("poisson", 0.5)),
-        make_spec(offspring=("binary", (0.3, 0.7))),
-        make_spec(offspring=("deterministic", 2)),
-    ):
-        xs = np.linspace(-1, 1, 7)
-        ws = np.linspace(0.0, 1.5, 7)
-        grid_vals = generating_function_grid(spec, xs, ws, k_max=48)
-        for x, w, got in zip(xs, ws, grid_vals):
-            assert got == approx(generating_function(spec, np.array([x]), w, k_max=48), abs=1e-12)
+def test_generating_function_bounded_families_exact_at_large_w():
+    # the sum stops at the support, so no power past it overflows into 0 * inf
+    w = np.array([1e5])
+    det = make_spec(offspring=("deterministic", 2))
+    assert generating_function(det, X0, w)[0] == 1e10
+    binary = make_spec(offspring=("binary", (0.3, 0.7)))
+    assert generating_function(binary, X0, w)[0] == 0.3 + 0.7 * 1e10
+
+
+def test_generating_function_poisson_intensity_per_node():
+    lam = RateFunction("logistic", cap=0.5, center=0.0, width=1.0)
+    spec = dataclasses.replace(make_spec(), offspring=Offspring("poisson", lam=lam))
+    xs = np.linspace(-3.0, 3.0, 7)
+    lams = spec.offspring.lam.grid_values(xs)
+    np.testing.assert_allclose(generating_function(spec, xs, 1.5), np.exp(lams * 0.5),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_series_tail_bound_bounded_support():
@@ -201,8 +207,19 @@ def test_pmf_sums_to_one_families():
         make_spec(offspring=("deterministic", 3)),
         make_spec(offspring=("poisson", 0.5)),
     ):
-        p = spec.offspring.pmf(X0, 200)
-        assert float(np.sum(p)) == approx(1.0, abs=1e-12)
+        p = spec.offspring.pmf(np.linspace(-3.0, 3.0, 5), 200)
+        assert p.shape == (5, 201)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_poisson_pmf_matches_recurrence():
+    # the log-space pmf against p_k = p_{k-1} lam / k; lam = 0 is an exact row
+    for lam in (0.0, 0.5, 3.0):
+        got = make_spec(offspring=("poisson", lam)).offspring.pmf(X0, 40)[0]
+        ref = [math.exp(-lam)]
+        for k in range(1, 41):
+            ref.append(ref[-1] * lam / k)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def test_model_json_roundtrip_and_hash():
