@@ -29,7 +29,7 @@ from .model import (
     value_bound,
 )
 from .pde import SolverSettings, ValueGrid, solve_scalar
-from .reward import McEstimate, dpp_rhs, mc_value, reward_of_outcome
+from .reward import McEstimate, mc_value, reward_of_outcome
 from .simulator import (
     GenealogyRecord,
     ParticleRecord,

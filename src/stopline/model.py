@@ -615,7 +615,7 @@ def check_assumptions(spec: ModelSpec,
     off_mass = np.flatnonzero(np.abs(totals - 1.0) > 1e-12)
     if len(off_mass):
         i = off_mass[0]
-        hard.append(f"offspring pmf sums to {float(totals[i])!r} at x={sample_grid[i]!r}")
+        hard.append(f"offspring pmf sums to {float(totals[i])!r} at x={float(grid[i])!r}")
     alpha_sup = spec.branch_rate.supremum()
     if alpha_sup > spec.alpha_bar + 1e-12:
         hard.append(f"branch rate supremum {alpha_sup} exceeds declared bound {spec.alpha_bar}")
@@ -624,7 +624,7 @@ def check_assumptions(spec: ModelSpec,
             pt = np.full(spec.dimension, float(x))
             a = spec.branch_rate(pt)
             if a > spec.alpha_bar + 1e-12 or a < 0:
-                hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={x!r}")
+                hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={float(x)!r}")
                 break
     for n, g in enumerate(spec.reward_levels):
         vals = g.grid_values(grid)

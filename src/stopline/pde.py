@@ -409,9 +409,9 @@ def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:
             s.min_residual_contact = float(np.min(res_i[contact_i]))
 
 
-def contact_boundary(grid: ValueGrid, level: int = 0) -> Optional[float]:
-    """Largest grid node still in contact on the given level, if any."""
-    mask = grid.contact[level]
+def contact_boundary(grid: ValueGrid) -> Optional[float]:
+    """Largest grid node still in contact on level 0, if any."""
+    mask = grid.contact[0]
     interior = np.flatnonzero(mask[1:-1]) + 1
     if not len(interior):
         return None

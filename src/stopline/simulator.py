@@ -295,26 +295,22 @@ def empirical_moment_bound_check(
     t: float,
     reps: int,
     seed: int,
-    x0: Optional[Sequence[float]] = None,
-    dt: Optional[float] = None,
 ) -> Tuple[float, float, bool]:
     """Sample mean of K^(total born by t) against its exponential-moment cap.
 
-    The cap (K v 1)^exp(abar Mbar t) uses the evaluated moment bound, so it
-    can be enormous (or infinite) for heavy offspring families; the check
-    still reports both numbers.
+    Each forest starts from one particle at the origin and runs with step
+    t/8.  The cap (K v 1)^exp(abar Mbar t) uses the evaluated moment bound,
+    so it can be enormous (or infinite) for heavy offspring families; the
+    check still reports both numbers.
     """
     if K <= 0:
         raise SimulationError("K must be positive")
     if reps < 100:
         raise SimulationError("reps must be at least 100")
-    if x0 is None:
-        x0 = np.zeros(spec.dimension)
-    if dt is None:
-        dt = t / 8.0
+    x0 = np.zeros(spec.dimension)
     vals = np.empty(reps)
     for r in range(reps):
-        rec = simulate_forest(spec, [((), x0)], horizon=t, dt=dt,
+        rec = simulate_forest(spec, [((), x0)], horizon=t, dt=t / 8.0,
                               seed=replication_seed(seed, r))
         vals[r] = K ** total_born(rec, t)
     m_bar = evaluated_moment_bound(spec)

@@ -20,7 +20,7 @@ import numpy as np
 from .labels import MOTHER, Label
 from .model import ModelSpec, model_hash
 from .pde import ValueGrid
-from .reward import McEstimate, dpp_rhs, mc_value, reward_of_outcome
+from .reward import McEstimate, _dpp_rule, mc_value, reward_of_outcome
 from .simulator import GenealogyRecord, ParticleRecord, open_forest, replication_seed
 from .stopping import (
     FORCE_STOP,
@@ -175,7 +175,7 @@ def dpp_consistency(
     _check_grid(spec, grid)
     tau = contact_set_rule(grid, epsilon, theta.t_cut, theta.cut_policy)
     start = (MOTHER, np.array([float(point)]))
-    est = dpp_rhs(spec, theta, tau, grid, start, reps, dt, seed, rng_salt="dpp")
+    est = mc_value(spec, _dpp_rule(theta, tau), start, reps, dt, seed, rng_salt="dpp", grid=grid)
     v_pde = grid.value_at_point(0, float(point))
     z = est.z_score(v_pde)
     return PointCheck(x=float(point), v_pde=v_pde, estimate=est,

@@ -175,6 +175,16 @@ def test_check_assumptions_flags_alpha_violation():
     assert any("branch rate" in v for v in audit.hard_violations)
 
 
+@pytest.mark.parametrize("spec", [
+    make_spec(offspring=("binary", (0.3, 0.6))),
+    make_spec(alpha=-0.1, alpha_bar=0.3),
+], ids=["pmf_mass", "branch_rate"])
+def test_check_assumptions_messages_print_plain_floats(spec):
+    (message,) = check_assumptions(spec, np.linspace(-5.0, 5.0, 41)).hard_violations
+    assert message.endswith(" at x=-5.0")
+    assert "np." not in message
+
+
 def test_check_assumptions_flags_reward_violation():
     spec = make_spec(rewards=(RewardFunction("constant", c=1.5),), k_g=1.0)
     audit = check_assumptions(spec)

@@ -10,10 +10,9 @@ from stopline.pde import SolverSettings, solve_scalar
 from stopline.reward import (
     McEstimate,
     RewardError,
+    _dpp_rule,
     dpp_product,
-    dpp_rhs,
     estimate_from_samples,
-    line_reward,
     mc_value,
     reward_of_outcome,
 )
@@ -240,7 +239,6 @@ def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
         assert a.passed_alive == b.passed_alive
         reward = reward_of_outcome(spec, a)
         assert reward_of_outcome(spec, b) == reward
-        assert line_reward(spec, rule, (MOTHER, [PRUNE_X0]), PRUNE_DT, seed) == reward
         full_rewards.append(reward)
         if kind == "trivial_root":
             assert list(opened.particles) == [MOTHER]
@@ -261,6 +259,7 @@ def test_pruned_forest_gives_identical_dpp_product(solved_model, policy):
         product = dpp_product(spec, full, theta, tau, grid)
         assert opened_product == product
         full_products.append(product)
-    est = dpp_rhs(spec, theta, tau, grid, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
-                  dt=PRUNE_DT, seed=6)
-    assert est == estimate_from_samples(full_products, 6, PRUNE_T_CUT, policy)
+    est = mc_value(spec, _dpp_rule(theta, tau), (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
+                   dt=PRUNE_DT, seed=6, grid=grid)
+    # the estimate carries the policy of the line it scored, theta ^ tau's
+    assert est == estimate_from_samples(full_products, 6, PRUNE_T_CUT, FORCE_STOP)

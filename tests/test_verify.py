@@ -173,7 +173,7 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
     # independent oracle: walk each forest by hand; theta claims a particle
     # when it fires no later than tau (v factor), tau when it fires earlier
     # (g factor), and a particle unresolved at t_cut takes a v factor there
-    from stopline.reward import dpp_product, dpp_rhs, estimate_from_samples
+    from stopline.reward import _dpp_rule, dpp_product, estimate_from_samples, mc_value
     from stopline.simulator import replication_seed, simulate_forest
     from stopline.stopping import fixed_time_rule, never_rule
 
@@ -193,8 +193,8 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
             return idx
         return None
 
-    est = dpp_rhs(spec, theta, tau, grid, ((), [x0]), reps, dt, seed=77,
-                  rng_salt="dpp")
+    est = mc_value(spec, _dpp_rule(theta, tau), ((), [x0]), reps, dt, seed=77,
+                   rng_salt="dpp", grid=grid)
     vals = np.empty(reps)
     for r in range(reps):
         rec = simulate_forest(spec, [((), np.array([x0]))], horizon=t_cut, dt=dt,
@@ -222,17 +222,17 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
     assert est == estimate_from_samples(vals, 77, t_cut, "force_stop")
 
 
-def test_dpp_rhs_rejects_mismatched_grid(bump_grid):
-    from stopline.reward import RewardError, dpp_rhs
-    from stopline.stopping import fixed_time_rule, never_rule
+def test_mc_value_rejects_mismatched_grid(bump_grid):
+    from stopline.reward import RewardError, mc_value
+    from stopline.stopping import fixed_time_rule
 
     _, grid = bump_grid
     other = make_spec(diffusion=("constant", 0.7), alpha=0.1,
                       offspring=("deterministic", 2),
                       rewards=(RewardFunction("bump", a=0.5),))
     with pytest.raises(RewardError):
-        dpp_rhs(other, fixed_time_rule(0.1, 1.0), never_rule(1.0), grid,
-                ((), [0.0]), reps=4, dt=0.05, seed=1)
+        mc_value(other, fixed_time_rule(0.1, 1.0), ((), [0.0]), reps=4, dt=0.05, seed=1,
+                 grid=grid)
 
 
 def branching_spec(sigma=0.4):
