@@ -383,6 +383,17 @@ class ModelSpec:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    @cached_property
+    def constant_coefficients(self) -> Optional[tuple]:
+        """(drift, diffusion, any nonzero diffusion) when both coefficients
+        are constant, else None; computed once per instance, like
+        `fingerprint`."""
+        if self.drift.kind != "constant" or self.diffusion.kind != "constant":
+            return None
+        origin = np.zeros(self.dimension)
+        b, s = self.drift(origin), self.diffusion(origin)
+        return b, s, bool(np.any(s != 0))
+
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,

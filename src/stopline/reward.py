@@ -113,9 +113,10 @@ def mc_value(
     worth (abandon: one, force_stop: stop there).  Each replication's forest
     is open, so only the particles the line walk reads are simulated, at
     most `max_particles`, and the estimate is bit for bit the one from full
-    forests.  With a solved `grid` the stops are scored as in
-    `reward_of_outcome`, which on the line of theta ^ tau makes this the
-    right-hand side of the dynamic-programming identity.
+    forests.  A particle the line stops at its birth is never simulated and
+    does not count toward `max_particles`.  With a solved `grid` the stops
+    are scored as in `reward_of_outcome`, which on the line of theta ^ tau
+    makes this the right-hand side of the dynamic-programming identity.
     """
     if reps < 2:
         raise RewardError("reps must be at least 2")

@@ -76,6 +76,7 @@ class GenealogyRecord:
     dt: float
     seed: int
     spec_hash: str
+    t0: float = 0.0  # the roots' birth time
     proposals: int = 0
     rejections: int = 0
 
@@ -135,17 +136,12 @@ class _OpenParticles(dict):
     mapping form no reference cycle and a dropped forest is freed at once.
     """
 
-    def __init__(self, record: GenealogyRecord, spec: ModelSpec, t0: float,
-                 max_particles: int):
+    def __init__(self, record: GenealogyRecord, spec: ModelSpec, max_particles: int):
         super().__init__()
         self._record = weakref.ref(record)
         self._spec = spec
-        self._starts = {lab: (t0, x) for lab, x in record.initial}
+        self._starts = {lab: (record.t0, x) for lab, x in record.initial}
         self._max_particles = max_particles
-        self._const = None
-        if spec.drift.kind == "constant" and spec.diffusion.kind == "constant":
-            b, s = spec.drift(np.zeros(spec.dimension)), spec.diffusion(np.zeros(spec.dimension))
-            self._const = (b, s, bool(np.any(s != 0)))
 
     def __missing__(self, label: Label) -> ParticleRecord:
         parent = None
@@ -174,8 +170,8 @@ class _OpenParticles(dict):
             target = min(proposal, horizon)
             steps = _segment_steps(t, target, record.dt)
             if len(steps):
-                if self._const is not None:
-                    ts, xp = _diffuse_constant(x, t, steps, *self._const, rng)
+                if spec.constant_coefficients is not None:
+                    ts, xp = _diffuse_constant(x, t, steps, *spec.constant_coefficients, rng)
                 else:
                     ts, xp = _diffuse_general(x, t, steps, spec, rng)
                 t_segments.append(ts)
@@ -217,7 +213,10 @@ def open_forest(
     label is first read from `particles`.
 
     A walk over the forest thus draws exactly the particles it reads, each
-    bit for bit as in the whole forest; `max_particles` caps those.
+    bit for bit as in the whole forest; `max_particles` caps those.  The
+    record's `t0` is the roots' birth time, so a walk can test a particle's
+    birth state before it reads it: a particle that `evaluate_line` stops
+    at birth is never drawn and does not count toward `max_particles`.
     """
     if horizon <= t0:
         raise SimulationError("horizon must exceed the start time")
@@ -235,8 +234,8 @@ def open_forest(
                 f"initial position has dimension {x.shape}, model wants ({spec.dimension},)"
             )
     record = GenealogyRecord(particles={}, initial=init, horizon=horizon, dt=dt, seed=seed,
-                             spec_hash=model_hash(spec))
-    record.particles = _OpenParticles(record, spec, t0, max_particles)
+                             spec_hash=model_hash(spec), t0=float(t0))
+    record.particles = _OpenParticles(record, spec, max_particles)
     return record
 
 

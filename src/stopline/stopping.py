@@ -162,36 +162,77 @@ def _fire_index(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
         return None
     times = p.times
     end = min(p.end_time, rule.t_cut)  # a sample is live strictly before this
-    if rule.kind == "trivial_root":
-        return 0 if p.label in roots and times[0] < end else None
-    if rule.kind == "first_branch":
-        return 0 if p.parent is not None and p.parent in roots and times[0] < end else None
+    if rule.kind in ("trivial_root", "first_branch"):
+        return 0 if times[0] < end and _fires_at_birth(rule, p.label, p.parent, times[0],
+                                                       p.positions[0], record, roots) else None
     if rule.kind == "fixed_time":
         if rule.t < p.birth_time - 1e-12:
             return None
         idx = int(np.searchsorted(times, rule.t - 1e-12))
         return idx if idx < len(times) and times[idx] < end else None
-    live = times < end
+    hits = np.flatnonzero(_sample_hits(rule, p.label, times, p.positions, record)
+                          & (times < end))
+    return int(hits[0]) if len(hits) else None
+
+
+def _sample_hits(rule: StoppingRule, label: Label, times, positions: np.ndarray,
+                 record: GenealogyRecord) -> np.ndarray:
+    """Per sample, whether an exit_ball or contact_set rule fires there;
+    `times` is the sample times, or one birth time for a single sample."""
     if rule.kind == "exit_ball":
         center = np.asarray(rule.center)
-        dist2 = np.sum((p.positions - center[None, :]) ** 2, axis=1)
-        outside = dist2 >= rule.radius**2
-        capped = times >= rule.cap_t - 1e-12
-        hits = np.flatnonzero((outside | capped) & live)
-    elif rule.kind == "contact_set":
+        dist2 = np.sum((positions - center[None, :]) ** 2, axis=1)
+        return (dist2 >= rule.radius**2) | (times >= rule.cap_t - 1e-12)
+    if rule.kind == "contact_set":
         grid = rule.grid
         if grid is None:
             raise StoppingError("contact rule has no value grid attached")
         if record.spec_hash and not grid.model_hash.startswith(record.spec_hash):
             raise StoppingError("value grid was solved for a different model")
-        n = generation(p.label)
-        xs = p.positions[:, 0]
+        n = generation(label)
+        xs = positions[:, 0]
         clearance = grid.values_at(n, xs) - grid.obstacles_at(n, xs)
         clearance = np.where(grid.contains(xs), clearance, 0.0)
-        hits = np.flatnonzero((clearance <= rule.epsilon) & live)
-    else:
-        raise StoppingError(f"unhandled rule kind {rule.kind!r}")
-    return int(hits[0]) if len(hits) else None
+        return clearance <= rule.epsilon
+    raise StoppingError(f"unhandled rule kind {rule.kind!r}")
+
+
+def _fires_at_birth(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float,
+                    x: np.ndarray, record: GenealogyRecord, roots: set) -> bool:
+    """Whether a rule other than min_of fires at a particle's first sample,
+    taken at its birth time `birth` and place `x`, if that sample is live.
+
+    This reads only the birth state, so the walk can test a particle before
+    drawing it.  `fixed_time`'s test is `_fire_index`'s at index 0.
+    """
+    if rule.kind == "trivial_root":
+        return label in roots
+    if rule.kind == "first_branch":
+        return parent is not None and parent in roots
+    if rule.kind == "fixed_time":
+        return not rule.t < birth - 1e-12 and birth >= rule.t - 1e-12
+    if rule.kind == "never":
+        return False
+    return bool(_sample_hits(rule, label, birth, x[None, :], record)[0])
+
+
+def _birth_stop(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float,
+                x: np.ndarray, record: GenealogyRecord, roots: set) -> Optional[int]:
+    """The part of the rule that stops a particle at its birth, or None.
+
+    Equal to the part `rule_fire_time` returns at sample index 0 of the drawn
+    particle, min_of ties included (the first part that fires at birth wins),
+    but for the null event that `evaluate_line` states: this test assumes
+    the particle ends after its birth.
+    """
+    if not birth < rule.t_cut:
+        return None
+    if rule.kind == "min_of":
+        for k, part in enumerate(rule.parts):
+            if _birth_stop(part, label, parent, birth, x, record, roots) is not None:
+                return k
+        return None
+    return 0 if _fires_at_birth(rule, label, parent, birth, x, record, roots) else None
 
 
 def _position_at_cut(p: ParticleRecord, t_cut: float) -> np.ndarray:
@@ -208,18 +249,37 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     or handled by the cut policy at t_cut.  The stop set cannot contain
     two particles of the same lineage.  On an open forest (`open_forest`)
     each particle is simulated when this walk first reads it, so nothing
-    below a stop is drawn.
+    below a stop is drawn.  Before it reads a particle not drawn yet, the
+    walk tests the rule at the particle's birth from what it already holds
+    (a root's start and the record's t0, or the mother's end state).  A
+    particle stopped at birth is never drawn, so it does not count toward
+    the forest's max_particles.  The test gives the drawn particle's answer
+    but for one null event: a drawn particle's first sample is live only if
+    its first exponential draw adds something to its birth time, which
+    fails with a chance of about 1e-16 per particle.
     """
     if rule.t_cut > record.horizon + 1e-12:
         raise StoppingError(
             f"t_cut {rule.t_cut} exceeds the simulated horizon {record.horizon}"
         )
-    roots = set(record.roots())
+    starts = dict(record.initial)
+    roots = set(starts)
     stops: List[Stop] = []
     passed_alive: List[Label] = []
     stack: List[Label] = sorted(roots, reverse=True)
     while stack:
         lab = stack.pop()
+        if lab not in record.particles:
+            if lab in starts:
+                parent, birth, x = None, record.t0, starts[lab]
+            else:
+                parent = lab[:-1]
+                mother = record.particles[parent]
+                birth, x = mother.end_time, mother.positions[-1]
+            part = _birth_stop(rule, lab, parent, birth, x, record, roots)
+            if part is not None:
+                stops.append(Stop(lab, birth, x.copy(), generation(lab), part=part))
+                continue
         p = record.particles[lab]
         fire = rule_fire_time(rule, p, record, roots)
         if fire is not None:

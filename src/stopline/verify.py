@@ -264,7 +264,7 @@ def _extract_subtree(record: GenealogyRecord, root: Label) -> GenealogyRecord:
     parts = _Subtree(record, root)
     return GenealogyRecord(particles=parts, initial=[(root, parts[root].positions[0])],
                            horizon=record.horizon - parts.base, dt=record.dt,
-                           seed=record.seed, spec_hash=record.spec_hash)
+                           seed=record.seed, spec_hash=record.spec_hash, t0=0.0)
 
 
 def branching_property_test(

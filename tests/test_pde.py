@@ -226,6 +226,35 @@ def test_cascade_equals_cold_start(model, n_cells, put_spec, bump_spec, monkeypa
     assert sum(fast.stats[-1].psor_sweeps) < sum(cold.stats[-1].psor_sweeps)
 
 
+@pytest.mark.parametrize("model,n_cells", [
+    ("bump", 401), ("bump", 1600), ("bump", 6400), ("depth1", 1001), ("put", 4000),
+])
+def test_warm_picard_steps_equal_cascade_every_step(model, n_cells, put_spec, bump_spec,
+                                                    monkeypatch):
+    # From Picard step 3 on a solve starts at the previous step's obstacle
+    # rows; the policy iteration still ends on the exact solution.
+    if model == "put":
+        spec, settings = put_spec, put_settings(n_cells)
+    else:
+        spec = bump_spec if model == "bump" else dataclasses.replace(
+            bump_spec, reward_depth=1, reward_levels=bump_spec.reward_levels
+            + (RewardFunction("bump", a=0.5, center=0.0, width=1.0),))
+        settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=n_cells)
+    warm = solve_scalar(spec, settings)
+    level = pde._solve_level_linear
+    monkeypatch.setattr(pde, "_solve_level_linear", lambda *args: level(*args[:6]))
+    cascade = solve_scalar(spec, settings)
+    assert np.array_equal(warm.values, cascade.values)
+    assert np.array_equal(warm.obstacles, cascade.obstacles)
+    assert np.array_equal(warm.contact, cascade.contact)
+    for w, c in zip(warm.stats, cascade.stats):
+        assert (w.step_norms, w.step_signed_max) == (c.step_norms, c.step_signed_max)
+        assert w.psor_sweeps[:2] == c.psor_sweeps[:2]
+        assert all(a <= b for a, b in zip(w.psor_sweeps, c.psor_sweeps))
+    if warm.stats[-1].picard_iterations > 2:
+        assert sum(warm.stats[-1].psor_sweeps) < sum(cascade.stats[-1].psor_sweeps)
+
+
 @pytest.mark.parametrize("n_cells,boundary", [
     (2000, 0.384904), (4000, 0.384904), (8000, 0.384404125),
 ])

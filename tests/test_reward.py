@@ -22,6 +22,7 @@ from stopline.stopping import (
     FORCE_STOP,
     LineOutcome,
     Stop,
+    _birth_stop,
     contact_set_rule,
     evaluate_line,
     exit_ball_rule,
@@ -29,6 +30,7 @@ from stopline.stopping import (
     fixed_time_rule,
     min_of_rules,
     never_rule,
+    rule_fire_time,
     trivial_root_rule,
 )
 
@@ -241,7 +243,7 @@ def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
         assert reward_of_outcome(spec, b) == reward
         full_rewards.append(reward)
         if kind == "trivial_root":
-            assert list(opened.particles) == [MOTHER]
+            assert list(opened.particles) == []
     est = mc_value(spec, rule, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
                    dt=PRUNE_DT, seed=5)
     assert est == estimate_from_samples(full_rewards, 5, PRUNE_T_CUT, policy)
@@ -263,3 +265,108 @@ def test_pruned_forest_gives_identical_dpp_product(solved_model, policy):
                    dt=PRUNE_DT, seed=6, grid=grid)
     # the estimate carries the policy of the line it scored, theta ^ tau's
     assert est == estimate_from_samples(full_products, 6, PRUNE_T_CUT, FORCE_STOP)
+
+
+# --- a particle that its line stops at birth is never drawn
+
+def birth_rules(grid, policy):
+    """Every catalog kind, and min_of pairs whose parts tie at birth."""
+    t_cut = PRUNE_T_CUT
+    contact = contact_set_rule(grid, 1e-3, t_cut, policy)
+    rules = [catalog_rule(kind, grid, policy) for kind in
+             ("trivial_root", "fixed_time", "first_branch", "exit_ball", "contact_set",
+              "never", "min_of")]
+    return rules + [
+        fixed_time_rule(0.0, t_cut, policy),
+        exit_ball_rule([0.0], 0.5, 0.4, t_cut, policy),
+        _dpp_rule(first_branch_rule(t_cut, FORCE_STOP), contact_set_rule(grid, 1e-3, t_cut,
+                                                                         FORCE_STOP)),
+        min_of_rules(contact, trivial_root_rule(t_cut, policy)),
+        min_of_rules(never_rule(t_cut, policy), contact),
+        min_of_rules(first_branch_rule(t_cut, policy), min_of_rules(contact, contact)),
+    ]
+
+
+def assert_birth_test_matches_drawn(rule, record):
+    """At every particle of a full forest, the birth test gives what
+    `rule_fire_time` gives at index 0 of the drawn particle, part included."""
+    roots = set(record.roots())
+    starts = dict(record.initial)
+    fired = 0
+    for lab, p in record.particles.items():
+        if lab in starts:
+            parent, birth, x = None, record.t0, starts[lab]
+        else:
+            mother = record.particles[lab[:-1]]
+            parent, birth, x = lab[:-1], mother.end_time, mother.positions[-1]
+        fire = rule_fire_time(rule, p, record, roots)
+        expected = fire[2] if fire is not None and fire[1] == 0 else None
+        assert _birth_stop(rule, lab, parent, birth, x, record, roots) == expected, (rule, lab)
+        fired += expected is not None
+    return fired
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.5])
+def test_birth_test_equals_rule_fire_time_at_index_zero(solved_model, x0):
+    spec, grid = solved_model
+    fired = 0
+    for s in PRUNE_SEEDS:
+        full = simulate_forest(spec, [(MOTHER, [x0])], horizon=PRUNE_T_CUT, dt=PRUNE_DT,
+                               seed=replication_seed(7, s))
+        for policy in (ABANDON, FORCE_STOP):
+            for rule in birth_rules(grid, policy):
+                fired += assert_birth_test_matches_drawn(rule, full)
+        # fixed_time at, and just around, a child's birth: the 1e-12 window edges
+        children = [p for lab, p in full.particles.items() if lab]
+        for p in children[:3]:
+            for dt in (0.0, 5e-13, -5e-13, 2e-12, -2e-12):
+                fired += assert_birth_test_matches_drawn(
+                    fixed_time_rule(p.birth_time + dt, PRUNE_T_CUT), full)
+    assert fired > 0
+
+
+def test_birth_test_on_a_clock_that_starts_late(solved_model):
+    spec, grid = solved_model
+    full = simulate_forest(spec, [(MOTHER, [0.0])], horizon=PRUNE_T_CUT + 1.0, dt=PRUNE_DT,
+                           seed=3, t0=1.0)
+    for rule in birth_rules(grid, FORCE_STOP):
+        assert_birth_test_matches_drawn(rule, full)
+    assert assert_birth_test_matches_drawn(fixed_time_rule(1.0, PRUNE_T_CUT), full) == 1
+
+
+def test_dpp_walk_on_open_forest_draws_no_child_of_the_root(solved_model):
+    spec, grid = solved_model
+    rule = _dpp_rule(first_branch_rule(PRUNE_T_CUT, FORCE_STOP),
+                     contact_set_rule(grid, 1e-3, PRUNE_T_CUT, FORCE_STOP))
+    branched = 0
+    for s in PRUNE_SEEDS:
+        full, opened, b = forest_pair(spec, replication_seed(8, s),
+                                      lambda rec: evaluate_line(rec, rule))
+        assert list(opened.particles) == [MOTHER]
+        a = evaluate_line(full, rule)
+        assert [(x.label, x.time, x.generation, x.forced, x.part) for x in a.stops] == \
+            [(x.label, x.time, x.generation, x.forced, x.part) for x in b.stops]
+        assert all(np.array_equal(x.position, y.position) for x, y in zip(a.stops, b.stops))
+        branched += any(len(x.label) == 1 for x in b.stops)
+    assert branched > 0
+
+
+@pytest.mark.parametrize("kind", ["trivial_root", "fixed_time", "first_branch",
+                                  "exit_ball", "contact_set", "never", "min_of", "dpp"])
+def test_mc_value_at_a_contact_start_equals_full_forests(solved_model, kind):
+    spec, grid = solved_model
+    if kind == "dpp":
+        rule = _dpp_rule(first_branch_rule(PRUNE_T_CUT, FORCE_STOP),
+                         contact_set_rule(grid, 1e-3, PRUNE_T_CUT, FORCE_STOP))
+    else:
+        rule = catalog_rule(kind, grid, FORCE_STOP)
+    scored = grid if kind == "dpp" else None
+    reps, seed = 40, 11
+    full_rewards = [
+        reward_of_outcome(spec, evaluate_line(
+            simulate_forest(spec, [(MOTHER, [0.0])], horizon=PRUNE_T_CUT, dt=PRUNE_DT,
+                            seed=replication_seed(seed, r)), rule), scored)
+        for r in range(reps)]
+    est = mc_value(spec, rule, (MOTHER, [0.0]), reps=reps, dt=PRUNE_DT, seed=seed,
+                   grid=scored)
+    assert est == estimate_from_samples(full_rewards, seed, PRUNE_T_CUT, FORCE_STOP)
