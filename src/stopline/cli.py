@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .labels import Label, parse_label
-from .model import ModelError, ModelSpec, check_assumptions, moment_report
+from .model import ModelError, ModelSpec, check_assumptions, check_fields, moment_report
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
@@ -52,11 +52,12 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
         node[keys[-1]] = raw
 
 
-def _section(config: dict, name: str, default: Optional[dict] = None) -> dict:
-    """A config section; one that is not a JSON object is a usage error."""
+def _section(config: dict, name: str, default: Optional[dict] = None,
+             fields: Optional[Sequence[str]] = None) -> dict:
+    """A config section; one that is not a JSON object, or that has a key
+    outside `fields` when they are given, is a usage error."""
     section = config.get(name, {} if default is None else default)
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, not {section!r}")
+    check_fields(section, section if fields is None else fields, f"{name} section", ConfigError)
     return section
 
 
@@ -115,10 +116,7 @@ def _whole(value, name: str) -> int:
 
 
 def _solver_settings(config: dict) -> SolverSettings:
-    s = _section(config, "solver")
-    unknown = sorted(set(s) - {f.name for f in dataclasses.fields(SolverSettings)})
-    if unknown:
-        raise ConfigError(f"solver section has unknown field(s): {', '.join(unknown)}")
+    s = _section(config, "solver", fields=[f.name for f in dataclasses.fields(SolverSettings)])
     try:
         return SolverSettings(
             x_lo=float(s["x_lo"]),
@@ -142,7 +140,7 @@ class _McSettings(NamedTuple):
 
 
 def _mc(config: dict) -> _McSettings:
-    mc = _section(config, "mc")
+    mc = _section(config, "mc", fields=_McSettings._fields)
     try:
         return _McSettings(
             reps=_whole(mc.get("reps", 1000), "reps"),
@@ -156,7 +154,8 @@ def _mc(config: dict) -> _McSettings:
 
 
 def _start(config: dict, spec: ModelSpec) -> Tuple[Label, np.ndarray]:
-    start = config.get("start", {"label": "∅", "x": [0.0] * spec.dimension})
+    start = _section(config, "start", {"label": "∅", "x": [0.0] * spec.dimension},
+                     fields=("label", "x"))
     try:
         return parse_label(start.get("label", "∅")), np.asarray(start["x"], dtype=float)
     except KeyError as exc:
@@ -229,7 +228,7 @@ def cmd_solve(config: dict) -> int:
 def cmd_simulate(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
-    sim = _section(config, "simulate")
+    sim = _section(config, "simulate", fields=("horizon",))
     try:
         horizon = float(sim.get("horizon", mc.t_cut))
     except (TypeError, ValueError) as exc:
@@ -267,7 +266,8 @@ def cmd_value(config: dict) -> int:
 def cmd_verify(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
-    ver = _section(config, "verify")
+    ver = _section(config, "verify", fields=("points", "epsilon", "sweep_times", "branch_window",
+                                             "functional_horizon", "dpp_theta", "branching"))
     theta_spec = _section(ver, "dpp_theta", {"kind": "first_branch"})
     try:
         points = [float(x) for x in config.get("points", ver.get("points", [0.0]))]

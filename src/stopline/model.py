@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -36,29 +36,92 @@ class ModelError(ValueError):
     """Malformed or unusable model description."""
 
 
+def check_fields(obj, allowed, where: str, error: type = ModelError) -> None:
+    """Refuse anything but a JSON object whose keys all lie in `allowed`: a
+    misspelt field is an error, never a silently taken default."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object, not {obj!r}")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise error(f"{where} has unknown field(s): {', '.join(unknown)}")
+
+
+def _json_value(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
+
+
+class CatalogEntry:
+    """Base of a closed catalog: a frozen dataclass whose `kind` names one
+    closed form.
+
+    PARAMS[kind] = (fields, optional) lists the fields that kind takes and
+    those of them a JSON form may leave out, which then keep the dataclass
+    default.  The kind check, to_json and from_json all read this one table,
+    so from_json refuses a field its kind does not take as well as a missing
+    required one.  A field is read with float unless READ names its reader;
+    CATALOG names the catalog in messages, and ERROR is what it raises.
+    """
+
+    PARAMS: ClassVar[dict] = {}
+    READ: ClassVar[dict] = {}
+    CATALOG: ClassVar[str] = ""
+    ERROR: ClassVar[type] = ModelError
+
+    @classmethod
+    def _params(cls, kind) -> Tuple[tuple, tuple]:
+        if not isinstance(kind, str) or kind not in cls.PARAMS:
+            raise cls.ERROR(f"unknown {cls.CATALOG} kind {kind!r}")
+        return cls.PARAMS[kind]
+
+    def __post_init__(self):
+        self._params(self.kind)
+
+    def to_json(self) -> dict:
+        fields, _ = self.PARAMS[self.kind]
+        return {"kind": self.kind, **{f: _json_value(getattr(self, f)) for f in fields}}
+
+    @classmethod
+    def json_fields(cls, obj) -> Tuple[str, dict]:
+        """The kind of a JSON form and the values of the fields it gives."""
+        if not isinstance(obj, dict):
+            raise cls.ERROR(f"a {cls.CATALOG} must be a JSON object, not {obj!r}")
+        kind = obj.get("kind")
+        fields, optional = cls._params(kind)
+        where = f"{cls.CATALOG} {kind}"
+        check_fields(obj, ("kind",) + fields, where, cls.ERROR)
+        missing = [f for f in fields if f not in obj and f not in optional]
+        if missing:
+            raise cls.ERROR(f"{where} is missing field(s): {', '.join(missing)}")
+        return kind, {f: cls.READ.get(f, float)(obj[f]) for f in fields if f in obj}
+
+    @classmethod
+    def from_json(cls, obj):
+        kind, values = cls.json_fields(obj)
+        return cls(kind, **values)
+
+
 # ---------------------------------------------------------------------------
 # vector coefficients (drift / diffusion), applied componentwise
 
 
 @dataclass(frozen=True)
-class Coefficient:
-    """Componentwise coefficient x -> value, one of a closed catalog.
+class Coefficient(CatalogEntry):
+    """Componentwise coefficient x -> value, one of a closed catalog."""
 
-    kinds:
-      constant: value
-      affine:   intercept + slope * x
-      linear:   rate * x
-    """
+    PARAMS = {
+        "constant": (("value",), ()),  # value
+        "affine": (("intercept", "slope"), ()),  # intercept + slope * x
+        "linear": (("rate",), ()),  # rate * x
+    }
+    CATALOG = "coefficient"
 
     kind: str
     value: float = 0.0
     intercept: float = 0.0
     slope: float = 0.0
     rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "affine", "linear"):
-            raise ModelError(f"unknown coefficient kind {self.kind!r}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -75,37 +138,21 @@ class Coefficient:
             return abs(self.slope)
         return abs(self.rate)
 
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "affine":
-            return {"kind": "affine", "intercept": self.intercept, "slope": self.slope}
-        return {"kind": "linear", "rate": self.rate}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Coefficient":
-        kind = obj.get("kind")
-        if kind == "constant":
-            return Coefficient("constant", value=float(obj["value"]))
-        if kind == "affine":
-            return Coefficient("affine", intercept=float(obj["intercept"]), slope=float(obj["slope"]))
-        if kind == "linear":
-            return Coefficient("linear", rate=float(obj["rate"]))
-        raise ModelError(f"unknown coefficient kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # scalar rate functions (branch rate alpha, Poisson intensity lambda)
 
 
 @dataclass(frozen=True)
-class RateFunction:
-    """Nonnegative scalar rate of the spatial state.
+class RateFunction(CatalogEntry):
+    """Nonnegative scalar rate of the spatial state."""
 
-    kinds:
-      constant: value
-      logistic: cap / (1 + exp(-(x[0] - center) / width))
-    """
+    PARAMS = {
+        "constant": (("value",), ()),  # value
+        # cap / (1 + exp(-(x[0] - center) / width))
+        "logistic": (("cap", "center", "width"), ("center", "width")),
+    }
+    CATALOG = "rate"
 
     kind: str
     value: float = 0.0
@@ -114,8 +161,7 @@ class RateFunction:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "logistic"):
-            raise ModelError(f"unknown rate kind {self.kind!r}")
+        super().__post_init__()
         if self.kind == "logistic" and self.width <= 0:
             raise ModelError("logistic width must be positive")
 
@@ -141,25 +187,6 @@ class RateFunction:
             return 0.0
         return self.cap / (4.0 * self.width)
 
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        return {"kind": "logistic", "cap": self.cap, "center": self.center, "width": self.width}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RateFunction":
-        kind = obj.get("kind")
-        if kind == "constant":
-            return RateFunction("constant", value=float(obj["value"]))
-        if kind == "logistic":
-            return RateFunction(
-                "logistic",
-                cap=float(obj["cap"]),
-                center=float(obj.get("center", 0.0)),
-                width=float(obj.get("width", 1.0)),
-            )
-        raise ModelError(f"unknown rate kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # offspring families
@@ -179,14 +206,16 @@ def _poisson_pmf(lams: np.ndarray, k_max: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Offspring:
-    """Offspring-count distribution p_k(x).
+class Offspring(CatalogEntry):
+    """Offspring-count distribution p_k(x)."""
 
-    kinds:
-      deterministic: all mass on k0
-      binary:        mass p0 on 0 and p2 on 2
-      poisson:       Poisson with spatial intensity lam(x)
-    """
+    PARAMS = {
+        "deterministic": (("k0",), ()),  # all mass on k0
+        "binary": (("p0", "p2"), ()),  # mass p0 on 0 and p2 on 2
+        "poisson": (("lam",), ()),  # Poisson with spatial intensity lam(x)
+    }
+    READ = {"k0": int, "lam": RateFunction.from_json}
+    CATALOG = "offspring"
 
     kind: str
     k0: int = 0
@@ -195,8 +224,7 @@ class Offspring:
     lam: Optional[RateFunction] = None
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "binary", "poisson"):
-            raise ModelError(f"unknown offspring kind {self.kind!r}")
+        super().__post_init__()
         if self.kind == "poisson" and self.lam is None:
             raise ModelError("poisson offspring needs an intensity function")
 
@@ -239,38 +267,23 @@ class Offspring:
     def intensity_sup(self) -> Optional[float]:
         return self.lam.supremum() if self.kind == "poisson" else None
 
-    def to_json(self) -> dict:
-        if self.kind == "deterministic":
-            return {"kind": "deterministic", "k0": self.k0}
-        if self.kind == "binary":
-            return {"kind": "binary", "p0": self.p0, "p2": self.p2}
-        return {"kind": "poisson", "lam": self.lam.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Offspring":
-        kind = obj.get("kind")
-        if kind == "deterministic":
-            return Offspring("deterministic", k0=int(obj["k0"]))
-        if kind == "binary":
-            return Offspring("binary", p0=float(obj["p0"]), p2=float(obj["p2"]))
-        if kind == "poisson":
-            return Offspring("poisson", lam=RateFunction.from_json(obj["lam"]))
-        raise ModelError(f"unknown offspring kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # reward functions
 
 
 @dataclass(frozen=True)
-class RewardFunction:
-    """One reward level g_n: R^d -> [0, K_g].
+class RewardFunction(CatalogEntry):
+    """One reward level g_n: R^d -> [0, K_g]."""
 
-    kinds:
-      constant:    c
-      clipped_put: min(clip, max(strike - x[0], 0))
-      bump:        a * exp(-|x - center|^2 / width^2)
-    """
+    PARAMS = {
+        "constant": (("c",), ()),  # c
+        "clipped_put": (("strike", "clip"), ("clip",)),  # min(clip, max(strike - x[0], 0))
+        # a * exp(-|x - center|^2 / width^2)
+        "bump": (("a", "center", "width"), ("center", "width")),
+    }
+    READ = {"clip": lambda clip: math.inf if clip is None else float(clip)}
+    CATALOG = "reward"
 
     kind: str
     c: float = 0.0
@@ -281,8 +294,7 @@ class RewardFunction:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "clipped_put", "bump"):
-            raise ModelError(f"unknown reward kind {self.kind!r}")
+        super().__post_init__()
         if self.kind == "bump" and self.width <= 0:
             raise ModelError("bump width must be positive")
 
@@ -311,31 +323,6 @@ class RewardFunction:
             return 1.0
         # max slope of a*exp(-u^2/w^2) is a*sqrt(2/e)/w
         return abs(self.a) * math.sqrt(2.0 / math.e) / self.width
-
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "c": self.c}
-        if self.kind == "clipped_put":
-            return {"kind": "clipped_put", "strike": self.strike, "clip": self.clip}
-        return {"kind": "bump", "a": self.a, "center": self.center, "width": self.width}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RewardFunction":
-        kind = obj.get("kind")
-        if kind == "constant":
-            return RewardFunction("constant", c=float(obj["c"]))
-        if kind == "clipped_put":
-            clip = obj.get("clip", math.inf)
-            clip = math.inf if clip in (None, "inf") else float(clip)
-            return RewardFunction("clipped_put", strike=float(obj["strike"]), clip=clip)
-        if kind == "bump":
-            return RewardFunction(
-                "bump",
-                a=float(obj["a"]),
-                center=float(obj.get("center", 0.0)),
-                width=float(obj.get("width", 1.0)),
-            )
-        raise ModelError(f"unknown reward kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +400,11 @@ class ModelSpec:
     @staticmethod
     def from_json(obj: dict) -> "ModelSpec":
         """Build a model from its JSON form; a malformed field is a ModelError."""
+        check_fields(obj, ("dimension", "drift", "diffusion", "branch_rate", "alpha_bar",
+                           "offspring", "gamma", "reward", "k_g"), "model")
         try:
             reward = obj["reward"]
+            check_fields(reward, ("depth", "levels"), "model reward")
             levels = tuple(RewardFunction.from_json(g) for g in reward["levels"])
             return ModelSpec(
                 dimension=int(obj["dimension"]),
@@ -627,13 +617,13 @@ def check_assumptions(spec: ModelSpec,
     if len(off_mass):
         i = off_mass[0]
         hard.append(f"offspring pmf sums to {float(totals[i])!r} at x={float(grid[i])!r}")
+    # the branch rate once per sample point, for the bound and the continuity samples
+    alpha_vals = [spec.branch_rate(np.full(spec.dimension, x)) for x in grid]
     alpha_sup = spec.branch_rate.supremum()
     if alpha_sup > spec.alpha_bar + 1e-12:
         hard.append(f"branch rate supremum {alpha_sup} exceeds declared bound {spec.alpha_bar}")
     else:
-        for x in sample_grid:
-            pt = np.full(spec.dimension, float(x))
-            a = spec.branch_rate(pt)
+        for x, a in zip(grid, alpha_vals):
             if a > spec.alpha_bar + 1e-12 or a < 0:
                 hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={float(x)!r}")
                 break
@@ -657,7 +647,6 @@ def check_assumptions(spec: ModelSpec,
         )
     # modulus-of-continuity samples: max increment over adjacent grid points,
     # of the branch rate and of p_0..p_8
-    alpha_vals = np.array([spec.branch_rate(np.full(spec.dimension, x)) for x in grid])
     continuity = {
         "grid_step": float(np.max(np.diff(grid))) if len(grid) > 1 else 0.0,
         "alpha_max_increment": float(np.max(np.abs(np.diff(alpha_vals)))) if len(grid) > 1 else 0.0,

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .labels import Label, generation
+from .model import CatalogEntry
 from .pde import ValueGrid
 from .simulator import GenealogyRecord, ParticleRecord
 
@@ -28,13 +29,29 @@ class StoppingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StoppingRule:
-    """A per-particle stopping policy from a closed catalog.
+def _rule_params(*fields: str, optional: Tuple[str, ...] = ()) -> tuple:
+    """A rule kind's fields: every kind takes t_cut and an optional cut_policy."""
+    return ("t_cut", "cut_policy") + fields, ("cut_policy",) + optional
 
-    kinds: trivial_root, fixed_time, first_branch, exit_ball, contact_set,
-    never, min_of (composite taking the earlier firing of two rules).
-    """
+
+@dataclass(frozen=True)
+class StoppingRule(CatalogEntry):
+    """A per-particle stopping policy from a closed catalog; `min_of` is the
+    composite taking the earlier firing of two rules, and `contact_set`
+    reads a solved value grid, which its JSON form does not hold."""
+
+    PARAMS = {
+        "trivial_root": _rule_params(),
+        "fixed_time": _rule_params("t"),
+        "first_branch": _rule_params(),
+        "exit_ball": _rule_params("center", "radius", "cap_t", optional=("cap_t",)),
+        "contact_set": _rule_params("epsilon"),
+        "never": _rule_params(),
+        "min_of": _rule_params("parts"),
+    }
+    READ = {"cut_policy": str, "center": lambda c: tuple(float(x) for x in c), "parts": list}
+    CATALOG = "rule"
+    ERROR = StoppingError
 
     kind: str
     t_cut: float
@@ -48,11 +65,7 @@ class StoppingRule:
     parts: Tuple["StoppingRule", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in (
-            "trivial_root", "fixed_time", "first_branch", "exit_ball",
-            "contact_set", "never", "min_of",
-        ):
-            raise StoppingError(f"unknown rule kind {self.kind!r}")
+        super().__post_init__()
         if self.cut_policy not in (ABANDON, FORCE_STOP):
             raise StoppingError(f"unknown cut policy {self.cut_policy!r}")
         if self.t_cut <= 0:
@@ -62,17 +75,9 @@ class StoppingRule:
         if self.kind == "contact_set" and self.epsilon <= 0:
             raise StoppingError("contact rule needs epsilon > 0")
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "t_cut": self.t_cut, "cut_policy": self.cut_policy}
-        if self.kind == "fixed_time":
-            out["t"] = self.t
-        elif self.kind == "exit_ball":
-            out.update(center=list(self.center), radius=self.radius, cap_t=self.cap_t)
-        elif self.kind == "contact_set":
-            out["epsilon"] = self.epsilon
-        elif self.kind == "min_of":
-            out["parts"] = [p.to_json() for p in self.parts]
-        return out
+    @classmethod
+    def from_json(cls, obj: dict, grid: Optional[ValueGrid] = None) -> "StoppingRule":
+        return rule_from_json(obj, grid)
 
 
 def trivial_root_rule(t_cut: float, cut_policy: str = ABANDON) -> StoppingRule:
@@ -222,8 +227,11 @@ def _birth_stop(rule: StoppingRule, label: Label, parent: Optional[Label], birth
 
     Equal to the part `rule_fire_time` returns at sample index 0 of the drawn
     particle, min_of ties included (the first part that fires at birth wins),
-    but for the null event that `evaluate_line` states: this test assumes
-    the particle ends after its birth.
+    but for one null event: this test assumes the particle ends after its
+    birth, while `rule_fire_time` counts the first sample live only if the
+    particle's first exponential draw adds something to its birth time,
+    which fails with a chance of about 1e-16 per particle.  `evaluate_line`
+    takes this test's answer for every particle, drawn or not.
     """
     if not birth < rule.t_cut:
         return None
@@ -249,14 +257,13 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     or handled by the cut policy at t_cut.  The stop set cannot contain
     two particles of the same lineage.  On an open forest (`open_forest`)
     each particle is simulated when this walk first reads it, so nothing
-    below a stop is drawn.  Before it reads a particle not drawn yet, the
-    walk tests the rule at the particle's birth from what it already holds
-    (a root's start and the record's t0, or the mother's end state).  A
-    particle stopped at birth is never drawn, so it does not count toward
-    the forest's max_particles.  The test gives the drawn particle's answer
-    but for one null event: a drawn particle's first sample is live only if
-    its first exponential draw adds something to its birth time, which
-    fails with a chance of about 1e-16 per particle.
+    below a stop is drawn.  Before it reads any particle, the walk tests
+    the rule at the particle's birth from what it already holds (a root's
+    start and the record's t0, or the mother's end state), so the birth
+    test decides every particle's first sample and open and full forests
+    give the same line.  A particle stopped at birth is never read, so an
+    open forest does not draw it and it does not count toward the
+    forest's max_particles.
     """
     if rule.t_cut > record.horizon + 1e-12:
         raise StoppingError(
@@ -269,17 +276,16 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     stack: List[Label] = sorted(roots, reverse=True)
     while stack:
         lab = stack.pop()
-        if lab not in record.particles:
-            if lab in starts:
-                parent, birth, x = None, record.t0, starts[lab]
-            else:
-                parent = lab[:-1]
-                mother = record.particles[parent]
-                birth, x = mother.end_time, mother.positions[-1]
-            part = _birth_stop(rule, lab, parent, birth, x, record, roots)
-            if part is not None:
-                stops.append(Stop(lab, birth, x.copy(), generation(lab), part=part))
-                continue
+        if lab in starts:
+            parent, birth, x = None, record.t0, starts[lab]
+        else:
+            parent = lab[:-1]
+            mother = record.particles[parent]
+            birth, x = mother.end_time, mother.positions[-1]
+        part = _birth_stop(rule, lab, parent, birth, x, record, roots)
+        if part is not None:
+            stops.append(Stop(lab, birth, x.copy(), generation(lab), part=part))
+            continue
         p = record.particles[lab]
         fire = rule_fire_time(rule, p, record, roots)
         if fire is not None:
@@ -302,35 +308,24 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
 
 
 def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
-    """Build a rule from its JSON form; a malformed field is a StoppingError."""
+    """Build a rule from its JSON form; a malformed field is a StoppingError.
+
+    A contact_set rule, also as a part of a min_of rule, reads `grid`; the
+    two parts of a min_of rule must share t_cut and cut_policy.
+    """
     try:
-        kind = obj["kind"]
-        t_cut = float(obj["t_cut"])
-        policy = obj.get("cut_policy", ABANDON)
-        if kind == "trivial_root":
-            return trivial_root_rule(t_cut, policy)
-        if kind == "fixed_time":
-            return fixed_time_rule(float(obj["t"]), t_cut, policy)
-        if kind == "first_branch":
-            return first_branch_rule(t_cut, policy)
-        if kind == "exit_ball":
-            return exit_ball_rule(obj["center"], float(obj["radius"]),
-                                  float(obj.get("cap_t", math.inf)), t_cut, policy)
-        if kind == "never":
-            return never_rule(t_cut, policy)
-        if kind == "contact_set":
-            if grid is None:
-                raise StoppingError("contact_set rule needs a solved grid")
-            return contact_set_rule(grid, float(obj["epsilon"]), t_cut, policy)
+        kind, values = StoppingRule.json_fields(obj)
         if kind == "min_of":
-            parts = [rule_from_json(p, grid) for p in obj["parts"]]
+            parts = [rule_from_json(p, grid) for p in values["parts"]]
             if len(parts) != 2:
                 raise StoppingError("min_of takes exactly two parts")
             return min_of_rules(parts[0], parts[1])
-        raise StoppingError(f"unknown rule kind {kind!r}")
+        if kind == "contact_set":
+            if grid is None:
+                raise StoppingError("contact_set rule needs a solved grid")
+            values["grid"] = grid
+        return StoppingRule(kind, **values)
     except StoppingError:
         raise
-    except KeyError as exc:
-        raise StoppingError(f"rule is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise StoppingError(f"rule: {exc}") from exc

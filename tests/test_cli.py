@@ -151,6 +151,14 @@ def test_override_flag_changes_scalar(tmp_path):
     ("solve", "solver.n_cells=2"),
     ("solve", "solver.x_hi=-9"),
     ("solve", "solver.tol_fp=0"),
+    ("value", "start.label=3"),
+    # a misspelt field is refused in every section, not read as its default
+    ("value", "mc.cut_polcy=abandon"),
+    ("verify", "verify.epsilom=0.001"),
+    ("simulate", "simulate.horizn=1.0"),
+    ("value", "start.lable=root"),
+    ("value", 'model.reward.levels=[{"kind":"bump","a":0.8,"widht":3.0}]'),
+    ("value", "rule.cut_polcy=force_stop"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +290,88 @@ def test_rate_grid_values_match_pointwise(rate, rtol):
 def test_binary_mass_sums(p0):
     spec = make_spec(offspring=("binary", (p0, 1.0 - p0)))
     assert float(np.sum(spec.offspring.pmf(X0, 4))) == approx(1.0, abs=1e-12)
+
+
+# --- one field table per catalog: to_json, from_json and the kind check read it
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUMP_MODEL = json.loads((CONFIGS / "bump.json").read_text())["model"]
+
+CATALOG_ENTRIES = [
+    pytest.param(Coefficient("constant", value=0.3), id="coefficient-constant"),
+    pytest.param(Coefficient("affine", intercept=0.1, slope=-0.2), id="coefficient-affine"),
+    pytest.param(Coefficient("linear", rate=0.05), id="coefficient-linear"),
+    pytest.param(RateFunction("constant", value=0.25), id="rate-constant"),
+    pytest.param(RateFunction("logistic", cap=0.8, center=0.3, width=0.5), id="rate-logistic"),
+    pytest.param(Offspring("deterministic", k0=2), id="offspring-deterministic"),
+    pytest.param(Offspring("binary", p0=0.3, p2=0.7), id="offspring-binary"),
+    pytest.param(Offspring("poisson", lam=RateFunction("logistic", cap=0.4, center=-1.0,
+                                                       width=2.0)), id="offspring-poisson"),
+    pytest.param(RewardFunction("constant", c=0.5), id="reward-constant"),
+    pytest.param(RewardFunction("clipped_put", strike=1.0, clip=0.7), id="reward-clipped_put"),
+    pytest.param(RewardFunction("clipped_put", strike=1.2), id="reward-clipped_put-unclipped"),
+    pytest.param(RewardFunction("bump", a=0.8, center=0.2, width=1.5), id="reward-bump"),
+]
+
+
+def test_catalog_entries_cover_every_kind():
+    entries = [p.values[0] for p in CATALOG_ENTRIES]
+    for cls in (Coefficient, RateFunction, Offspring, RewardFunction):
+        assert {e.kind for e in entries if type(e) is cls} == set(cls.PARAMS)
+
+
+@pytest.mark.parametrize("entry", CATALOG_ENTRIES)
+def test_catalog_entry_json_roundtrip(entry):
+    obj = json.loads(json.dumps(entry.to_json()))
+    assert set(obj) == {"kind", *entry.PARAMS[entry.kind][0]}
+    assert type(entry).from_json(obj) == entry
+
+
+@pytest.mark.parametrize("name, fingerprint", [
+    ("bump", "65ca6a2d888e93a6"),
+    ("poisson_check", "098154ce33322083"),
+    ("put", "81d3b94f72ef0c76"),
+    ("yule", "0f5989eae271f2b9"),
+])
+def test_shipped_config_fingerprints_are_pinned(name, fingerprint):
+    model = json.loads((CONFIGS / f"{name}.json").read_text())["model"]
+    assert ModelSpec.from_json(model).fingerprint == fingerprint
+
+
+def edited_model(field, value):
+    """The bump config's model with one entry replaced: a top-level field,
+    the only reward level ("reward.levels") or the reward section ("reward")."""
+    obj = copy.deepcopy(BUMP_MODEL)
+    if field == "reward.levels":
+        obj["reward"]["levels"] = [value]
+    else:
+        obj[field] = value
+    return obj
+
+
+@pytest.mark.parametrize("field, value", [
+    ("drift", {"kind": "affine", "intercept": 0.0, "slope": 0.1, "slpoe": 0.2}),
+    ("branch_rate", {"kind": "logistic", "cap": 0.25, "centre": 1.0}),
+    ("offspring", {"kind": "binary", "p0": 0.3, "p2": 0.7, "p1": 0.0}),
+    ("offspring", {"kind": "poisson", "lam": {"kind": "logistic", "cap": 0.4, "widht": 2.0}}),
+    ("reward.levels", {"kind": "bump", "a": 0.8, "widht": 3.0}),
+    ("reward.levels", {"kind": "clipped_put", "strike": 1.0, "clp": 0.5}),
+    ("reward", {"depth": 0, "levels": [{"kind": "constant", "c": 1.0}], "dpth": 0}),
+    ("gama", 1.0),
+])
+def test_misspelt_model_field_is_refused(field, value):
+    with pytest.raises(ModelError, match="unknown field"):
+        ModelSpec.from_json(edited_model(field, value))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("drift", {"kind": "affine", "intercept": 0.0}),
+    ("branch_rate", {"kind": "logistic", "center": 0.0}),
+    ("offspring", {"kind": "deterministic"}),
+    ("offspring", {"kind": "poisson", "lam": {"kind": "constant"}}),
+    ("reward.levels", {"kind": "bump", "center": 0.0}),
+    ("reward", {"levels": [{"kind": "constant", "c": 1.0}]}),
+])
+def test_missing_model_field_is_refused(field, value):
+    with pytest.raises(ModelError, match="missing"):
+        ModelSpec.from_json(edited_model(field, value))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,14 @@ import pytest
 from pytest import approx
 
 from stopline.labels import MOTHER, is_antichain
+from stopline.model import RewardFunction
+from stopline.pde import SolverSettings, solve_scalar
 from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
+    FORCE_STOP,
     LineOutcome,
     Stop,
+    StoppingRule,
     StoppingError,
     contact_set_rule,
     evaluate_line,
@@ -188,3 +193,53 @@ def test_rule_json_roundtrip():
     assert clone.parts[1].radius == approx(0.5)
     with pytest.raises(StoppingError):
         rule_from_json({"kind": "contact_set", "epsilon": 0.1, "t_cut": 1.0})
+
+
+@pytest.fixture(scope="module")
+def small_grid():
+    spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
+                     rewards=(RewardFunction("bump", a=0.8),))
+    return solve_scalar(spec, SolverSettings(x_lo=-6.0, x_hi=6.0, n_cells=200))
+
+
+def test_every_rule_kind_survives_json_roundtrip(small_grid):
+    contact = contact_set_rule(small_grid, 1e-3, 2.0, FORCE_STOP)
+    rules = [
+        trivial_root_rule(2.0),
+        fixed_time_rule(0.5, 2.0, FORCE_STOP),
+        first_branch_rule(2.0),
+        exit_ball_rule([0.5], 1.5, 1.25, 2.0),
+        exit_ball_rule([0.5], 1.5, math.inf, 2.0),
+        contact,
+        never_rule(2.0, FORCE_STOP),
+        min_of_rules(first_branch_rule(2.0, FORCE_STOP), contact),
+    ]
+    assert {r.kind for r in rules} == set(StoppingRule.PARAMS)
+    for rule in rules:
+        obj = json.loads(json.dumps(rule.to_json()))
+        assert set(obj) == {"kind", *StoppingRule.PARAMS[rule.kind][0]}
+        assert rule_from_json(obj, small_grid) == rule
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "trivial_root", "t_cut": 2.0, "cut_polcy": "force_stop"},
+    {"kind": "fixed_time", "t": 0.5, "t_cut": 2.0, "radius": 1.0},
+    {"kind": "exit_ball", "center": [0.0], "radius": 1.0, "cap_tt": 1.0, "t_cut": 2.0},
+    {"kind": "min_of", "t_cut": 2.0, "parts": [
+        {"kind": "never", "t_cut": 2.0},
+        {"kind": "first_branch", "t_cut": 2.0, "cut_polcy": "force_stop"}]},
+])
+def test_misspelt_rule_field_is_refused(obj):
+    with pytest.raises(StoppingError, match="unknown field"):
+        rule_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "never"},
+    {"kind": "fixed_time", "t_cut": 2.0},
+    {"kind": "exit_ball", "center": [0.0], "t_cut": 2.0},
+    {"kind": "min_of", "t_cut": 2.0},
+])
+def test_missing_rule_field_is_refused(obj):
+    with pytest.raises(StoppingError, match="missing"):
+        rule_from_json(obj)
