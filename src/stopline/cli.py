@@ -89,6 +89,8 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> dict:
             raise ConfigError(f"override {ov!r} is not key=value")
         key, _, raw = ov.partition("=")
         _apply_override(config, key, raw)
+    check_fields(config, ("model", "solver", "mc", "rule", "start", "points", "verify",
+                          "simulate", "check_grid", "outputs"), "config", ConfigError)
     if "model" not in config:
         raise ConfigError("config needs a 'model' section")
     _load_model_file(config, p.parent)  # a model path set by --set
@@ -266,11 +268,11 @@ def cmd_value(config: dict) -> int:
 def cmd_verify(config: dict) -> int:
     spec = _spec(config)
     mc = _mc(config)
-    ver = _section(config, "verify", fields=("points", "epsilon", "sweep_times", "branch_window",
+    ver = _section(config, "verify", fields=("epsilon", "sweep_times", "branch_window",
                                              "functional_horizon", "dpp_theta", "branching"))
     theta_spec = _section(ver, "dpp_theta", {"kind": "first_branch"})
     try:
-        points = [float(x) for x in config.get("points", ver.get("points", [0.0]))]
+        points = [float(x) for x in config.get("points", [0.0])]
         epsilon = float(ver.get("epsilon", 1e-3))
         sweep_times = [float(t) for t in ver.get("sweep_times", [mc.t_cut / 4, mc.t_cut / 2])]
         branch_window = float(ver.get("branch_window", 2.0))

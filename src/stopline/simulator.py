@@ -87,9 +87,7 @@ class GenealogyRecord:
 def _segment_steps(t0: float, t1: float, dt: float) -> np.ndarray:
     """Step lengths partitioning [t0, t1] into dt pieces plus a residual."""
     span = t1 - t0
-    if span <= 0:
-        return np.empty(0)
-    n_full = int(math.floor(span / dt - 1e-12))
+    n_full = max(int(math.floor(span / dt - 1e-12)), 0)
     residual = span - n_full * dt
     if residual > 1e-12:
         steps = np.empty(n_full + 1)

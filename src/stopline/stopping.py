@@ -7,6 +7,12 @@ particle that outlives the rule passes eligibility to its children, and
 anything still unresolved at the forced-resolution horizon t_cut is either
 abandoned (contributing nothing) or force-stopped there.  The resulting
 stop set is an ancestry antichain by construction.
+
+Each kind's firing condition is written once, in `_hits`, as expressions
+that read a drawn path's arrays and a particle's birth state alike; the
+birth state is sample 0 of the path the particle would draw.  `first_fire`
+takes the first firing from it and is the one place where `min_of` picks
+the earlier of its two parts.
 """
 from __future__ import annotations
 
@@ -140,53 +146,19 @@ class LineOutcome:
         return [s.label for s in self.stops]
 
 
-def rule_fire_time(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
-                   roots: set) -> Optional[Tuple[float, int, int]]:
-    """First firing (time, sample index, part) of the rule on this particle.
-
-    Firing must happen strictly before both the particle's death and t_cut;
-    returns None when the rule never fires in that window.  `part` is the
-    index of the min_of part that fired first, ties going to part 0; it is
-    0 for every other kind.
-    """
-    if rule.kind == "min_of":
-        first = None
-        for k, part in enumerate(rule.parts):
-            fire = rule_fire_time(part, p, record, roots)
-            if fire is not None and (first is None or fire[0] < first[0]):
-                first = (fire[0], fire[1], k)
-        return first
-    idx = _fire_index(rule, p, record, roots)
-    return None if idx is None else (float(p.times[idx]), idx, 0)
-
-
-def _fire_index(rule: StoppingRule, p: ParticleRecord, record: GenealogyRecord,
-                roots: set) -> Optional[int]:
-    """First firing sample of a rule other than min_of, or None."""
-    if rule.kind == "never":
-        return None
-    times = p.times
-    end = min(p.end_time, rule.t_cut)  # a sample is live strictly before this
+def _hits(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float, times,
+          positions: np.ndarray, record: GenealogyRecord, roots: set):
+    """Where a rule other than never and min_of fires: per sample of a drawn
+    path (`times` and `positions` its arrays), or at the birth state (`times`
+    the birth time, `positions` the birth place)."""
     if rule.kind in ("trivial_root", "first_branch"):
-        return 0 if times[0] < end and _fires_at_birth(rule, p.label, p.parent, times[0],
-                                                       p.positions[0], record, roots) else None
+        owner = label if rule.kind == "trivial_root" else parent
+        return (times == birth) & (owner in roots)
     if rule.kind == "fixed_time":
-        if rule.t < p.birth_time - 1e-12:
-            return None
-        idx = int(np.searchsorted(times, rule.t - 1e-12))
-        return idx if idx < len(times) and times[idx] < end else None
-    hits = np.flatnonzero(_sample_hits(rule, p.label, times, p.positions, record)
-                          & (times < end))
-    return int(hits[0]) if len(hits) else None
-
-
-def _sample_hits(rule: StoppingRule, label: Label, times, positions: np.ndarray,
-                 record: GenealogyRecord) -> np.ndarray:
-    """Per sample, whether an exit_ball or contact_set rule fires there;
-    `times` is the sample times, or one birth time for a single sample."""
+        # from t on, and never for a particle born after t
+        return times >= (rule.t - 1e-12 if rule.t >= birth - 1e-12 else math.inf)
     if rule.kind == "exit_ball":
-        center = np.asarray(rule.center)
-        dist2 = np.sum((positions - center[None, :]) ** 2, axis=1)
+        dist2 = np.sum((positions - np.asarray(rule.center)) ** 2, axis=-1)
         return (dist2 >= rule.radius**2) | (times >= rule.cap_t - 1e-12)
     if rule.kind == "contact_set":
         grid = rule.grid
@@ -195,52 +167,38 @@ def _sample_hits(rule: StoppingRule, label: Label, times, positions: np.ndarray,
         if record.spec_hash and not grid.model_hash.startswith(record.spec_hash):
             raise StoppingError("value grid was solved for a different model")
         n = generation(label)
-        xs = positions[:, 0]
+        xs = positions[..., 0]
         clearance = grid.values_at(n, xs) - grid.obstacles_at(n, xs)
         clearance = np.where(grid.contains(xs), clearance, 0.0)
         return clearance <= rule.epsilon
     raise StoppingError(f"unhandled rule kind {rule.kind!r}")
 
 
-def _fires_at_birth(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float,
-                    x: np.ndarray, record: GenealogyRecord, roots: set) -> bool:
-    """Whether a rule other than min_of fires at a particle's first sample,
-    taken at its birth time `birth` and place `x`, if that sample is live.
+def first_fire(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float, times,
+               positions: np.ndarray, end: float, record: GenealogyRecord,
+               roots: set) -> Optional[Tuple[int, int]]:
+    """First firing (sample index, part) of the rule strictly before `end`, or None.
 
-    This reads only the birth state, so the walk can test a particle before
-    drawing it.  `fixed_time`'s test is `_fire_index`'s at index 0.
+    `times` and `positions` are a drawn path's arrays, or the birth state as
+    the birth time (a float) and place, which is sample 0 of the path the
+    particle would draw.  `part` is the index of the min_of part that fired
+    first, ties going to part 0; it is 0 for every other kind.
     """
-    if rule.kind == "trivial_root":
-        return label in roots
-    if rule.kind == "first_branch":
-        return parent is not None and parent in roots
-    if rule.kind == "fixed_time":
-        return not rule.t < birth - 1e-12 and birth >= rule.t - 1e-12
     if rule.kind == "never":
-        return False
-    return bool(_sample_hits(rule, label, birth, x[None, :], record)[0])
-
-
-def _birth_stop(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float,
-                x: np.ndarray, record: GenealogyRecord, roots: set) -> Optional[int]:
-    """The part of the rule that stops a particle at its birth, or None.
-
-    Equal to the part `rule_fire_time` returns at sample index 0 of the drawn
-    particle, min_of ties included (the first part that fires at birth wins),
-    but for one null event: this test assumes the particle ends after its
-    birth, while `rule_fire_time` counts the first sample live only if the
-    particle's first exponential draw adds something to its birth time,
-    which fails with a chance of about 1e-16 per particle.  `evaluate_line`
-    takes this test's answer for every particle, drawn or not.
-    """
-    if not birth < rule.t_cut:
         return None
     if rule.kind == "min_of":
+        first = None
         for k, part in enumerate(rule.parts):
-            if _birth_stop(part, label, parent, birth, x, record, roots) is not None:
-                return k
-        return None
-    return 0 if _fires_at_birth(rule, label, parent, birth, x, record, roots) else None
+            fire = first_fire(part, label, parent, birth, times, positions, end, record, roots)
+            if fire is not None and (first is None or fire[0] < first[0]):
+                first = (fire[0], k)
+        return first
+    hits = _hits(rule, label, parent, birth, times, positions, record, roots)
+    if isinstance(times, float):
+        return (0, 0) if hits and times < end else None
+    # times never decrease: a first hit that is not before `end` has no live successor
+    idx = int(hits.argmax())
+    return (idx, 0) if hits[idx] and times[idx] < end else None
 
 
 def _position_at_cut(p: ParticleRecord, t_cut: float) -> np.ndarray:
@@ -257,13 +215,12 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     or handled by the cut policy at t_cut.  The stop set cannot contain
     two particles of the same lineage.  On an open forest (`open_forest`)
     each particle is simulated when this walk first reads it, so nothing
-    below a stop is drawn.  Before it reads any particle, the walk tests
-    the rule at the particle's birth from what it already holds (a root's
-    start and the record's t0, or the mother's end state), so the birth
-    test decides every particle's first sample and open and full forests
-    give the same line.  A particle stopped at birth is never read, so an
-    open forest does not draw it and it does not count toward the
-    forest's max_particles.
+    below a stop is drawn.  Before it reads any particle, the walk runs
+    `first_fire` on the particle's birth state, which it already holds (a
+    root's start and the record's t0, or the mother's end state), and then
+    on the drawn path only if the rule did not fire there.  A particle
+    stopped at birth is never read, so an open forest does not draw it and
+    it does not count toward the forest's max_particles.
     """
     if rule.t_cut > record.horizon + 1e-12:
         raise StoppingError(
@@ -282,16 +239,17 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
             parent = lab[:-1]
             mother = record.particles[parent]
             birth, x = mother.end_time, mother.positions[-1]
-        part = _birth_stop(rule, lab, parent, birth, x, record, roots)
-        if part is not None:
-            stops.append(Stop(lab, birth, x.copy(), generation(lab), part=part))
+        fire = first_fire(rule, lab, parent, birth, birth, x, rule.t_cut, record, roots)
+        if fire is not None:
+            stops.append(Stop(lab, birth, x.copy(), generation(lab), part=fire[1]))
             continue
         p = record.particles[lab]
-        fire = rule_fire_time(rule, p, record, roots)
+        fire = first_fire(rule, lab, parent, birth, p.times, p.positions,
+                          min(p.end_time, rule.t_cut), record, roots)
         if fire is not None:
-            t_fire, idx, part = fire
-            stops.append(Stop(lab, t_fire, p.positions[idx].copy(), generation(lab),
-                              part=part))
+            idx, part = fire
+            stops.append(Stop(lab, float(p.times[idx]), p.positions[idx].copy(),
+                              generation(lab), part=part))
             continue
         if p.end_time <= rule.t_cut + 1e-15:
             # resolved by its own death before the cut; children inherit
@@ -311,7 +269,8 @@ def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
     """Build a rule from its JSON form; a malformed field is a StoppingError.
 
     A contact_set rule, also as a part of a min_of rule, reads `grid`; the
-    two parts of a min_of rule must share t_cut and cut_policy.
+    two parts of a min_of rule must share t_cut and cut_policy, and the
+    min_of rule's own t_cut, and its cut_policy if given, must be theirs.
     """
     try:
         kind, values = StoppingRule.json_fields(obj)
@@ -319,7 +278,11 @@ def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
             parts = [rule_from_json(p, grid) for p in values["parts"]]
             if len(parts) != 2:
                 raise StoppingError("min_of takes exactly two parts")
-            return min_of_rules(parts[0], parts[1])
+            rule = min_of_rules(parts[0], parts[1])
+            if (values["t_cut"], values.get("cut_policy", rule.cut_policy)) != \
+                    (rule.t_cut, rule.cut_policy):
+                raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
+            return rule
         if kind == "contact_set":
             if grid is None:
                 raise StoppingError("contact_set rule needs a solved grid")

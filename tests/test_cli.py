@@ -159,6 +159,14 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", "start.lable=root"),
     ("value", 'model.reward.levels=[{"kind":"bump","a":0.8,"widht":3.0}]'),
     ("value", "rule.cut_polcy=force_stop"),
+    ("value", 'strat={"x":[0.5]}'),
+    ("verify", "verify.points=[0.5]"),
+    # a min_of rule's own t_cut and cut_policy are its parts', never dropped
+    ("value", 'rule={"kind":"min_of","t_cut":6.0,"cut_policy":"abandon","parts":['
+              '{"kind":"fixed_time","t":0.5,"t_cut":6.0,"cut_policy":"force_stop"},'
+              '{"kind":"never","t_cut":6.0,"cut_policy":"force_stop"}]}'),
+    ("value", 'rule={"kind":"min_of","t_cut":5.0,"parts":['
+              '{"kind":"fixed_time","t":0.5,"t_cut":6.0},{"kind":"never","t_cut":6.0}]}'),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -22,15 +24,14 @@ from stopline.stopping import (
     FORCE_STOP,
     LineOutcome,
     Stop,
-    _birth_stop,
     contact_set_rule,
     evaluate_line,
     exit_ball_rule,
     first_branch_rule,
+    first_fire,
     fixed_time_rule,
     min_of_rules,
     never_rule,
-    rule_fire_time,
     trivial_root_rule,
 )
 
@@ -288,8 +289,9 @@ def birth_rules(grid, policy):
 
 
 def assert_birth_test_matches_drawn(rule, record):
-    """At every particle of a full forest, the birth test gives what
-    `rule_fire_time` gives at index 0 of the drawn particle, part included."""
+    """At every particle of a full forest, the birth state the walk holds is
+    sample 0 of the drawn particle, and `first_fire` on it gives what it gives
+    at index 0 of the drawn path, part included."""
     roots = set(record.roots())
     starts = dict(record.initial)
     fired = 0
@@ -299,9 +301,12 @@ def assert_birth_test_matches_drawn(rule, record):
         else:
             mother = record.particles[lab[:-1]]
             parent, birth, x = lab[:-1], mother.end_time, mother.positions[-1]
-        fire = rule_fire_time(rule, p, record, roots)
-        expected = fire[2] if fire is not None and fire[1] == 0 else None
-        assert _birth_stop(rule, lab, parent, birth, x, record, roots) == expected, (rule, lab)
+        assert birth == p.times[0] and np.array_equal(x, p.positions[0]), lab
+        fire = first_fire(rule, lab, parent, birth, p.times, p.positions,
+                          min(p.end_time, rule.t_cut), record, roots)
+        expected = fire if fire is not None and fire[0] == 0 else None
+        at_birth = first_fire(rule, lab, parent, birth, birth, x, rule.t_cut, record, roots)
+        assert at_birth == expected, (rule, lab)
         fired += expected is not None
     return fired
 
@@ -370,3 +375,41 @@ def test_mc_value_at_a_contact_start_equals_full_forests(solved_model, kind):
     est = mc_value(spec, rule, (MOTHER, [0.0]), reps=reps, dt=PRUNE_DT, seed=seed,
                    grid=scored)
     assert est == estimate_from_samples(full_rewards, seed, PRUNE_T_CUT, FORCE_STOP)
+
+
+# --- the stop lines themselves, pinned bit for bit
+
+STOP_LINE_DIGESTS = {
+    "bump": "2da58500d489208eb82697ea7dc242f6fca5e7ad3e15d698f2320615b7a7fb87",
+    "binary": "5dc759d1eb96ba4fa0366754e884fe37c162c25abef999e16f700119eafbaf82",
+}
+
+
+def stop_line_digest(spec, grid):
+    """SHA-256 over the stop lines of every catalog kind and the DPP line, under
+    both cut policies, on full and open forests, one of them on a late clock."""
+    h = hashlib.sha256()
+    forests = [(x0, replication_seed(9, s), 0.0) for x0 in (0.0, 1.5) for s in range(3)]
+    forests.append((0.0, 3, 1.0))
+    for x0, seed, t0 in forests:
+        args = (spec, [(MOTHER, [x0])], PRUNE_T_CUT + t0, PRUNE_DT, seed)
+        full = simulate_forest(*args, t0=t0)
+        for policy in (ABANDON, FORCE_STOP):
+            rules = birth_rules(grid, policy) + [
+                _dpp_rule(first_branch_rule(PRUNE_T_CUT, policy),
+                          contact_set_rule(grid, 1e-3, PRUNE_T_CUT, policy))]
+            for rule in rules:
+                for record in (full, open_forest(*args, t0=t0)):
+                    line = evaluate_line(record, rule)
+                    for s in line.stops:
+                        h.update(repr((tuple(s.label), int(s.part), bool(s.forced))).encode())
+                        h.update(struct.pack("<d", float(s.time)))
+                        h.update(np.asarray(s.position, dtype=np.float64).tobytes())
+                    h.update(repr([tuple(lab) for lab in line.passed_alive]).encode())
+    return h.hexdigest()
+
+
+def test_stop_lines_are_pinned(solved_model, request):
+    spec, grid = solved_model
+    name = request.node.callspec.params["solved_model"]
+    assert stop_line_digest(spec, grid) == STOP_LINE_DIGESTS[name]

@@ -10,6 +10,7 @@ from scipy import stats as sps
 from stopline.labels import MOTHER, is_antichain
 from stopline.simulator import (
     SimulationError,
+    _segment_steps,
     alive_labels,
     empirical_moment_bound_check,
     label_stream,
@@ -33,6 +34,11 @@ def test_no_events_when_rate_zero():
     assert p.end_kind == "alive_at_horizon"
     assert math.isinf(p.end_time)
     assert population_count(rec, 2.0) == 1
+
+
+@pytest.mark.parametrize("span", [-1.0, 0.0, 1e-15, 1e-13])
+def test_segment_below_the_residual_floor_has_no_steps(span):
+    assert len(_segment_steps(0.0, span, 0.01)) == 0
 
 
 def test_rejects_bad_inputs():
