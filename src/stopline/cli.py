@@ -26,7 +26,7 @@ from .model import ModelError, ModelSpec, check_assumptions, check_fields, momen
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
-from .stopping import StoppingError, rule_from_json
+from .stopping import StoppingError, StoppingRule, rule_from_json
 from .verify import VerifyError, branching_property_test, cross_validate, dpp_consistency
 
 EXIT_OK = 0
@@ -166,6 +166,21 @@ def _start(config: dict, spec: ModelSpec) -> Tuple[Label, np.ndarray]:
         raise ConfigError(f"start section: {exc}") from exc
 
 
+def _rule(obj, spec: ModelSpec, grid=None) -> StoppingRule:
+    """A rule from its config form, checked against the model it stops."""
+    rule = rule_from_json(obj, grid)
+    _check_rule_dimension(rule, spec.dimension)
+    return rule
+
+
+def _check_rule_dimension(rule: StoppingRule, dimension: int) -> None:
+    for part in rule.parts:
+        _check_rule_dimension(part, dimension)
+    if rule.kind == "exit_ball" and len(rule.center) != dimension:
+        raise StoppingError(f"exit_ball center has {len(rule.center)} coordinate(s), "
+                            f"the model has dimension {dimension}")
+
+
 def _out_dir(config: dict) -> Path:
     out = Path(config.get("outputs", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -256,7 +271,7 @@ def cmd_value(config: dict) -> int:
     # a contact_set rule may also sit among the parts of a min_of rule
     if "contact_set" in json.dumps(rule_obj):
         grid = solve_scalar(spec, _solver_settings(config))
-    rule = rule_from_json(rule_obj, grid)
+    rule = _rule(rule_obj, spec, grid)
     est = mc_value(spec, rule, _start(config, spec), mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
     est.write_json(str(out / "value.json"))
@@ -280,10 +295,10 @@ def cmd_verify(config: dict) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"verify settings: {exc}") from exc
     grid = solve_scalar(spec, _solver_settings(config))
+    theta = _rule({**theta_spec, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, spec, grid)
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
     for point in points:
-        theta = rule_from_json({**theta_spec, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, grid)
         report.dpp.append(dpp_consistency(spec, grid, theta, point, mc.reps, mc.dt, mc.seed,
                                           epsilon))
     if ver.get("branching", False) and spec.alpha_bar > 0:

@@ -227,6 +227,9 @@ class Offspring(CatalogEntry):
         super().__post_init__()
         if self.kind == "poisson" and self.lam is None:
             raise ModelError("poisson offspring needs an intensity function")
+        if self.kind == "deterministic" and not 0 <= self.k0 <= K_MAX:
+            # the solver and the simulator truncate counts at K_MAX
+            raise ModelError(f"deterministic offspring k0 = {self.k0} is outside [0, {K_MAX}]")
 
     def max_support(self) -> Optional[int]:
         if self.kind == "deterministic":
@@ -613,23 +616,24 @@ def check_assumptions(spec: ModelSpec,
     grid = np.asarray(sample_grid, dtype=float)
     pmf = spec.offspring.pmf(grid, 200 if spec.offspring.kind == "poisson" else 8)
     totals = pmf.sum(axis=1)
-    off_mass = np.flatnonzero(np.abs(totals - 1.0) > 1e-12)
+    # each test below is written as "not within", so that a NaN is reported too
+    off_mass = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-12))
     if len(off_mass):
         i = off_mass[0]
         hard.append(f"offspring pmf sums to {float(totals[i])!r} at x={float(grid[i])!r}")
     # the branch rate once per sample point, for the bound and the continuity samples
     alpha_vals = [spec.branch_rate(np.full(spec.dimension, x)) for x in grid]
     alpha_sup = spec.branch_rate.supremum()
-    if alpha_sup > spec.alpha_bar + 1e-12:
+    if not alpha_sup <= spec.alpha_bar + 1e-12:
         hard.append(f"branch rate supremum {alpha_sup} exceeds declared bound {spec.alpha_bar}")
     else:
         for x, a in zip(grid, alpha_vals):
-            if a > spec.alpha_bar + 1e-12 or a < 0:
+            if not 0 <= a <= spec.alpha_bar + 1e-12:
                 hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={float(x)!r}")
                 break
     for n, g in enumerate(spec.reward_levels):
         vals = g.grid_values(grid)
-        if np.any(vals < -1e-12) or np.any(vals > spec.k_g + 1e-12):
+        if not np.all((vals >= -1e-12) & (vals <= spec.k_g + 1e-12)):
             hard.append(f"reward level {n} escapes [0, {spec.k_g}] on the sample grid")
     lam_sup = spec.offspring.intensity_sup()
     if lam_sup is not None and lam_sup > 0.5 + 1e-12:

@@ -109,6 +109,8 @@ class ValueGrid:
     stats: List[LevelStats]
     warnings: List[str] = field(default_factory=list)
     tail_budget: float = 0.0
+    # contact-rule candidate tables by (level, epsilon), built on first use
+    _candidates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def x_lo(self) -> float:
@@ -140,6 +142,71 @@ class ValueGrid:
 
     def value_at_point(self, n: int, x: float) -> float:
         return float(self.values_at(n, np.array([x]))[0])
+
+    def contact_candidates(self, n: int, epsilon: float, xs: np.ndarray) -> np.ndarray:
+        """A superset of the points of the 1-D array xs where the contact rule
+        fires, v_n(x) - g_n(x) <= epsilon with clearance 0 outside the domain
+        (or NaN): a fresh boolean array, False only where it cannot fire.
+
+        Each x is mapped to a table entry by one multiply-add and a clip, and
+        the entry is read from a table built once per (level, epsilon) by
+        `_candidate_table`.  NaN maps to entry 0 and +-inf to an end, which
+        both stand for outside the domain and are always True.
+        """
+        key = (self.level(n), epsilon)
+        if key not in self._candidates:
+            self._candidates[key] = self._candidate_table(*key)
+        table, scale, shift = self._candidates[key]
+        entry = np.fmin(np.fmax(xs * scale + shift, 0.0), len(table) - 1)
+        return table[entry.astype(np.intp)]
+
+    def _candidate_table(self, level: int, epsilon: float) -> Tuple[np.ndarray, float, float]:
+        """The contact rule's candidate table of one level, and its cell map.
+
+        Entry j + 1 stands for cell j, [x_j, x_j+1]; entries 0 and n_cells + 1
+        stand for the two sides outside the domain, where the rule always
+        fires, and are True.  Entry j + 1 is True when any node of cells j - 1
+        to j + 1 has clearance v - g <= epsilon + delta, or one of those cells
+        is outside the domain.
+
+        Why the exact test cannot fire where the table says False.  On cell j
+        np.interp returns a + s * (x - x_j) with s = (b - a) / (x_j+1 - x_j)
+        rounded, and 0 <= x - x_j <= x_j+1 - x_j after rounding too.  So its
+        result is the exact linear interpolant of the node values a, b at some
+        t in [0, 1], off by at most 7u * max(|a|, |b|) (u the unit roundoff,
+        eps / 2).  The exact interpolant of v less that of g, at the same t,
+        is that of the node clearances, which is at least the smaller of the
+        two.  Both interpolations and the subtraction together miss it by at
+        most 8u * S, with S = max|v| + max|g| over the level.  A point of
+        cell j whose computed clearance is <= epsilon therefore has a node of
+        cell j whose exact clearance is <= epsilon + 8u * S, which is below
+        epsilon + delta for delta = 16 eps (S + tiny) = 32u (S + tiny); as
+        rounding is monotone, the node's computed clearance is then <= the
+        computed epsilon + delta.  The tiny term covers the absolute roundoff
+        of subnormal values.
+
+        The cell map is entry = floor(x * scale + shift), clipped, and it is
+        monotone in x.  The nodes are checked to map within a quarter cell of
+        their own entry, which holds for the uniform nodes that `solve_scalar`
+        builds; so a point of cell j maps to entry j, j + 1 or j + 2, each of
+        which covers cell j, a point below x_lo to entry 0 or 1, and a point
+        above x_hi to entry n_cells or n_cells + 1, all four True.
+        """
+        n_cells = self.n_cells
+        scale = n_cells / (self.x_hi - self.x_lo)
+        shift = 1.0 - self.x_lo * scale
+        misfit = np.abs(self.xs * scale + shift - np.arange(1, n_cells + 2))
+        if not np.max(misfit) <= 0.25:
+            raise SolverError("the contact rule's cell map needs uniformly spaced grid nodes")
+        v, g = self.values[level], self.obstacles[level]
+        finfo = np.finfo(float)
+        delta = 16 * finfo.eps * (np.max(np.abs(v)) + np.max(np.abs(g)) + finfo.tiny)
+        near = v - g <= epsilon + delta
+        cells = np.concatenate(([True], near[:-1] | near[1:], [True]))
+        table = cells.copy()
+        table[1:] |= cells[:-1]
+        table[:-1] |= cells[1:]
+        return table, scale, shift
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:

@@ -167,10 +167,14 @@ def _hits(rule: StoppingRule, label: Label, parent: Optional[Label], birth: floa
         if record.spec_hash and not grid.model_hash.startswith(record.spec_hash):
             raise StoppingError("value grid was solved for a different model")
         n = generation(label)
-        xs = positions[..., 0]
-        clearance = grid.values_at(n, xs) - grid.obstacles_at(n, xs)
-        clearance = np.where(grid.contains(xs), clearance, 0.0)
-        return clearance <= rule.epsilon
+        xs = np.atleast_1d(positions[..., 0])
+        # the exact clearance test runs only where the grid's table says it can fire
+        hits = grid.contact_candidates(n, rule.epsilon, xs)
+        if hits.any():
+            x = xs[hits]
+            clearance = grid.values_at(n, x) - grid.obstacles_at(n, x)
+            hits[hits] = np.where(grid.contains(x), clearance, 0.0) <= rule.epsilon
+        return hits
     raise StoppingError(f"unhandled rule kind {rule.kind!r}")
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -167,12 +168,39 @@ def test_override_flag_changes_scalar(tmp_path):
               '{"kind":"never","t_cut":6.0,"cut_policy":"force_stop"}]}'),
     ("value", 'rule={"kind":"min_of","t_cut":5.0,"parts":['
               '{"kind":"fixed_time","t":0.5,"t_cut":6.0},{"kind":"never","t_cut":6.0}]}'),
+    # both legs would silently truncate a count above K_MAX to K_MAX
+    ("solve", 'model.offspring={"kind":"deterministic","k0":100}'),
+    ("value", 'model.offspring={"kind":"deterministic","k0":100}'),
+    ("simulate", 'model.offspring={"kind":"deterministic","k0":100}'),
+    # an exit_ball center must have the model's dimension, not be broadcast
+    ("value", 'rule={"kind":"exit_ball","center":[0,0],"radius":1.0,"t_cut":6.0}'),
+    ("value", 'rule={"kind":"min_of","t_cut":6.0,"parts":[{"kind":"never","t_cut":6.0},'
+              '{"kind":"exit_ball","center":[],"radius":1.0,"t_cut":6.0}]}'),
+    ("verify", 'verify.dpp_theta={"kind":"exit_ball","center":[0,0],"radius":1.0}'),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
     assert run_cli([command, cfg, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_reports_nan_pmf_as_violation(tmp_path, capsys):
+    cfg = copy_config(tmp_path, "bump.json",
+                      **{"model.offspring": {"kind": "binary", "p0": math.nan, "p2": 0.5}})
+    assert run_cli(["check", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "violation: offspring pmf sums to nan at x=-5.0" in captured.out.splitlines()
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_every_command_runs_on_every_shipped_config(tmp_path, name):
+    cfg = copy_config(tmp_path, name)
+    small = ["--set", "mc.reps=40", "--set", "simulate.horizon=0.5",
+             "--set", "solver.n_cells=200"]
+    for command in ("check", "solve", "simulate", "value", "verify"):
+        assert run_cli([command, cfg, *small]) == 0, command
 
 
 def test_override_edits_model_loaded_from_file(tmp_path):

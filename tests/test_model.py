@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from stopline.model import (
+    K_MAX,
     Coefficient,
     ModelError,
     Offspring,
@@ -199,6 +200,26 @@ def test_check_assumptions_flags_pmf_mass_deficit():
     audit = check_assumptions(spec)
     assert not audit.ok
     assert any("sums to" in v for v in audit.hard_violations)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (make_spec(offspring=("binary", (math.nan, 0.5))), "offspring pmf sums to nan"),
+    (make_spec(rewards=(RewardFunction("bump", a=math.nan),)), "reward level 0 escapes"),
+    (make_spec(alpha=0.2, alpha_bar=math.nan), "branch rate supremum"),
+    (make_spec(alpha=math.nan, alpha_bar=0.3), "branch rate supremum nan"),
+], ids=["pmf_sum", "reward", "alpha_bar", "branch_rate"])
+def test_check_assumptions_reports_nan_as_hard_failure(spec, message):
+    # a NaN fails every comparison, so each test is written as "not within"
+    audit = check_assumptions(spec)
+    assert not audit.ok
+    assert any(v.startswith(message) for v in audit.hard_violations)
+
+
+@pytest.mark.parametrize("k0", [-1, K_MAX + 1, 100])
+def test_deterministic_offspring_beyond_k_max_is_refused(k0):
+    with pytest.raises(ModelError, match="k0"):
+        Offspring("deterministic", k0=k0)
+    assert Offspring("deterministic", k0=K_MAX).max_support() == K_MAX
 
 
 def test_check_assumptions_flags_poisson_intensity():

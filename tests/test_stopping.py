@@ -1,20 +1,25 @@
+import dataclasses
+import functools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from stopline.labels import MOTHER, is_antichain
 from stopline.model import RewardFunction
-from stopline.pde import SolverSettings, solve_scalar
-from stopline.simulator import replication_seed, simulate_forest
+from stopline.pde import SolverError, SolverSettings, ValueGrid, solve_scalar
+from stopline.simulator import open_forest, replication_seed, simulate_forest
 from stopline.stopping import (
     FORCE_STOP,
     LineOutcome,
     Stop,
     StoppingRule,
     StoppingError,
+    _hits,
     contact_set_rule,
     evaluate_line,
     exit_ball_rule,
@@ -243,3 +248,119 @@ def test_misspelt_rule_field_is_refused(obj):
 def test_missing_rule_field_is_refused(obj):
     with pytest.raises(StoppingError, match="missing"):
         rule_from_json(obj)
+
+
+# --- the contact rule's candidate table -------------------------------------
+
+def _exact_contact(grid, n, epsilon, xs):
+    """The contact rule's firing test on every point, with no table."""
+    clearance = grid.values_at(n, xs) - grid.obstacles_at(n, xs)
+    return np.where(grid.contains(xs), clearance, 0.0) <= epsilon
+
+
+def _hand_grid(xs, values, obstacles):
+    n_cells = len(xs) - 1
+    return ValueGrid(xs=xs, values=values[None, :], obstacles=obstacles[None, :],
+                     contact=np.zeros((1, n_cells + 1), dtype=bool), model_hash="",
+                     settings=SolverSettings(float(xs[0]), float(xs[-1]), n_cells),
+                     depth=0, stats=[])
+
+
+def _special_positions(grid):
+    lo, hi = grid.x_lo, grid.x_hi
+    return [lo, hi, np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf),
+            math.inf, -math.inf, math.nan, 1e300, -1e300, *grid.xs]
+
+
+@st.composite
+def _contact_cases(draw):
+    """A grid whose node clearances sit around epsilon, with values up to 1e12,
+    and positions in its cells, near its ends, at its nodes and outside it."""
+    n_cells = draw(st.integers(4, 24))
+    x_lo = draw(st.floats(-50.0, 50.0))
+    xs = np.linspace(x_lo, x_lo + draw(st.floats(0.01, 30.0)), n_cells + 1)
+    epsilon = draw(st.floats(1e-6, 0.5))
+    magnitude = draw(st.sampled_from([1.0, 1e6, 1e9, 1e12]))
+    # generic values from a seeded generator, so that interpolation rounds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.uniform(0.0, 1.0, n_cells + 1) * magnitude
+    if draw(st.booleans()):
+        grid = _solved_small_grid(magnitude)
+    else:
+        # node clearances of exactly epsilon, where only rounding decides the
+        # firing between nodes, or of 0 to 3 epsilon
+        k = 1.0 if draw(st.booleans()) else rng.uniform(0.0, 3.0, n_cells + 1)
+        grid = _hand_grid(xs, g + k * epsilon, g)
+    h = (grid.x_hi - grid.x_lo) / grid.n_cells
+    positions = np.concatenate([
+        grid.xs[:-1, None] + rng.uniform(0.0, 1.0, (grid.n_cells, 32)) * h,
+        rng.uniform(grid.x_lo - 3 * h, grid.x_hi + 3 * h, (1, 8)),
+    ], axis=None)
+    return grid, epsilon, np.concatenate([positions, _special_positions(grid)])
+
+
+@functools.lru_cache(maxsize=None)
+def _solved_small_grid(magnitude):
+    """A solved bump grid of 40 cells, values and obstacles times magnitude."""
+    spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
+                     rewards=(RewardFunction("bump", a=0.8),))
+    grid = solve_scalar(spec, SolverSettings(x_lo=-6.0, x_hi=6.0, n_cells=40))
+    return dataclasses.replace(grid, values=grid.values * magnitude,
+                               obstacles=grid.obstacles * magnitude)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_contact_cases())
+def test_candidate_table_keeps_every_contact_firing(case):
+    grid, epsilon, xs = case
+    rule = contact_set_rule(grid, epsilon, 1.0)
+    record = SimpleNamespace(spec_hash="")
+    label = MOTHER
+    path = _hits(rule, label, None, 0.0, np.zeros(len(xs)), xs[:, None], record, {label})
+    assert np.array_equal(path, _exact_contact(grid, 0, epsilon, xs))
+    for x in xs:
+        birth = _hits(rule, label, None, 0.0, 0.0, np.array([x]), record, {label})
+        assert np.array_equal(birth, _exact_contact(grid, 0, epsilon, np.array([x])))
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e6, 1e9, 1e12])
+def test_candidate_table_margin_grows_with_the_values(magnitude):
+    # node clearances of exactly epsilon leave the firing between nodes to
+    # rounding, which grows with |v|: with no margin the table misses some of
+    # these firings, and with a fixed margin of 1e-9 it misses some at 1e12
+    rng = np.random.default_rng(16)
+    xs = np.linspace(-3.0, 5.0, 41)
+    epsilon = 0.01
+    g = rng.uniform(0.0, 1.0, len(xs)) * magnitude
+    grid = _hand_grid(xs, g + epsilon, g)
+    x = rng.uniform(-3.0, 5.0, 20000)
+    fires = _exact_contact(grid, 0, epsilon, x)
+    assert not np.any(fires & ~grid.contact_candidates(0, epsilon, x))
+
+
+def test_candidate_table_refuses_nonuniform_nodes():
+    xs = np.geomspace(1.0, 100.0, 9)
+    grid = _hand_grid(xs, np.ones(9), np.zeros(9))
+    with pytest.raises(SolverError, match="uniformly spaced"):
+        grid.contact_candidates(0, 0.1, xs)
+
+
+def test_candidate_table_stays_out_of_repr_equality_and_log(small_grid):
+    log = small_grid.log_json()
+    assert small_grid.contact_candidates(0, 1e-3, np.array([0.0, 9.0, math.nan])).tolist() == \
+        [True, True, True]
+    assert small_grid._candidates
+    assert "_candidates" not in repr(small_grid)
+    assert small_grid.log_json() == log
+    fresh = dataclasses.replace(small_grid)
+    assert fresh._candidates == {} and fresh == small_grid
+
+
+def test_contact_rule_stops_nan_start_at_birth(small_grid):
+    spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
+                     rewards=(RewardFunction("bump", a=0.8),))
+    record = open_forest(spec, [(MOTHER, [math.nan])], horizon=2.0, dt=0.1, seed=3)
+    outcome = evaluate_line(record, contact_set_rule(small_grid, 1e-3, 2.0))
+    assert [(s.label, s.time) for s in outcome.stops] == [(MOTHER, 0.0)]
+    assert math.isnan(outcome.stops[0].position[0])
+    assert len(record.particles) == 0
