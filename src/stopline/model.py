@@ -384,6 +384,17 @@ class ModelSpec:
         b, s = self.drift(origin), self.diffusion(origin)
         return b, s, bool(np.any(s != 0))
 
+    @cached_property
+    def offspring_cdf(self) -> Optional[np.ndarray]:
+        """The offspring cdf, p_0..p_K_MAX summed, that a branching mark reads,
+        when neither it nor the branch rate depends on the position, else None;
+        computed once per instance, like `fingerprint`."""
+        off = self.offspring
+        if self.branch_rate.kind != "constant" or (off.kind == "poisson"
+                                                    and off.lam.kind != "constant"):
+            return None
+        return off.pmf(np.zeros(1), K_MAX)[0].cumsum()
+
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,
@@ -614,7 +625,8 @@ def check_assumptions(spec: ModelSpec,
     hard = []
     warn = []
     grid = np.asarray(sample_grid, dtype=float)
-    pmf = spec.offspring.pmf(grid, 200 if spec.offspring.kind == "poisson" else 8)
+    # a bounded family's support reaches K_MAX; a Poisson pmf is summed far into its tail
+    pmf = spec.offspring.pmf(grid, 200 if spec.offspring.kind == "poisson" else K_MAX)
     totals = pmf.sum(axis=1)
     # each test below is written as "not within", so that a NaN is reported too
     off_mass = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-12))

@@ -15,14 +15,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .labels import Label
 from .model import ModelSpec, model_hash
-from .simulator import DEFAULT_MAX_PARTICLES, GenealogyRecord, open_forest, replication_seed
-from .stopping import FORCE_STOP, LineOutcome, StoppingRule, evaluate_line
+from .simulator import (
+    DEFAULT_MAX_PARTICLES,
+    GenealogyRecord,
+    draw_particles,
+    forest_start,
+    replication_seed,
+)
+from .stopping import FORCE_STOP, Line, LineOutcome, StoppingRule, evaluate_line, walk_lines
 
 
 class RewardError(ValueError):
@@ -110,23 +117,25 @@ def mc_value(
 
     Unbiased for the truncated-line reward up to the time-discretization of
     rule firing; the t_cut policy decides what unresolved particles are
-    worth (abandon: one, force_stop: stop there).  Each replication's forest
-    is open, so only the particles the line walk reads are simulated, at
-    most `max_particles`, and the estimate is bit for bit the one from full
-    forests.  A particle the line stops at its birth is never simulated and
-    does not count toward `max_particles`.  With a solved `grid` the stops
-    are scored as in `reward_of_outcome`, which on the line of theta ^ tau
-    makes this the right-hand side of the dynamic-programming identity.
+    worth (abandon: one, force_stop: stop there).  Each replication is a
+    line of one block walk (`walk_lines`), so only the particles its line
+    reads are simulated, at most `max_particles` per line, and the estimate
+    is bit for bit the one from full forests.  A particle the line stops at
+    its birth is never simulated and does not count toward `max_particles`.
+    With a solved `grid` the stops are scored as in `reward_of_outcome`,
+    which on the line of theta ^ tau makes this the right-hand side of the
+    dynamic-programming identity.
     """
     if reps < 2:
         raise RewardError("reps must be at least 2")
     if grid is not None and not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
-    rewards = np.empty(reps)
-    for r in range(reps):
-        rec = open_forest(spec, [start], rule.t_cut, dt, replication_seed(seed, r, rng_salt),
+    ((label, x),) = forest_start(spec, [start], rule.t_cut, dt)
+    lines = [Line(label, 0.0, x, replication_seed(seed, r, rng_salt), rule.t_cut, dt)
+             for r in range(reps)]
+    outcomes = walk_lines(rule, lines, partial(draw_particles, spec), model_hash(spec),
                           max_particles)
-        rewards[r] = reward_of_outcome(spec, evaluate_line(rec, rule), grid)
+    rewards = np.array([reward_of_outcome(spec, out, grid) for out in outcomes])
     return estimate_from_samples(rewards, seed, rule.t_cut, rule.cut_policy)
 
 

@@ -1,18 +1,27 @@
 """Stopping rules and their evaluation into lines.
 
 A rule decides, independently along each particle's path, whether and when
-to stop it.  Evaluating a rule on a simulated forest walks the genealogy
-top-down: a stopped particle removes its whole subtree from play, a
-particle that outlives the rule passes eligibility to its children, and
-anything still unresolved at the forced-resolution horizon t_cut is either
-abandoned (contributing nothing) or force-stopped there.  The resulting
-stop set is an ancestry antichain by construction.
+to stop it.  Evaluating a rule walks the genealogy top-down: a stopped
+particle removes its whole subtree from play, a particle that outlives the
+rule passes eligibility to its children, and anything still unresolved at
+the forced-resolution horizon t_cut is either abandoned (contributing
+nothing) or force-stopped there.  The resulting stop set is an ancestry
+antichain by construction.
+
+There is one walk, `walk_lines`, a block walk over many lines (a root
+with its stream seed, horizon, dt and clock base) at once.  Each round
+takes one generation of every line: it tests the rule on all their birth
+states at once, draws the particles not stopped there in chunks, and
+tests each chunk's samples at once.  Each line's stops come back in the
+order of a depth-first walk of its forest, roots ascending and children
+by descending index.  `evaluate_line` is the walk with a forest's roots as
+lines, reading each particle from the forest.
 
 Each kind's firing condition is written once, in `_hits`, as expressions
-that read a drawn path's arrays and a particle's birth state alike; the
-birth state is sample 0 of the path the particle would draw.  `first_fire`
-takes the first firing from it and is the one place where `min_of` picks
-the earlier of its two parts.
+that read drawn samples and birth states alike; a birth state is sample 0
+of the path the particle would draw.  `first_fire` takes each particle's
+first firing from it and is the one place where `min_of` picks the
+earlier of its two parts.
 """
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ import numpy as np
 from .labels import Label, generation
 from .model import CatalogEntry
 from .pde import ValueGrid
-from .simulator import GenealogyRecord, ParticleRecord
+from .simulator import CHUNK_SAMPLES, Chunk, GenealogyRecord, ParticleRecord, SimulationError
 
 ABANDON = "abandon"
 FORCE_STOP = "force_stop"
@@ -74,11 +83,12 @@ class StoppingRule(CatalogEntry):
         super().__post_init__()
         if self.cut_policy not in (ABANDON, FORCE_STOP):
             raise StoppingError(f"unknown cut policy {self.cut_policy!r}")
-        if self.t_cut <= 0:
-            raise StoppingError("t_cut must be positive")
-        if self.kind == "fixed_time" and self.t >= self.t_cut:
+        # each test is written as "not within", so that a NaN fails it too
+        if not 0 < self.t_cut < math.inf:
+            raise StoppingError("t_cut must be positive and finite")
+        if self.kind == "fixed_time" and not self.t < self.t_cut:
             raise StoppingError("fixed_time rule can never fire: t must be below t_cut")
-        if self.kind == "contact_set" and self.epsilon <= 0:
+        if self.kind == "contact_set" and not self.epsilon > 0:
             raise StoppingError("contact rule needs epsilon > 0")
 
     @classmethod
@@ -126,7 +136,7 @@ def min_of_rules(a: StoppingRule, b: StoppingRule) -> StoppingRule:
     return StoppingRule("min_of", t_cut=a.t_cut, cut_policy=a.cut_policy, parts=(a, b))
 
 
-@dataclass
+@dataclass(slots=True)
 class Stop:
     label: Label
     time: float
@@ -136,27 +146,50 @@ class Stop:
     part: int = 0  # the min_of part that fired; 0 for other kinds and forced stops
 
 
-@dataclass
+@dataclass(slots=True)
 class LineOutcome:
     stops: List[Stop]
     passed_alive: List[Label]
-    record: GenealogyRecord
+    record: Optional[GenealogyRecord] = None  # the forest walked, if any
 
     def stop_labels(self) -> List[Label]:
         return [s.label for s in self.stops]
 
 
-def _hits(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float, times,
-          positions: np.ndarray, record: GenealogyRecord, roots: set):
-    """Where a rule other than never and min_of fires: per sample of a drawn
-    path (`times` and `positions` its arrays), or at the birth state (`times`
-    the birth time, `positions` the birth place)."""
+@dataclass(frozen=True, slots=True)
+class Line:
+    """One root of a block walk, with what its particles are drawn from: the
+    stream seed, horizon and dt of its forest.  The rule reads the line's
+    clock, which is the forest's time less `base`."""
+
+    label: Label
+    birth: float
+    position: np.ndarray
+    seed: int
+    horizon: float
+    dt: float
+    base: float = 0.0
+
+
+def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times: np.ndarray,
+          positions: np.ndarray, starts: np.ndarray, spec_hash: str) -> np.ndarray:
+    """Where a rule other than never and min_of fires, sample by sample.
+
+    Particle i's samples are rows starts[i]:starts[i + 1] of `times` and
+    `positions`, and births[i] is its birth time; every particle is `depth`
+    below its line's root and of generation `level`.  A birth state is
+    sample 0 of the path its particle would draw, so the birth test passes
+    the birth times as `times`, one sample a particle.
+    """
+    def per_sample(values):
+        return values if len(values) == len(times) else np.repeat(values, np.diff(starts))
+
     if rule.kind in ("trivial_root", "first_branch"):
-        owner = label if rule.kind == "trivial_root" else parent
-        return (times == birth) & (owner in roots)
+        # the root owns a trivial_root stop, and its children a first_branch stop
+        return (times == per_sample(births)) & (depth == (0 if rule.kind == "trivial_root" else 1))
     if rule.kind == "fixed_time":
         # from t on, and never for a particle born after t
-        return times >= (rule.t - 1e-12 if rule.t >= birth - 1e-12 else math.inf)
+        return times >= per_sample(np.where(rule.t >= births - 1e-12, rule.t - 1e-12, math.inf))
     if rule.kind == "exit_ball":
         dist2 = np.sum((positions - np.asarray(rule.center)) ** 2, axis=-1)
         return (dist2 >= rule.radius**2) | (times >= rule.cap_t - 1e-12)
@@ -164,109 +197,196 @@ def _hits(rule: StoppingRule, label: Label, parent: Optional[Label], birth: floa
         grid = rule.grid
         if grid is None:
             raise StoppingError("contact rule has no value grid attached")
-        if record.spec_hash and not grid.model_hash.startswith(record.spec_hash):
+        if spec_hash and not grid.model_hash.startswith(spec_hash):
             raise StoppingError("value grid was solved for a different model")
-        n = generation(label)
-        xs = np.atleast_1d(positions[..., 0])
+        xs = positions[:, 0]
         # the exact clearance test runs only where the grid's table says it can fire
-        hits = grid.contact_candidates(n, rule.epsilon, xs)
+        hits = grid.contact_candidates(level, rule.epsilon, xs)
         if hits.any():
             x = xs[hits]
-            clearance = grid.values_at(n, x) - grid.obstacles_at(n, x)
+            clearance = grid.values_at(level, x) - grid.obstacles_at(level, x)
             hits[hits] = np.where(grid.contains(x), clearance, 0.0) <= rule.epsilon
         return hits
     raise StoppingError(f"unhandled rule kind {rule.kind!r}")
 
 
-def first_fire(rule: StoppingRule, label: Label, parent: Optional[Label], birth: float, times,
-               positions: np.ndarray, end: float, record: GenealogyRecord,
-               roots: set) -> Optional[Tuple[int, int]]:
-    """First firing (sample index, part) of the rule strictly before `end`, or None.
+def first_fire(rule: StoppingRule, depth: int, level: int, births: np.ndarray,
+               times: np.ndarray, positions: np.ndarray, starts: np.ndarray,
+               spec_hash: str = "") -> Tuple[np.ndarray, np.ndarray]:
+    """Each particle's first firing of the rule: the sample index, -1 for
+    none, and the index of the min_of part that fired first, ties going to
+    part 0 (0 for every other kind); `_hits` says what the arguments are.
 
-    `times` and `positions` are a drawn path's arrays, or the birth state as
-    the birth time (a float) and place, which is sample 0 of the path the
-    particle would draw.  `part` is the index of the min_of part that fired
-    first, ties going to part 0; it is 0 for every other kind.
+    Times never decrease along a particle, so its first firing strictly
+    before some end is this one if it comes before the end, and there is
+    none otherwise; that holds for the earlier of two parts too.
     """
+    n = len(starts) - 1
     if rule.kind == "never":
-        return None
+        return np.full(n, -1), np.zeros(n, dtype=int)
     if rule.kind == "min_of":
-        first = None
-        for k, part in enumerate(rule.parts):
-            fire = first_fire(part, label, parent, birth, times, positions, end, record, roots)
-            if fire is not None and (first is None or fire[0] < first[0]):
-                first = (fire[0], k)
-        return first
-    hits = _hits(rule, label, parent, birth, times, positions, record, roots)
-    if isinstance(times, float):
-        return (0, 0) if hits and times < end else None
-    # times never decrease: a first hit that is not before `end` has no live successor
-    idx = int(hits.argmax())
-    return (idx, 0) if hits[idx] and times[idx] < end else None
+        first = part = None
+        for k, sub in enumerate(rule.parts):
+            fire, _ = first_fire(sub, depth, level, births, times, positions, starts, spec_hash)
+            if first is None:
+                first, part = fire, np.zeros(n, dtype=int)
+            else:
+                earlier = (fire >= 0) & ((first < 0) | (fire < first))
+                first, part = np.where(earlier, fire, first), np.where(earlier, k, part)
+        return first, part
+    hits = _hits(rule, depth, level, births, times, positions, starts, spec_hash)
+    if len(times) == n:  # one sample each, as in the birth test
+        return np.where(hits, starts[:-1], -1), np.zeros(n, dtype=int)
+    rows = np.flatnonzero(hits)
+    first = np.concatenate((rows, [len(times)]))[np.searchsorted(rows, starts[:-1])]
+    return np.where(first < starts[1:], first, -1), np.zeros(n, dtype=int)
 
 
-def _position_at_cut(p: ParticleRecord, t_cut: float) -> np.ndarray:
-    idx = int(np.searchsorted(p.times, t_cut - 1e-15))
-    idx = min(idx, len(p.times) - 1)
-    return p.positions[idx]
+def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str = "",
+               max_particles: float = math.inf) -> List[LineOutcome]:
+    """Apply a rule to the forests below many lines at once: one stop line each.
+
+    The walk advances all lines together, one generation per round.  A round
+    tests the rule once on the birth states of all its particles (a root's
+    line start, or its mother's end state); a particle stopped there is never
+    drawn.  `draw(items)` draws the others, each item being (seed, label,
+    birth time, position, horizon, dt), in chunks (`simulator.Chunk`), and
+    the rule is tested on each chunk's samples at once.  A drawn particle is
+    stopped at its first firing, passes eligibility to its children if it
+    dies before t_cut, and is otherwise force-stopped at t_cut or abandoned,
+    as the cut policy says.  The stop set is thus an ancestry antichain.
+
+    Each line's stops and abandoned particles come back in depth-first
+    order, children by descending index, as a stack walk of one forest gives
+    them.  More than `max_particles` drawn on one line is a SimulationError.
+    All the lines' roots must be of one generation.
+    """
+    t_cut = rule.t_cut
+    for line in lines:
+        if t_cut > line.horizon - line.base + 1e-12:
+            raise StoppingError(
+                f"t_cut {t_cut} exceeds the simulated horizon {line.horizon - line.base}")
+    if not lines:
+        return []
+    outcomes = [LineOutcome([], []) for _ in lines]
+    drawn = [0] * len(lines)
+    bases = np.array([line.base for line in lines])
+    rebased = bases.any()  # else each line's clock is the forest's, times - 0 being times
+    level = generation(lines[0].label)
+    # the round's particles: their line, label, birth time and birth place
+    at = list(range(len(lines)))
+    labels = [line.label for line in lines]
+    born = [line.birth for line in lines]
+    places = np.array([line.position for line in lines], dtype=float).reshape(len(lines), -1)
+    depth = 0
+    while labels:
+        n = len(labels)
+        births = np.array(born) - bases[at] if rebased else np.array(born)
+        fire, part = first_fire(rule, depth, level, births, births, places, np.arange(n + 1),
+                                spec_hash)
+        todo = []
+        for i, (row, k, birth) in enumerate(zip(fire.tolist(), part.tolist(), births.tolist())):
+            if row >= 0 and birth < t_cut:
+                outcomes[at[i]].stops.append(
+                    Stop(labels[i], birth, places[i].copy(), level, part=k))
+                continue
+            todo.append(i)
+            drawn[at[i]] += 1
+            if drawn[at[i]] > max_particles:
+                raise SimulationError(f"population exceeded max_particles={max_particles}")
+        items = ((lines[at[i]].seed, labels[i], born[i], places[i], lines[at[i]].horizon,
+                  lines[at[i]].dt) for i in todo)
+        next_at, next_labels, next_born, next_places = [], [], [], []
+        done = 0
+        for chunk in draw(items):
+            starts = chunk.starts
+            ids = todo[done:done + len(starts) - 1]
+            done += len(ids)
+            ends = chunk.end_time
+            times = chunk.times
+            if rebased:
+                # the line's clock, elementwise as a subtree's times - base
+                shift = bases[[at[i] for i in ids]]
+                times = times - np.repeat(shift, np.diff(starts))
+                ends = ends - shift
+            fire, part = first_fire(rule, depth, level, births[ids], times, chunk.positions,
+                                    starts, spec_hash)
+            rows = []
+            for i, row, k, lo, hi, end, count, died in zip(
+                    ids, fire.tolist(), part.tolist(), starts[:-1].tolist(), starts[1:].tolist(),
+                    ends.tolist(), chunk.count.tolist(), chunk.end_time.tolist()):
+                out, label = outcomes[at[i]], labels[i]
+                if row >= 0 and times[row] < min(end, t_cut):
+                    out.stops.append(Stop(label, float(times[row]), chunk.positions[row].copy(),
+                                          level, part=k))
+                elif end <= t_cut + 1e-15:
+                    # resolved by its own death before the cut; children inherit
+                    next_at += [at[i]] * count
+                    next_labels += [label + (c,) for c in range(count)]
+                    next_born += [died] * count
+                    rows += [hi - 1] * count
+                elif rule.cut_policy == FORCE_STOP:
+                    row = lo + min(int(np.searchsorted(times[lo:hi], t_cut - 1e-15)), hi - lo - 1)
+                    out.stops.append(Stop(label, t_cut, chunk.positions[row].copy(), level,
+                                          forced=True))
+                else:
+                    out.passed_alive.append(label)
+            # a copy: a view of the mothers' rows would keep the whole chunk alive
+            next_places.append(chunk.positions[rows])
+        at, labels, born = next_at, next_labels, next_born
+        places = np.concatenate(next_places) if next_labels else places[:0]
+        depth += 1
+        level += 1
+    for line, out in zip(lines, outcomes):
+        # depth first below the root, children by descending index
+        root = len(line.label)
+        out.stops.sort(key=lambda s: [-c for c in s.label[root:]])
+        out.passed_alive.sort(key=lambda label: [-c for c in label[root:]])
+    return outcomes
 
 
 def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     """Apply a rule to a forest and return the resulting stop line.
 
-    Particles are resolved in lineage order; every particle is either
-    stopped (subtree pruned), passed through to its children at a branch,
-    or handled by the cut policy at t_cut.  The stop set cannot contain
-    two particles of the same lineage.  On an open forest (`open_forest`)
-    each particle is simulated when this walk first reads it, so nothing
-    below a stop is drawn.  Before it reads any particle, the walk runs
-    `first_fire` on the particle's birth state, which it already holds (a
-    root's start and the record's t0, or the mother's end state), and then
-    on the drawn path only if the rule did not fire there.  A particle
-    stopped at birth is never read, so an open forest does not draw it and
-    it does not count toward the forest's max_particles.
+    This is `walk_lines` with the forest's roots as lines, ascending, and a
+    draw that reads each particle from `record.particles`.  On an open forest
+    (`open_forest`) that read simulates the particle, so the walk draws no
+    particle below a stop, nor one stopped at its birth, which then does not
+    count toward the forest's max_particles.
     """
-    if rule.t_cut > record.horizon + 1e-12:
-        raise StoppingError(
-            f"t_cut {rule.t_cut} exceeds the simulated horizon {record.horizon}"
-        )
-    starts = dict(record.initial)
-    roots = set(starts)
-    stops: List[Stop] = []
-    passed_alive: List[Label] = []
-    stack: List[Label] = sorted(roots, reverse=True)
-    while stack:
-        lab = stack.pop()
-        if lab in starts:
-            parent, birth, x = None, record.t0, starts[lab]
-        else:
-            parent = lab[:-1]
-            mother = record.particles[parent]
-            birth, x = mother.end_time, mother.positions[-1]
-        fire = first_fire(rule, lab, parent, birth, birth, x, rule.t_cut, record, roots)
-        if fire is not None:
-            stops.append(Stop(lab, birth, x.copy(), generation(lab), part=fire[1]))
-            continue
-        p = record.particles[lab]
-        fire = first_fire(rule, lab, parent, birth, p.times, p.positions,
-                          min(p.end_time, rule.t_cut), record, roots)
-        if fire is not None:
-            idx, part = fire
-            stops.append(Stop(lab, float(p.times[idx]), p.positions[idx].copy(),
-                              generation(lab), part=part))
-            continue
-        if p.end_time <= rule.t_cut + 1e-15:
-            # resolved by its own death before the cut; children inherit
-            if p.end_kind == "branched" and p.offspring_count:
-                for k in range(p.offspring_count):
-                    stack.append(lab + (k,))
-            continue
-        if rule.cut_policy == FORCE_STOP:
-            stops.append(Stop(lab, rule.t_cut, _position_at_cut(p, rule.t_cut).copy(),
-                              generation(lab), forced=True))
-        else:
-            passed_alive.append(lab)
-    return LineOutcome(stops=stops, passed_alive=passed_alive, record=record)
+    lines = sorted((Line(label, record.t0, x, record.seed, record.horizon, record.dt)
+                    for label, x in record.initial), key=lambda line: line.label)
+    outcomes = {}
+    # a walk takes one generation a round, so roots of each generation walk apart
+    for level in {generation(line.label) for line in lines}:
+        group = [line for line in lines if generation(line.label) == level]
+        outcomes.update(zip([line.label for line in group],
+                            walk_lines(rule, group, _reader(record), record.spec_hash)))
+    return LineOutcome(stops=[s for line in lines for s in outcomes[line.label].stops],
+                       passed_alive=[lab for line in lines
+                                     for lab in outcomes[line.label].passed_alive],
+                       record=record)
+
+
+def _reader(record: GenealogyRecord):
+    """A draw for `walk_lines` that reads each particle from a forest."""
+    def chunk(batch: List[ParticleRecord]) -> Chunk:
+        return Chunk.stack([(p.times, p.positions) for p in batch],
+                           [p.end_time for p in batch],
+                           [p.offspring_count if p.end_kind == "branched" else -1 for p in batch],
+                           [0] * len(batch))
+
+    def draw(items):
+        batch, n_samples = [], 0
+        for item in items:
+            batch.append(record.particles[item[1]])
+            n_samples += len(batch[-1].times)
+            if n_samples >= CHUNK_SAMPLES:
+                yield chunk(batch)
+                batch, n_samples = [], 0
+        if batch:
+            yield chunk(batch)
+    return draw
 
 
 def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:

@@ -7,12 +7,18 @@ intermediate rules; and the subtree spawned at a branch must be
 statistically indistinguishable from a fresh population started at the
 branch state.  Pass thresholds are |z| <= 3 for equality checks and
 p >= 0.01 for the distributional test, stated in every report.
+
+The branching test draws every replication's mother in chunks, then walks
+the child-0 subtrees of all mothers that branch in the window as lines of
+one block walk (`stopping.walk_lines`), and then the fresh starts as the
+lines of another, each line on the subtree's clock.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,19 +27,28 @@ from .labels import MOTHER, Label
 from .model import ModelSpec, model_hash
 from .pde import ValueGrid
 from .reward import McEstimate, _dpp_rule, mc_value, reward_of_outcome
-from .simulator import GenealogyRecord, ParticleRecord, open_forest, replication_seed
+from .simulator import (
+    DEFAULT_MAX_PARTICLES,
+    GenealogyRecord,
+    ParticleRecord,
+    draw_particles,
+    forest_start,
+    replication_seed,
+)
 from .stopping import (
     FORCE_STOP,
+    Line,
     StoppingRule,
     contact_set_rule,
-    evaluate_line,
     fixed_time_rule,
     trivial_root_rule,
+    walk_lines,
 )
 
 Z_THRESHOLD = 3.0
 KS_P_THRESHOLD = 0.01
 KS_MIN_SAMPLES = 100  # fewer subtree samples report the KS test as insufficient
+CHILD0: Label = (0,)  # the branching test follows the first child's subtree
 
 
 class VerifyError(RuntimeError):
@@ -195,15 +210,17 @@ def subtree_reward_samples(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Paired reward samples for the branching-property test.
 
-    Sample A: run a forest from the mother at `point`; when her first event
-    arrives inside the branch window with at least one child, take child 0's
-    subtree, shift clocks to its birth and evaluate the fixed-horizon line
-    reward on it.  Sample B: a fresh forest started from a particle with
-    child 0's label at the recorded branch position, same functional.  With
-    shared_streams the fresh forest reuses the same per-label streams, so
-    the two samples must agree outcome by outcome.  Both forests are open,
-    so only the particles the mother check and the line walks read are
-    simulated.
+    Sample A: draw the mother at `point`; when her first event arrives
+    inside the branch window with at least one child, evaluate the
+    fixed-horizon line reward on child 0's subtree, clocks shifted to its
+    birth.  Sample B: the same functional on a fresh forest started from a
+    particle with child 0's label at the recorded branch position and epoch.
+    With shared_streams the fresh forest reuses the same per-label streams,
+    so the two samples must agree outcome by outcome.  The A subtrees are
+    the lines of one block walk, and the fresh starts of another; only the
+    particles the walks read are drawn.  An A subtree is drawn to its
+    forest's horizon and a fresh start only to t_cut + dt past the branch, so
+    the shared-stream control compares two computations, not one with itself.
     """
     if spec.alpha_bar <= 0:
         raise VerifyError("branching test needs a nonzero branch rate")
@@ -211,31 +228,33 @@ def subtree_reward_samples(
     t_cut_sub = s + dt
     horizon_a = branch_window + s + 2 * dt
     rule = fixed_time_rule(s, t_cut_sub, "abandon")
-    a_vals: List[float] = []
-    b_vals: List[float] = []
-    child0: Label = (0,)
-    for r in range(reps):
-        seed_a = replication_seed(seed, r, "A")
-        rec = open_forest(spec, [(MOTHER, np.array([float(point)]))],
-                          horizon=horizon_a, dt=dt, seed=seed_a)
-        mother = rec.particles[MOTHER]
-        if (mother.end_kind != "branched" or not mother.offspring_count
-                or mother.end_time > branch_window):
-            continue
-        sub = _extract_subtree(rec, child0)
-        a_vals.append(reward_of_outcome(spec, evaluate_line(sub, rule)))
-        x_branch = mother.positions[-1].copy()
-        seed_b = seed_a if shared_streams else replication_seed(seed, r, "B")
-        # start the fresh forest at the recorded branch epoch and rebase its
-        # clock exactly like the subtree, so reward atoms align bit for bit
-        base = mother.end_time
-        rec_b = open_forest(spec, [(child0, x_branch)], horizon=base + t_cut_sub + dt,
-                            dt=dt, seed=seed_b, t0=base)
-        sub_b = _extract_subtree(rec_b, child0)
-        b_vals.append(reward_of_outcome(spec, evaluate_line(sub_b, rule)))
-        if max_samples is not None and len(a_vals) >= max_samples:
-            break
-    return np.asarray(a_vals), np.asarray(b_vals)
+    ((_, x0),) = forest_start(spec, [(MOTHER, [float(point)])], horizon_a, dt)
+    seeds = [replication_seed(seed, r, "A") for r in range(reps)]
+    # (replication, branch time, branch place) of each mother that branches in the window
+    branched: List[Tuple[int, float, np.ndarray]] = []
+    mothers = draw_particles(spec, ((seed_a, MOTHER, 0.0, x0, horizon_a, dt) for seed_a in seeds))
+    for r, (_, positions, end, count, _) in enumerate(p for chunk in mothers
+                                                      for p in chunk.particles()):
+        if count > 0 and end <= branch_window:
+            branched.append((r, end, positions[-1].copy()))
+            if max_samples is not None and len(branched) >= max_samples:
+                break
+
+    def rewards(lines, max_particles):
+        outcomes = walk_lines(rule, lines, partial(draw_particles, spec), model_hash(spec),
+                              max_particles)
+        return np.array([reward_of_outcome(spec, out) for out in outcomes])
+
+    # child 0's subtree, on a clock that starts at the branch; the mother is
+    # one of the particles of its forest
+    a = rewards([Line(CHILD0, base, x, seeds[r], horizon_a, dt, base) for r, base, x in branched],
+                DEFAULT_MAX_PARTICLES - 1)
+    # the fresh forest starts at the recorded branch epoch, and its clock is
+    # rebased like the subtree's, so reward atoms align bit for bit
+    b = rewards([Line(CHILD0, base, x, seeds[r] if shared_streams else
+                      replication_seed(seed, r, "B"), base + t_cut_sub + dt, dt, base)
+                 for r, base, x in branched], DEFAULT_MAX_PARTICLES)
+    return a, b
 
 
 class _Subtree(dict):

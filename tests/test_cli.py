@@ -177,6 +177,10 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", 'rule={"kind":"min_of","t_cut":6.0,"parts":[{"kind":"never","t_cut":6.0},'
               '{"kind":"exit_ball","center":[],"radius":1.0,"t_cut":6.0}]}'),
     ("verify", 'verify.dpp_theta={"kind":"exit_ball","center":[0,0],"radius":1.0}'),
+    # a NaN rule field would pass a "<= 0" test; a NaN contact epsilon never fires
+    ("value", 'rule={"kind":"contact_set","epsilon":NaN,"t_cut":6.0}'),
+    ("value", "rule.t_cut=NaN"),
+    ("value", "rule.t=NaN"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
@@ -192,6 +196,18 @@ def test_check_reports_nan_pmf_as_violation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "violation: offspring pmf sums to nan at x=-5.0" in captured.out.splitlines()
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("k0", [10, 64])
+def test_check_accepts_deterministic_offspring_up_to_k_max(tmp_path, capsys, k0):
+    # the audit sums a bounded pmf up to K_MAX, where the solver and the simulator stop
+    cfg = copy_config(tmp_path, "bump.json",
+                      **{"model.offspring": {"kind": "deterministic", "k0": k0}})
+    assert run_cli(["check", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "violation" not in captured.out and captured.err == ""
+    check = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert check["assumptions"]["hard_violations"] == []
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))

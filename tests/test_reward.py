@@ -292,20 +292,26 @@ def assert_birth_test_matches_drawn(rule, record):
     """At every particle of a full forest, the birth state the walk holds is
     sample 0 of the drawn particle, and `first_fire` on it gives what it gives
     at index 0 of the drawn path, part included."""
-    roots = set(record.roots())
     starts = dict(record.initial)
     fired = 0
     for lab, p in record.particles.items():
+        root = next(r for r in starts if lab[:len(r)] == r)
         if lab in starts:
-            parent, birth, x = None, record.t0, starts[lab]
+            birth, x = record.t0, starts[lab]
         else:
             mother = record.particles[lab[:-1]]
-            parent, birth, x = lab[:-1], mother.end_time, mother.positions[-1]
+            birth, x = mother.end_time, mother.positions[-1]
         assert birth == p.times[0] and np.array_equal(x, p.positions[0]), lab
-        fire = first_fire(rule, lab, parent, birth, p.times, p.positions,
-                          min(p.end_time, rule.t_cut), record, roots)
-        expected = fire if fire is not None and fire[0] == 0 else None
-        at_birth = first_fire(rule, lab, parent, birth, birth, x, rule.t_cut, record, roots)
+        depth, n = len(lab) - len(root), len(p.times)
+        # the walk takes a path's first firing only before the particle's end,
+        # and a birth state's only before t_cut
+        fire, part = first_fire(rule, depth, len(lab), np.array([birth]), p.times, p.positions,
+                                np.array([0, n]), record.spec_hash)
+        before_end = p.times[0] < min(p.end_time, rule.t_cut)
+        expected = (0, int(part[0])) if fire[0] == 0 and before_end else None
+        fire, part = first_fire(rule, depth, len(lab), np.array([birth]), np.array([birth]),
+                                x[None, :], np.array([0, 1]), record.spec_hash)
+        at_birth = (0, int(part[0])) if fire[0] == 0 and birth < rule.t_cut else None
         assert at_birth == expected, (rule, lab)
         fired += expected is not None
     return fired

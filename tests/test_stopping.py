@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,12 +313,11 @@ def _solved_small_grid(magnitude):
 def test_candidate_table_keeps_every_contact_firing(case):
     grid, epsilon, xs = case
     rule = contact_set_rule(grid, epsilon, 1.0)
-    record = SimpleNamespace(spec_hash="")
-    label = MOTHER
-    path = _hits(rule, label, None, 0.0, np.zeros(len(xs)), xs[:, None], record, {label})
+    path = _hits(rule, 0, 0, np.zeros(1), np.zeros(len(xs)), xs[:, None],
+                 np.array([0, len(xs)]), "")
     assert np.array_equal(path, _exact_contact(grid, 0, epsilon, xs))
     for x in xs:
-        birth = _hits(rule, label, None, 0.0, 0.0, np.array([x]), record, {label})
+        birth = _hits(rule, 0, 0, np.zeros(1), np.zeros(1), np.array([[x]]), np.array([0, 1]), "")
         assert np.array_equal(birth, _exact_contact(grid, 0, epsilon, np.array([x])))
 
 
