@@ -11,17 +11,14 @@ its root's state and not on what siblings do.
 One function, `draw_particles`, draws particles: many at a time, each
 from its own stream with the same calls in the same order, in chunks of
 about CHUNK_SAMPLES samples whose per-sample arithmetic is done once.  The
-estimators' block walk draws a generation of many lines this way.  A
-forest is open: each particle is drawn, as a one-item chunk, when a walk
-over the forest first reads it, so a stop-line walk draws only the
-particles it reads, and `simulate_forest` reads them all.
+estimators' block walk draws a generation of many lines this way, and
+`simulate_forest` a generation of one whole forest.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -317,55 +314,6 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
                  np.array(counts, dtype=int), np.array(proposals, dtype=int))
 
 
-class _OpenParticles(dict):
-    """The particles of an open forest: reading a missing label simulates it.
-
-    A label that names no particle of the forest raises KeyError and draws
-    nothing.  The record is held by a weak reference, so a forest and its
-    mapping form no reference cycle and a dropped forest is freed at once.
-    """
-
-    def __init__(self, record: GenealogyRecord, spec: ModelSpec, max_particles: int):
-        super().__init__()
-        self._record = weakref.ref(record)
-        self._spec = spec
-        self._starts = {lab: (record.t0, x) for lab, x in record.initial}
-        self._max_particles = max_particles
-
-    def __missing__(self, label: Label) -> ParticleRecord:
-        parent = None
-        if label in self._starts:
-            birth, x = self._starts[label]
-        elif not label:
-            raise KeyError(label)
-        else:
-            parent = label[:-1]
-            mother = self[parent]
-            if mother.end_kind != "branched" or not 0 <= label[-1] < mother.offspring_count:
-                raise KeyError(label)
-            birth, x = mother.end_time, mother.positions[-1]
-        if len(self) >= self._max_particles:
-            raise SimulationError(f"population exceeded max_particles={self._max_particles}")
-        record = self._record()
-        if record is None:
-            raise SimulationError("the forest of these particles was dropped; keep the record")
-        chunk = next(draw_particles(self._spec, [(record.seed, label, birth, x, record.horizon,
-                                                  record.dt)]))
-        particle = self[label] = _filed(record, label, parent, birth, *next(chunk.particles()))
-        return particle
-
-
-def _filed(record: GenealogyRecord, label: Label, parent: Optional[Label], birth: float,
-           times, positions, end: float, count: int, proposals: int) -> ParticleRecord:
-    """The record of a drawn particle of a forest, whose proposals it counts."""
-    record.proposals += proposals
-    record.rejections += proposals - (count >= 0)
-    return ParticleRecord(label=label, parent=parent, birth_time=birth, end_time=end,
-                          end_kind="branched" if count >= 0 else "alive_at_horizon",
-                          offspring_count=count if count >= 0 else None, times=times,
-                          positions=positions)
-
-
 def forest_start(
     spec: ModelSpec,
     initial: Sequence[Tuple[Label, Sequence[float]]],
@@ -375,9 +323,10 @@ def forest_start(
 ) -> List[Tuple[Label, np.ndarray]]:
     """The initial particles of a forest as (label, position array) pairs,
     checked: a SimulationError names the first thing that is wrong."""
-    if horizon <= t0:
-        raise SimulationError("horizon must exceed the start time")
-    if dt <= 0 or dt >= horizon - t0:
+    # each test is written as "not within", so that a NaN fails it too
+    if not t0 < horizon < math.inf:
+        raise SimulationError("horizon must be finite and exceed the start time")
+    if not 0 < dt < horizon - t0:
         raise SimulationError("dt must satisfy 0 < dt < horizon - t0")
     init = [(tuple(lab), np.atleast_1d(np.asarray(x, dtype=float)).copy())
             for lab, x in initial]
@@ -391,31 +340,6 @@ def forest_start(
                 f"initial position has dimension {x.shape}, model wants ({spec.dimension},)"
             )
     return init
-
-
-def open_forest(
-    spec: ModelSpec,
-    initial: Sequence[Tuple[Label, Sequence[float]]],
-    horizon: float,
-    dt: float,
-    seed: int,
-    max_particles: int = DEFAULT_MAX_PARTICLES,
-    t0: float = 0.0,
-) -> GenealogyRecord:
-    """A forest as in `simulate_forest`, each particle simulated when its
-    label is first read from `particles`.
-
-    A walk over the forest thus draws exactly the particles it reads, each
-    bit for bit as in the whole forest; `max_particles` caps those.  The
-    record's `t0` is the roots' birth time, so a walk can test a particle's
-    birth state before it reads it: a particle that `evaluate_line` stops
-    at birth is never drawn and does not count toward `max_particles`.
-    """
-    init = forest_start(spec, initial, horizon, dt, t0)
-    record = GenealogyRecord(particles={}, initial=init, horizon=horizon, dt=dt, seed=seed,
-                             spec_hash=model_hash(spec), t0=float(t0))
-    record.particles = _OpenParticles(record, spec, max_particles)
-    return record
 
 
 def simulate_forest(
@@ -436,28 +360,32 @@ def simulate_forest(
     the local pmf truncated at K_MAX, residual mass going to K_MAX.
     Identical arguments reproduce the record bit for bit.
 
-    This is `open_forest` with every particle read, depth first, and each
-    particle bit for bit the one an open forest draws; a walk that needs
-    only part of the forest reads an open one instead.  The particles are
-    drawn a generation at a time, in chunks.  `max_particles` caps the
-    particles simulated.
+    The particles are drawn a generation at a time, in chunks, each bit for
+    bit the one a stop-line walk draws from the same seed and label, and
+    filed depth first.  `max_particles` caps the particles simulated.
     """
-    record = open_forest(spec, initial, horizon, dt, seed, max_particles, t0)
+    init = forest_start(spec, initial, horizon, dt, t0)
+    record = GenealogyRecord(particles={}, initial=init, horizon=horizon, dt=dt, seed=seed,
+                             spec_hash=model_hash(spec), t0=float(t0))
     drawn: Dict[Label, ParticleRecord] = {}
-    births = [(label, None, record.t0, x) for label, x in record.initial]
+    births = [(label, None, record.t0, x) for label, x in init]
     while births:
         if len(drawn) + len(births) > max_particles:
             raise SimulationError(f"population exceeded max_particles={max_particles}")
         items = [(seed, label, birth, x, horizon, dt) for label, _, birth, x in births]
         chunks = draw_particles(spec, items)
         kids = []
-        for (label, parent, birth, _), drawn_particle in zip(
+        for (label, parent, birth, _), (times, positions, end, count, proposals) in zip(
                 births, (p for chunk in chunks for p in chunk.particles())):
-            p = drawn[label] = _filed(record, label, parent, birth, *drawn_particle)
-            kids += [(child(label, k), label, p.end_time, p.positions[-1])
-                     for k in range(p.offspring_count or 0)]
+            record.proposals += proposals
+            record.rejections += proposals - (count >= 0)
+            drawn[label] = ParticleRecord(
+                label=label, parent=parent, birth_time=birth, end_time=end,
+                end_kind="branched" if count >= 0 else "alive_at_horizon",
+                offspring_count=count if count >= 0 else None, times=times, positions=positions)
+            kids += [(child(label, k), label, end, positions[-1]) for k in range(count)]
         births = kids
-    # filed depth first, as a reading walk would draw them
+    # filed depth first, the label pushed last taken first
     stack = record.roots()
     while stack:
         p = drawn[stack.pop()]
@@ -479,10 +407,6 @@ def total_born(record: GenealogyRecord, t: float) -> int:
     if t < 0 or t > record.horizon:
         raise SimulationError(f"time {t} outside [0, {record.horizon}]")
     return sum(1 for p in record.particles.values() if p.birth_time <= t)
-
-
-def alive_labels(record: GenealogyRecord, t: float) -> List[Label]:
-    return [lab for lab, p in record.particles.items() if p.birth_time <= t < p.end_time]
 
 
 def empirical_moment_bound_check(

@@ -90,6 +90,8 @@ class StoppingRule(CatalogEntry):
             raise StoppingError("fixed_time rule can never fire: t must be below t_cut")
         if self.kind == "contact_set" and not self.epsilon > 0:
             raise StoppingError("contact rule needs epsilon > 0")
+        if self.kind == "exit_ball" and not (0 < self.radius < math.inf and self.cap_t > 0):
+            raise StoppingError("exit_ball rule needs a finite radius > 0 and cap_t > 0")
 
     @classmethod
     def from_json(cls, obj: dict, grid: Optional[ValueGrid] = None) -> "StoppingRule":
@@ -349,10 +351,7 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     """Apply a rule to a forest and return the resulting stop line.
 
     This is `walk_lines` with the forest's roots as lines, ascending, and a
-    draw that reads each particle from `record.particles`.  On an open forest
-    (`open_forest`) that read simulates the particle, so the walk draws no
-    particle below a stop, nor one stopped at its birth, which then does not
-    count toward the forest's max_particles.
+    draw that reads each particle from `record.particles`.
     """
     lines = sorted((Line(label, record.t0, x, record.seed, record.horizon, record.dt)
                     for label, x in record.initial), key=lambda line: line.label)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stopline.model import Coefficient, ModelSpec, Offspring, RateFunction, RewardFunction
+from stopline.simulator import draw_particles
 
 
 def make_spec(
@@ -41,6 +42,19 @@ def make_spec(
         reward_levels=tuple(rewards),
         k_g=k_g,
     )
+
+
+def recording_draw(spec):
+    """A draw for `walk_lines` that is `draw_particles` for `spec`, and the
+    list of the items (seed, label, birth time, position, horizon, dt) it
+    has been asked for, so a test can see which particles a walk draws."""
+    asked = []
+
+    def draw(items):
+        items = list(items)
+        asked.extend(items)
+        return draw_particles(spec, items)
+    return draw, asked
 
 
 @pytest.fixture

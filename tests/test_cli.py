@@ -181,10 +181,24 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", 'rule={"kind":"contact_set","epsilon":NaN,"t_cut":6.0}'),
     ("value", "rule.t_cut=NaN"),
     ("value", "rule.t=NaN"),
+    # a NaN radius never fires, and a negative one stops every lineage at birth
+    ("value", 'rule={"kind":"exit_ball","center":[0.0],"radius":NaN,"cap_t":NaN,"t_cut":6.0}'),
+    ("value", 'rule={"kind":"exit_ball","center":[0.0],"radius":-1,"t_cut":6.0}'),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
     assert run_cli([command, cfg, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, override", [
+    ("value", "mc.dt=NaN"),
+    ("simulate", "simulate.horizon=NaN"),
+])
+def test_non_finite_simulation_time_is_validation_failure(tmp_path, capsys, command, override):
+    cfg = copy_config(tmp_path, "bump.json", **{"mc.reps": 20})
+    assert run_cli([command, cfg, "--set", override]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
 from pytest import approx
 
 from stopline.labels import MOTHER
-from stopline.model import RewardFunction
+from stopline.model import RewardFunction, model_hash
 from stopline.pde import SolverSettings, solve_scalar
 from stopline.reward import (
     McEstimate,
@@ -18,10 +19,11 @@ from stopline.reward import (
     mc_value,
     reward_of_outcome,
 )
-from stopline.simulator import open_forest, replication_seed, simulate_forest
+from stopline.simulator import draw_particles, replication_seed, simulate_forest
 from stopline.stopping import (
     ABANDON,
     FORCE_STOP,
+    Line,
     LineOutcome,
     Stop,
     contact_set_rule,
@@ -33,9 +35,10 @@ from stopline.stopping import (
     min_of_rules,
     never_rule,
     trivial_root_rule,
+    walk_lines,
 )
 
-from conftest import make_spec
+from conftest import make_spec, recording_draw
 
 
 def outcome_with(rec, stops):
@@ -172,7 +175,7 @@ def test_mc_population_cap_counts_only_simulated_particles():
     assert est.stderr == 0.0
 
 
-# --- an open forest after a walk holds the full forest's particles that the walk read
+# --- the estimator's walk draws particles of the full forest, and gives its line
 
 PRUNE_T_CUT, PRUNE_DT, PRUNE_X0, PRUNE_SEEDS = 3.0, 0.05, 1.5, range(6)
 BUMP = RewardFunction("bump", a=0.8, center=0.0, width=1.0)
@@ -208,21 +211,19 @@ def catalog_rule(kind, grid, policy):
                         contact_set_rule(grid, 1e-3, t_cut, policy))
 
 
-def forest_pair(spec, seed, walk):
-    """The full forest, an open one and what `walk` returned on the open one;
-    every particle the walk read is the full forest's, bit for bit."""
+def forest_pair(spec, seed, rule):
+    """The full forest, the labels that `mc_value`'s walk of the rule draws
+    on the same stream and the line it gives; each drawn particle is one of
+    the full forest's, born at the same time and place."""
     start = [(MOTHER, [PRUNE_X0])]
     full = simulate_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed)
-    opened = open_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed)
-    result = walk(opened)
-    assert set(opened.particles) <= set(full.particles)
-    for lab, p in opened.particles.items():
-        q = full.particles[lab]
-        assert (p.parent, p.birth_time, p.end_time, p.end_kind, p.offspring_count) == \
-            (q.parent, q.birth_time, q.end_time, q.end_kind, q.offspring_count)
-        assert np.array_equal(p.times, q.times)
-        assert np.array_equal(p.positions, q.positions)
-    return full, opened, result
+    draw, asked = recording_draw(spec)
+    (line,) = walk_lines(rule, [Line(MOTHER, 0.0, np.array([PRUNE_X0]), seed, PRUNE_T_CUT,
+                                     PRUNE_DT)], draw, model_hash(spec))
+    for _, lab, birth, x, _, _ in asked:
+        p = full.particles[lab]
+        assert birth == p.times[0] and np.array_equal(x, p.positions[0]), lab
+    return full, [item[1] for item in asked], line
 
 
 @pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
@@ -234,7 +235,7 @@ def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
     full_rewards = []
     for s in PRUNE_SEEDS:
         seed = replication_seed(5, s)
-        full, opened, b = forest_pair(spec, seed, lambda rec: evaluate_line(rec, rule))
+        full, drawn, b = forest_pair(spec, seed, rule)
         a = evaluate_line(full, rule)
         assert [(x.label, x.time, x.generation, x.forced) for x in a.stops] == \
             [(x.label, x.time, x.generation, x.forced) for x in b.stops]
@@ -244,7 +245,7 @@ def test_pruned_forest_gives_identical_line(solved_model, kind, policy):
         assert reward_of_outcome(spec, b) == reward
         full_rewards.append(reward)
         if kind == "trivial_root":
-            assert list(opened.particles) == []
+            assert drawn == []
     est = mc_value(spec, rule, (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
                    dt=PRUNE_DT, seed=5)
     assert est == estimate_from_samples(full_rewards, 5, PRUNE_T_CUT, policy)
@@ -257,10 +258,9 @@ def test_pruned_forest_gives_identical_dpp_product(solved_model, policy):
     tau = contact_set_rule(grid, 1e-3, PRUNE_T_CUT, policy)
     full_products = []
     for s in PRUNE_SEEDS:
-        full, _, opened_product = forest_pair(
-            spec, replication_seed(6, s), lambda rec: dpp_product(spec, rec, theta, tau, grid))
+        full, _, line = forest_pair(spec, replication_seed(6, s), _dpp_rule(theta, tau))
         product = dpp_product(spec, full, theta, tau, grid)
-        assert opened_product == product
+        assert reward_of_outcome(spec, line, grid) == product
         full_products.append(product)
     est = mc_value(spec, _dpp_rule(theta, tau), (MOTHER, [PRUNE_X0]), reps=len(PRUNE_SEEDS),
                    dt=PRUNE_DT, seed=6, grid=grid)
@@ -351,9 +351,8 @@ def test_dpp_walk_on_open_forest_draws_no_child_of_the_root(solved_model):
                      contact_set_rule(grid, 1e-3, PRUNE_T_CUT, FORCE_STOP))
     branched = 0
     for s in PRUNE_SEEDS:
-        full, opened, b = forest_pair(spec, replication_seed(8, s),
-                                      lambda rec: evaluate_line(rec, rule))
-        assert list(opened.particles) == [MOTHER]
+        full, drawn, b = forest_pair(spec, replication_seed(8, s), rule)
+        assert drawn == [MOTHER]
         a = evaluate_line(full, rule)
         assert [(x.label, x.time, x.generation, x.forced, x.part) for x in a.stops] == \
             [(x.label, x.time, x.generation, x.forced, x.part) for x in b.stops]
@@ -393,7 +392,8 @@ STOP_LINE_DIGESTS = {
 
 def stop_line_digest(spec, grid):
     """SHA-256 over the stop lines of every catalog kind and the DPP line, under
-    both cut policies, on full and open forests, one of them on a late clock."""
+    both cut policies, by `evaluate_line` on full forests and by the
+    estimators' walk on their lines, one of them on a late clock."""
     h = hashlib.sha256()
     forests = [(x0, replication_seed(9, s), 0.0) for x0 in (0.0, 1.5) for s in range(3)]
     forests.append((0.0, 3, 1.0))
@@ -405,8 +405,10 @@ def stop_line_digest(spec, grid):
                 _dpp_rule(first_branch_rule(PRUNE_T_CUT, policy),
                           contact_set_rule(grid, 1e-3, PRUNE_T_CUT, policy))]
             for rule in rules:
-                for record in (full, open_forest(*args, t0=t0)):
-                    line = evaluate_line(record, rule)
+                walked = walk_lines(rule, [Line(MOTHER, t0, np.array([x0]), seed, PRUNE_T_CUT + t0,
+                                                PRUNE_DT)], partial(draw_particles, spec),
+                                    model_hash(spec))[0]
+                for line in (evaluate_line(full, rule), walked):
                     for s in line.stops:
                         h.update(repr((tuple(s.label), int(s.part), bool(s.forced))).encode())
                         h.update(struct.pack("<d", float(s.time)))

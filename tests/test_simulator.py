@@ -11,10 +11,8 @@ from stopline.labels import MOTHER, is_antichain
 from stopline.simulator import (
     SimulationError,
     _segment_steps,
-    alive_labels,
     empirical_moment_bound_check,
     label_stream,
-    open_forest,
     population_count,
     replication_seed,
     simulate_forest,
@@ -49,6 +47,21 @@ def test_rejects_bad_inputs():
         simulate_forest(spec, [((1,), [0.0]), ((1, 0), [0.0])], horizon=1.0, dt=0.1, seed=0)
     with pytest.raises(SimulationError):
         simulate_forest(spec, [], horizon=1.0, dt=0.1, seed=0)
+
+
+@pytest.mark.parametrize("horizon, dt, t0, what", [
+    (math.nan, 0.1, 0.0, "horizon"),
+    (math.inf, 0.1, 0.0, "horizon"),
+    (1.0, 0.1, math.nan, "horizon"),
+    (1.0, math.nan, 0.0, "dt"),
+    (1.0, -math.inf, 0.0, "dt"),
+])
+def test_non_finite_times_are_refused(horizon, dt, t0, what):
+    # a NaN passes "horizon <= t0" and "dt <= 0"; an inf horizon draws a
+    # Yule tree until max_particles
+    spec = make_spec(alpha=1.0, offspring=("deterministic", 2))
+    with pytest.raises(SimulationError, match=what):
+        simulate_forest(spec, START, horizon=horizon, dt=dt, seed=0, t0=t0)
 
 
 def test_bit_identical_records_for_same_seed():
@@ -96,7 +109,9 @@ def test_antichain_of_alive_sets():
     rec = simulate_forest(spec, START, horizon=2.0, dt=0.5, seed=11)
     event_times = sorted({p.birth_time for p in rec.particles.values()})
     for t in event_times:
-        assert is_antichain(alive_labels(rec, min(t, rec.horizon)))
+        t = min(t, rec.horizon)
+        assert is_antichain([lab for lab, p in rec.particles.items()
+                             if p.birth_time <= t < p.end_time])
 
 
 def test_total_born_monotone_and_counts():
@@ -272,92 +287,14 @@ def test_max_particles_guard():
         simulate_forest(spec, START, horizon=10.0, dt=1.0, seed=1, max_particles=50)
 
 
-# --- open forests: a particle is simulated when its label is first read
-
-
-def read_all(record, order):
-    """Read every particle of an open forest: depth first, last child first,
-    as simulate_forest does, or breadth first."""
-    todo = record.roots()
-    while todo:
-        p = record.particles[todo.pop() if order == "dfs" else todo.pop(0)]
-        if p.end_kind == "branched":
-            todo.extend(p.label + (k,) for k in range(p.offspring_count))
-    return record
-
-
-@pytest.mark.parametrize("order", ["dfs", "bfs"])
-def test_simulate_forest_is_open_forest_read_whole(order):
-    spec = make_spec(diffusion=("constant", 0.7), alpha=1.0, alpha_bar=2.0,
-                     offspring=("binary", (0.3, 0.7)))
-    initial = [((0,), [0.0]), ((1, 0), [0.5])]
-    rejections = 0
-    for seed in range(5):
-        full = simulate_forest(spec, initial, horizon=2.0, dt=0.1, seed=seed)
-        opened = read_all(open_forest(spec, initial, horizon=2.0, dt=0.1, seed=seed), order)
-        assert (opened.proposals, opened.rejections) == (full.proposals, full.rejections)
-        rejections += full.rejections
-        if order == "dfs":
-            assert list(opened.particles) == list(full.particles)
-        assert sorted(opened.particles) == sorted(full.particles)
-        for lab, p in full.particles.items():
-            q = opened.particles[lab]
-            assert (p.parent, p.birth_time, p.end_time, p.end_kind, p.offspring_count) == \
-                (q.parent, q.birth_time, q.end_time, q.end_kind, q.offspring_count)
-            assert np.array_equal(p.times, q.times)
-            assert np.array_equal(p.positions, q.positions)
-    assert rejections > 0
-
-
-def test_open_forest_reads_of_absent_labels_raise_key_error():
-    spec = make_spec(alpha=1.0, offspring=("deterministic", 2))
-    root = (1,)
-    full = simulate_forest(spec, [(root, [0.0])], horizon=2.0, dt=0.25, seed=3)
-    branched = next(lab for lab, p in full.particles.items() if p.end_kind == "branched")
-    alive = next(lab for lab, p in full.particles.items() if p.end_kind == "alive_at_horizon")
-    rec = open_forest(spec, [(root, [0.0])], horizon=2.0, dt=0.25, seed=3)
-    rec.particles[branched]
-    rec.particles[alive]
-    read = list(rec.particles)
-    absent = [
-        branched + (2,),  # child index past the offspring count
-        branched + (-1,),
-        alive + (0,),  # child of a particle alive at the horizon
-        (),  # outside every root's subtree; () is its own prefix
-        (0,),
-        (2, 0, 1),
-    ]
-    for lab in absent:
-        with pytest.raises(KeyError):
-            rec.particles[lab]
-        assert list(rec.particles) == read
-
-
-def test_open_forest_max_particles_counts_particles_read():
-    # the whole forest exceeds 50 particles (test_max_particles_guard)
-    spec = make_spec(alpha=5.0, offspring=("deterministic", 2))
-    rec = open_forest(spec, START, horizon=10.0, dt=1.0, seed=1, max_particles=3)
-    for lab in (MOTHER, (0,), (1,)):
-        rec.particles[lab]
-    with pytest.raises(SimulationError):
-        rec.particles[(0, 0)]
-    assert len(rec.particles) == 3
-
-
-def test_open_forest_particles_without_their_record_raise():
-    parts = open_forest(make_spec(alpha=1.0), START, horizon=1.0, dt=0.1, seed=1).particles
-    with pytest.raises(SimulationError):
-        parts[MOTHER]
-
-
 def test_open_forest_is_freed_without_the_cycle_collector():
-    # the particle mapping must not hold its record, or every dropped forest
-    # would wait for a cyclic collection to free its paths
+    # a forest must form no reference cycle, or every dropped forest would
+    # wait for a cyclic collection to free its paths
     spec = make_spec(diffusion=("constant", 1.0), alpha=1.0, offspring=("deterministic", 2))
     gc.disable()
     try:
         rec = simulate_forest(spec, START, horizon=2.0, dt=0.1, seed=1)
-        refs = [weakref.ref(rec), weakref.ref(rec.particles)]
+        refs = [weakref.ref(rec)] + [weakref.ref(p) for p in rec.particles.values()]
         del rec
         assert all(r() is None for r in refs)
     finally:

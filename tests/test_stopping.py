@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from stopline.labels import MOTHER, is_antichain
-from stopline.model import RewardFunction
+from stopline.model import RewardFunction, model_hash
 from stopline.pde import SolverError, SolverSettings, ValueGrid, solve_scalar
-from stopline.simulator import open_forest, replication_seed, simulate_forest
+from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
     FORCE_STOP,
+    Line,
     LineOutcome,
     Stop,
     StoppingRule,
@@ -28,9 +29,10 @@ from stopline.stopping import (
     never_rule,
     rule_from_json,
     trivial_root_rule,
+    walk_lines,
 )
 
-from conftest import make_spec
+from conftest import make_spec, recording_draw
 
 START = [(MOTHER, [0.0])]
 
@@ -357,8 +359,10 @@ def test_candidate_table_stays_out_of_repr_equality_and_log(small_grid):
 def test_contact_rule_stops_nan_start_at_birth(small_grid):
     spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
                      rewards=(RewardFunction("bump", a=0.8),))
-    record = open_forest(spec, [(MOTHER, [math.nan])], horizon=2.0, dt=0.1, seed=3)
-    outcome = evaluate_line(record, contact_set_rule(small_grid, 1e-3, 2.0))
+    draw, asked = recording_draw(spec)
+    (outcome,) = walk_lines(contact_set_rule(small_grid, 1e-3, 2.0),
+                            [Line(MOTHER, 0.0, np.array([math.nan]), 3, 2.0, 0.1)], draw,
+                            model_hash(spec))
     assert [(s.label, s.time) for s in outcome.stops] == [(MOTHER, 0.0)]
     assert math.isnan(outcome.stops[0].position[0])
-    assert len(record.particles) == 0
+    assert asked == []

@@ -2,9 +2,10 @@
 
 `mc_value` and `subtree_reward_samples` walk all their lines at once and
 draw their particles in chunks.  The reference here is the loop they ran
-before: one open forest per replication, `evaluate_line` on it and
-`reward_of_outcome`, and for the branching test the `_extract_subtree`
-pair of forests.  Every estimate must equal its reference bit for bit.
+before, on whole forests: one `simulate_forest` per replication,
+`evaluate_line` on it and `reward_of_outcome`, and for the branching test
+the `_extract_subtree` pair of forests.  Every estimate must equal its
+reference bit for bit.
 """
 import dataclasses
 import math
@@ -13,20 +14,27 @@ import numpy as np
 import pytest
 
 from stopline.labels import MOTHER
-from stopline.model import Coefficient, ModelSpec, Offspring, RateFunction, RewardFunction
+from stopline.model import (
+    Coefficient,
+    ModelSpec,
+    Offspring,
+    RateFunction,
+    RewardFunction,
+    model_hash,
+)
 from stopline.pde import SolverSettings, solve_scalar
 from stopline.reward import _dpp_rule, estimate_from_samples, mc_value, reward_of_outcome
 from stopline.simulator import (
     CHUNK_SAMPLES,
     SimulationError,
     draw_particles,
-    open_forest,
     replication_seed,
     simulate_forest,
 )
 from stopline.stopping import (
     ABANDON,
     FORCE_STOP,
+    Line,
     contact_set_rule,
     evaluate_line,
     exit_ball_rule,
@@ -35,10 +43,11 @@ from stopline.stopping import (
     min_of_rules,
     never_rule,
     trivial_root_rule,
+    walk_lines,
 )
 from stopline.verify import _extract_subtree, subtree_reward_samples
 
-from conftest import make_spec
+from conftest import make_spec, recording_draw
 
 BUMP = RewardFunction("bump", a=0.8, center=0.0, width=1.0)
 T_CUT, DT, REPS = 2.5, 0.05, 12
@@ -104,11 +113,11 @@ def catalog(grid, policy):
 
 def reference_value(spec, rule, start, reps, dt, seed, salt="", grid=None,
                     max_particles=1_000_000):
-    """mc_value as a loop over replications, one open forest each."""
+    """mc_value as a loop over replications, one whole forest each."""
     rewards = []
     for r in range(reps):
-        rec = open_forest(spec, [start], rule.t_cut, dt, replication_seed(seed, r, salt),
-                          max_particles)
+        rec = simulate_forest(spec, [start], rule.t_cut, dt, replication_seed(seed, r, salt),
+                              max_particles)
         rewards.append(reward_of_outcome(spec, evaluate_line(rec, rule), grid))
     return estimate_from_samples(rewards, seed, rule.t_cut, rule.cut_policy)
 
@@ -162,11 +171,12 @@ def test_max_particles_is_a_bound_per_line():
     spec = make_spec(diffusion=("constant", 0.5), alpha=2.0, offspring=("deterministic", 2))
     rule = never_rule(1.5)
     start, reps = (MOTHER, [0.0]), 6
-    drawn = []
-    for r in range(reps):
-        rec = open_forest(spec, [start], rule.t_cut, DT, replication_seed(9, r))
-        evaluate_line(rec, rule)
-        drawn.append(len(rec.particles))
+    # the particles mc_value's walk draws on each line
+    draw, asked = recording_draw(spec)
+    seeds = [replication_seed(9, r) for r in range(reps)]
+    walk_lines(rule, [Line(MOTHER, 0.0, np.array([0.0]), seed, rule.t_cut, DT) for seed in seeds],
+               draw, model_hash(spec))
+    drawn = [sum(item[0] == seed for item in asked) for seed in seeds]
     most = max(drawn)
     assert sum(drawn) > most > 3
     est = mc_value(spec, rule, start, reps, DT, seed=9, max_particles=most)
@@ -204,31 +214,28 @@ def test_multi_root_stops_come_in_depth_first_order(seed):
     expected = stack_walk(full, 1.6, 2.5)
     assert [(s.label, s.time) for s in line.stops] == expected
     assert len(expected) > len(initial)
-    # an open forest gives the same line
-    opened = open_forest(spec, initial, horizon=3.0, dt=0.1, seed=seed)
-    again = evaluate_line(opened, fixed_time_rule(1.6, 2.5, FORCE_STOP))
-    assert [(s.label, s.time) for s in again.stops] == expected
 
 
 def reference_subtree_samples(spec, point, reps, dt, seed, window, s, shared, max_samples=None):
     """subtree_reward_samples as a loop over replications: the subtree of the
     mother's child 0 and a fresh forest from the branch state, each evaluated
-    on an `_extract_subtree` view of an open forest."""
+    on an `_extract_subtree` view of a whole forest."""
     rule = fixed_time_rule(s, s + dt, "abandon")
     a_vals, b_vals = [], []
     for r in range(reps):
         seed_a = replication_seed(seed, r, "A")
-        rec = open_forest(spec, [(MOTHER, np.array([point]))], horizon=window + s + 2 * dt,
-                          dt=dt, seed=seed_a)
+        rec = simulate_forest(spec, [(MOTHER, np.array([point]))], horizon=window + s + 2 * dt,
+                              dt=dt, seed=seed_a)
         mother = rec.particles[MOTHER]
         if (mother.end_kind != "branched" or not mother.offspring_count
                 or mother.end_time > window):
             continue
         a_vals.append(reward_of_outcome(spec, evaluate_line(_extract_subtree(rec, (0,)), rule)))
         base = mother.end_time
-        rec_b = open_forest(spec, [((0,), mother.positions[-1].copy())],
-                            horizon=base + s + dt + dt, dt=dt,
-                            seed=seed_a if shared else replication_seed(seed, r, "B"), t0=base)
+        rec_b = simulate_forest(spec, [((0,), mother.positions[-1].copy())],
+                                horizon=base + s + dt + dt, dt=dt,
+                                seed=seed_a if shared else replication_seed(seed, r, "B"),
+                                t0=base)
         b_vals.append(reward_of_outcome(spec, evaluate_line(_extract_subtree(rec_b, (0,)), rule)))
         if max_samples is not None and len(a_vals) >= max_samples:
             break
