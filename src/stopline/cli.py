@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 assumption or validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import platform
 import sys
@@ -21,8 +21,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .labels import Label, parse_label
-from .model import ModelError, ModelSpec, check_assumptions, check_fields, moment_report
+from .labels import MOTHER, Label, parse_label
+from .model import (ModelError, ModelSpec, check_assumptions, finite, finites, moment_report,
+                    of_type, read_fields, text, whole)
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
@@ -52,32 +53,81 @@ def _apply_override(config: dict, dotted: str, raw: str) -> None:
         node[keys[-1]] = raw
 
 
-def _section(config: dict, name: str, default: Optional[dict] = None,
-             fields: Optional[Sequence[str]] = None) -> dict:
-    """A config section; one that is not a JSON object, or that has a key
-    outside `fields` when they are given, is a usage error."""
-    section = config.get(name, {} if default is None else default)
-    check_fields(section, section if fields is None else fields, f"{name} section", ConfigError)
-    return section
+def _record(cls, where: str, **read):
+    """The reader of a config section into `cls`, through the field table of
+    its parameters: each is read as a finite number unless `read` names its
+    reader, and one with a default may be left out."""
+    params = inspect.signature(cls).parameters
+    table = {f: read.get(f, finite) for f in params}
+    optional = [f for f, param in params.items() if param.default is not param.empty]
+    return lambda obj: cls(**read_fields(obj, table, optional, where, ConfigError))
+
+
+class _Mc(NamedTuple):
+    seed: int  # required: wall-clock seeding is not supported
+    reps: int = 1000
+    dt: float = 0.01
+    t_cut: float = 1.0
+    cut_policy: str = "force_stop"
+
+
+class _Start(NamedTuple):
+    x: tuple
+    label: Label = MOTHER
+
+
+class _Simulate(NamedTuple):
+    horizon: Optional[float] = None  # mc.t_cut
+
+
+class _Verify(NamedTuple):
+    epsilon: float = 1e-3
+    sweep_times: Optional[tuple] = None  # t_cut / 4 and t_cut / 2
+    branch_window: float = 2.0
+    functional_horizon: float = 0.5
+    dpp_theta: dict = {"kind": "first_branch"}
+    branching: bool = False
+
+
+class Config(NamedTuple):
+    """A run config as read; `rule` stays JSON, as a contact rule needs a grid."""
+
+    model: ModelSpec
+    mc: _Mc
+    solver: Optional[SolverSettings] = None
+    rule: Optional[dict] = None
+    start: Optional[_Start] = None  # the root at the origin
+    points: tuple = (0.0,)
+    verify: _Verify = _Verify()
+    simulate: _Simulate = _Simulate()
+    check_grid: tuple = tuple(np.linspace(-5.0, 5.0, 41))
+    outputs: str = "out"
+
+
+_read_config = _record(
+    Config, "config",
+    model=ModelSpec.from_json,
+    mc=_record(_Mc, "mc section", seed=whole, reps=whole, cut_policy=text),
+    solver=_record(SolverSettings, "solver section", n_cells=whole),
+    rule=of_type(dict),
+    start=_record(_Start, "start section", x=finites, label=lambda s: parse_label(text(s))),
+    points=finites, check_grid=finites, outputs=text,
+    verify=_record(_Verify, "verify section", sweep_times=finites, dpp_theta=of_type(dict),
+                   branching=of_type(bool)),
+    simulate=_record(_Simulate, "simulate section"),
+)
 
 
 def _load_model_file(config: dict, base: Path) -> None:
     """Replace a model given as a file path, relative to `base`, by its contents."""
-    if not isinstance(config.get("model"), str):
-        return
-    model_path = Path(config["model"])
-    if not model_path.is_absolute():
-        model_path = base / model_path
-    if not model_path.exists():
-        raise ConfigError(f"model file {model_path} does not exist")
-    with open(model_path) as f:
-        config["model"] = json.load(f)
+    if isinstance(config.get("model"), str):
+        with open(base / config["model"]) as f:
+            config["model"] = json.load(f)
 
 
-def load_config(path: str, overrides: Sequence[str] = ()) -> dict:
+def load_config(path: str, overrides: Sequence[str] = ()) -> Config:
+    """Read a run config; every field but the rule's is read here."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path} does not exist")
     with open(p) as f:
         config = json.load(f)
     if not isinstance(config, dict):
@@ -89,131 +139,69 @@ def load_config(path: str, overrides: Sequence[str] = ()) -> dict:
             raise ConfigError(f"override {ov!r} is not key=value")
         key, _, raw = ov.partition("=")
         _apply_override(config, key, raw)
-    check_fields(config, ("model", "solver", "mc", "rule", "start", "points", "verify",
-                          "simulate", "check_grid", "outputs"), "config", ConfigError)
-    if "model" not in config:
-        raise ConfigError("config needs a 'model' section")
     _load_model_file(config, p.parent)  # a model path set by --set
-    if "seed" not in _section(config, "mc"):
-        raise ConfigError("config must pin mc.seed; wall-clock seeding is not supported")
-    out = config.get("outputs", "out")
-    if not isinstance(out, str):
-        raise ConfigError(f"outputs must be a directory path, not {out!r}")
+    config = _read_config(config)
     # refuse before any work: the directory is made only when results are written
-    nearest = next(d for d in (Path(out), *Path(out).parents) if d.exists())
+    out = Path(config.outputs)
+    nearest = next(d for d in (out, *out.parents) if d.exists())
     if not nearest.is_dir():
-        raise ConfigError(f"outputs {out!r} cannot be a directory: {nearest} is a file")
+        raise ConfigError(f"outputs {config.outputs!r} cannot be a directory: {nearest} is a file")
     return config
 
 
-def _spec(config: dict) -> ModelSpec:
-    return ModelSpec.from_json(config["model"])
+def _solver(config: Config) -> SolverSettings:
+    if config.solver is None:
+        raise ConfigError("config needs a 'solver' section for a solve")
+    return config.solver
 
 
-def _whole(value, name: str) -> int:
-    """A count or seed; a fraction is refused rather than truncated by int()."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} = {value!r} is not a whole number")
-    return int(value)
-
-
-def _solver_settings(config: dict) -> SolverSettings:
-    s = _section(config, "solver", fields=[f.name for f in dataclasses.fields(SolverSettings)])
-    try:
-        return SolverSettings(
-            x_lo=float(s["x_lo"]),
-            x_hi=float(s["x_hi"]),
-            n_cells=_whole(s["n_cells"], "n_cells"),
-            **{k: float(s[k]) for k in ("tol_fp", "bc_lo_value", "bc_hi_value") if k in s},
-        )
-    except KeyError as exc:
-        raise ConfigError(f"solver section is missing {exc}") from exc
-    except (TypeError, ValueError, SolverError) as exc:
-        # settings the solver refuses are a config mistake, not non-convergence
-        raise ConfigError(f"solver section: {exc}") from exc
-
-
-class _McSettings(NamedTuple):
-    reps: int
-    dt: float
-    seed: int
-    t_cut: float
-    cut_policy: str
-
-
-def _mc(config: dict) -> _McSettings:
-    mc = _section(config, "mc", fields=_McSettings._fields)
-    try:
-        return _McSettings(
-            reps=_whole(mc.get("reps", 1000), "reps"),
-            dt=float(mc.get("dt", 0.01)),
-            seed=_whole(mc["seed"], "seed"),
-            t_cut=float(mc.get("t_cut", 1.0)),
-            cut_policy=mc.get("cut_policy", "force_stop"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mc section: {exc}") from exc
-
-
-def _start(config: dict, spec: ModelSpec) -> Tuple[Label, np.ndarray]:
-    start = _section(config, "start", {"label": "∅", "x": [0.0] * spec.dimension},
-                     fields=("label", "x"))
-    try:
-        return parse_label(start.get("label", "∅")), np.asarray(start["x"], dtype=float)
-    except KeyError as exc:
-        raise ConfigError(f"start section is missing {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"start section: {exc}") from exc
+def _start(config: Config) -> Tuple[Label, np.ndarray]:
+    start = config.start or _Start((0.0,) * config.model.dimension)
+    return start.label, np.asarray(start.x, dtype=float)
 
 
 def _rule(obj, spec: ModelSpec, grid=None) -> StoppingRule:
     """A rule from its config form, checked against the model it stops."""
     rule = rule_from_json(obj, grid)
-    _check_rule_dimension(rule, spec.dimension)
+    parts = [rule]
+    while parts:
+        part = parts.pop()
+        parts += part.parts
+        if part.kind == "exit_ball" and len(part.center) != spec.dimension:
+            raise StoppingError(f"exit_ball center has {len(part.center)} coordinate(s), "
+                                f"the model has dimension {spec.dimension}")
     return rule
 
 
-def _check_rule_dimension(rule: StoppingRule, dimension: int) -> None:
-    for part in rule.parts:
-        _check_rule_dimension(part, dimension)
-    if rule.kind == "exit_ball" and len(rule.center) != dimension:
-        raise StoppingError(f"exit_ball center has {len(rule.center)} coordinate(s), "
-                            f"the model has dimension {dimension}")
-
-
-def _out_dir(config: dict) -> Path:
-    out = Path(config.get("outputs", "out"))
+def _out_dir(config: Config) -> Path:
+    out = Path(config.outputs)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_sidecar(out: Path, command: str) -> None:
-    meta = {
+    _write_json(out / f"{command}.meta.json", {
         "command": command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "host": platform.node(),
         "python": platform.python_version(),
-    }
-    with open(out / f"{command}.meta.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })
 
 
-def cmd_check(config: dict) -> int:
-    spec = _spec(config)
-    try:
-        grid_pts = np.array([float(x) for x in config.get("check_grid", np.linspace(-5, 5, 41))])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"check_grid: {exc}") from exc
-    if not len(grid_pts):
+def cmd_check(config: Config) -> int:
+    if not config.check_grid:
         raise ConfigError("check_grid must list at least one point")
-    report = moment_report(spec)
-    audit = check_assumptions(spec, grid_pts)
+    report = moment_report(config.model)
+    audit = check_assumptions(config.model, np.array(config.check_grid))
     out = _out_dir(config)
-    payload = {"moment_report": report.to_json(), "assumptions": audit.to_json()}
-    with open(out / "check.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "check.json",
+                {"moment_report": report.to_json(), "assumptions": audit.to_json()})
     _write_sidecar(out, "check")
     print(f"M = {report.M:.6g}, M_bar = {report.M_bar:.6g} "
           f"(argmax l = {report.M_bar_argmax}, interior: {report.M_bar_interior})")
@@ -226,14 +214,11 @@ def cmd_check(config: dict) -> int:
     return EXIT_OK if audit.ok else EXIT_VALIDATION
 
 
-def cmd_solve(config: dict) -> int:
-    spec = _spec(config)
-    grid = solve_scalar(spec, _solver_settings(config))
+def cmd_solve(config: Config) -> int:
+    grid = solve_scalar(config.model, _solver(config))
     out = _out_dir(config)
     grid.write_csv(str(out / "grid.csv"))
-    with open(out / "solver_log.json", "w") as f:
-        json.dump(grid.log_json(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "solver_log.json", grid.log_json())
     _write_sidecar(out, "solve")
     for w in grid.warnings:
         print(f"warning: {w}")
@@ -242,15 +227,10 @@ def cmd_solve(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: dict) -> int:
-    spec = _spec(config)
-    mc = _mc(config)
-    sim = _section(config, "simulate", fields=("horizon",))
-    try:
-        horizon = float(sim.get("horizon", mc.t_cut))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulate section: {exc}") from exc
-    record = simulate_forest(spec, [_start(config, spec)], horizon=horizon, dt=mc.dt,
+def cmd_simulate(config: Config) -> int:
+    mc = config.mc
+    horizon = mc.t_cut if config.simulate.horizon is None else config.simulate.horizon
+    record = simulate_forest(config.model, [_start(config)], horizon=horizon, dt=mc.dt,
                              seed=mc.seed)
     out = _out_dir(config)
     write_forest_csv(record, str(out / "forest.csv"))
@@ -261,18 +241,16 @@ def cmd_simulate(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_value(config: dict) -> int:
-    spec = _spec(config)
-    mc = _mc(config)
-    rule_obj = config.get("rule")
-    if rule_obj is None:
+def cmd_value(config: Config) -> int:
+    spec, mc = config.model, config.mc
+    if config.rule is None:
         raise ConfigError("config needs a 'rule' section for the value command")
     grid = None
     # a contact_set rule may also sit among the parts of a min_of rule
-    if "contact_set" in json.dumps(rule_obj):
-        grid = solve_scalar(spec, _solver_settings(config))
-    rule = _rule(rule_obj, spec, grid)
-    est = mc_value(spec, rule, _start(config, spec), mc.reps, mc.dt, mc.seed)
+    if "contact_set" in json.dumps(config.rule):
+        grid = solve_scalar(spec, _solver(config))
+    rule = _rule(config.rule, spec, grid)
+    est = mc_value(spec, rule, _start(config), mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
     est.write_json(str(out / "value.json"))
     _write_sidecar(out, "value")
@@ -280,32 +258,23 @@ def cmd_value(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict) -> int:
-    spec = _spec(config)
-    mc = _mc(config)
-    ver = _section(config, "verify", fields=("epsilon", "sweep_times", "branch_window",
-                                             "functional_horizon", "dpp_theta", "branching"))
-    theta_spec = _section(ver, "dpp_theta", {"kind": "first_branch"})
-    try:
-        points = [float(x) for x in config.get("points", [0.0])]
-        epsilon = float(ver.get("epsilon", 1e-3))
-        sweep_times = [float(t) for t in ver.get("sweep_times", [mc.t_cut / 4, mc.t_cut / 2])]
-        branch_window = float(ver.get("branch_window", 2.0))
-        functional_horizon = float(ver.get("functional_horizon", 0.5))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"verify settings: {exc}") from exc
-    grid = solve_scalar(spec, _solver_settings(config))
-    theta = _rule({**theta_spec, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, spec, grid)
-    report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, epsilon,
+def cmd_verify(config: Config) -> int:
+    spec, mc, ver, points = config.model, config.mc, config.verify, config.points
+    if not points:
+        raise ConfigError("points must list at least one point")
+    sweep_times = (mc.t_cut / 4, mc.t_cut / 2) if ver.sweep_times is None else ver.sweep_times
+    grid = solve_scalar(spec, _solver(config))
+    theta = _rule({**ver.dpp_theta, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, spec, grid)
+    report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, ver.epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
     for point in points:
         report.dpp.append(dpp_consistency(spec, grid, theta, point, mc.reps, mc.dt, mc.seed,
-                                          epsilon))
-    if ver.get("branching", False) and spec.alpha_bar > 0:
+                                          ver.epsilon))
+    if ver.branching and spec.alpha_bar > 0:
         report.branching = branching_property_test(
             spec, points[0], mc.reps, mc.dt, mc.seed,
-            branch_window=branch_window,
-            functional_horizon=functional_horizon,
+            branch_window=ver.branch_window,
+            functional_horizon=ver.functional_horizon,
         )
     out = _out_dir(config)
     report.write_json(str(out / "verify.json"))
@@ -354,7 +323,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config = load_config(args.config, args.overrides)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, ModelError, SolverError, json.JSONDecodeError, OSError) as exc:
+        # no solve runs here: settings the solver refuses are a config mistake
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

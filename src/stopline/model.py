@@ -36,14 +36,71 @@ class ModelError(ValueError):
     """Malformed or unusable model description."""
 
 
-def check_fields(obj, allowed, where: str, error: type = ModelError) -> None:
-    """Refuse anything but a JSON object whose keys all lie in `allowed`: a
-    misspelt field is an error, never a silently taken default."""
+def read_fields(obj, table: dict, optional, where: str, error: type = ModelError) -> dict:
+    """The values of the fields a JSON object gives, read through a field table
+    {field: reader} whose fields not in `optional` are required.  Anything but
+    a JSON object, a field outside the table (a misspelt one is never read as
+    a default), a missing required field and a value its reader refuses (a
+    TypeError, ValueError or OverflowError) are each an `error`; an error of
+    this package that a reader raises, as a nested table's, passes as it is."""
     if not isinstance(obj, dict):
         raise error(f"{where} must be a JSON object, not {obj!r}")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(set(obj) - set(table))
     if unknown:
         raise error(f"{where} has unknown field(s): {', '.join(unknown)}")
+    missing = [f for f in table if f not in obj and f not in optional]
+    if missing:
+        raise error(f"{where} is missing field(s): {', '.join(missing)}")
+    values = {}
+    for f in (f for f in table if f in obj):
+        try:
+            values[f] = table[f](obj[f])
+        except (TypeError, ValueError, OverflowError) as exc:
+            if type(exc) not in (TypeError, ValueError, OverflowError):
+                raise
+            raise error(f"{where}: {f}: {exc}") from exc
+    return values
+
+
+def finite(value) -> float:
+    """The default reader: a finite number, not NaN, an infinity, a bool or text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
+def finite_or_inf(value) -> float:
+    """A finite number or +inf (JSON Infinity), for a bound that may be absent."""
+    return math.inf if value == math.inf else finite(value)
+
+
+def finites(value) -> tuple:
+    """A list of finite numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{value!r} is not a list")
+    return tuple(finite(v) for v in value)
+
+
+def whole(value) -> int:
+    """A count or seed: an int or an integral float, never a fraction truncated."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def of_type(kind: type):
+    """A reader that takes a value of one JSON type as it is."""
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"{value!r} is not a {kind.__name__}")
+        return value
+    return read
+
+
+text = of_type(str)
 
 
 def _json_value(value):
@@ -58,10 +115,10 @@ class CatalogEntry:
 
     PARAMS[kind] = (fields, optional) lists the fields that kind takes and
     those of them a JSON form may leave out, which then keep the dataclass
-    default.  The kind check, to_json and from_json all read this one table,
-    so from_json refuses a field its kind does not take as well as a missing
-    required one.  A field is read with float unless READ names its reader;
-    CATALOG names the catalog in messages, and ERROR is what it raises.
+    default.  The kind check, to_json and from_json all read this one table;
+    from_json reads it through `read_fields`, each field as a finite number
+    unless READ names its reader.  CATALOG names the catalog in messages, and
+    ERROR is what it raises.
     """
 
     PARAMS: ClassVar[dict] = {}
@@ -87,14 +144,10 @@ class CatalogEntry:
         """The kind of a JSON form and the values of the fields it gives."""
         if not isinstance(obj, dict):
             raise cls.ERROR(f"a {cls.CATALOG} must be a JSON object, not {obj!r}")
-        kind = obj.get("kind")
-        fields, optional = cls._params(kind)
-        where = f"{cls.CATALOG} {kind}"
-        check_fields(obj, ("kind",) + fields, where, cls.ERROR)
-        missing = [f for f in fields if f not in obj and f not in optional]
-        if missing:
-            raise cls.ERROR(f"{where} is missing field(s): {', '.join(missing)}")
-        return kind, {f: cls.READ.get(f, float)(obj[f]) for f in fields if f in obj}
+        fields, optional = cls._params(obj.get("kind"))
+        table = {"kind": text, **{f: cls.READ.get(f, finite) for f in fields}}
+        values = read_fields(obj, table, optional, f"{cls.CATALOG} {obj['kind']}", cls.ERROR)
+        return values.pop("kind"), values
 
     @classmethod
     def from_json(cls, obj):
@@ -214,7 +267,7 @@ class Offspring(CatalogEntry):
         "binary": (("p0", "p2"), ()),  # mass p0 on 0 and p2 on 2
         "poisson": (("lam",), ()),  # Poisson with spatial intensity lam(x)
     }
-    READ = {"k0": int, "lam": RateFunction.from_json}
+    READ = {"k0": whole, "lam": RateFunction.from_json}
     CATALOG = "offspring"
 
     kind: str
@@ -225,8 +278,8 @@ class Offspring(CatalogEntry):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind == "poisson" and self.lam is None:
-            raise ModelError("poisson offspring needs an intensity function")
+        if self.kind == "poisson" and (self.lam is None or min(self.lam.value, self.lam.cap) < 0):
+            raise ModelError("poisson offspring needs a nonnegative intensity function")
         if self.kind == "deterministic" and not 0 <= self.k0 <= K_MAX:
             # the solver and the simulator truncate counts at K_MAX
             raise ModelError(f"deterministic offspring k0 = {self.k0} is outside [0, {K_MAX}]")
@@ -285,7 +338,7 @@ class RewardFunction(CatalogEntry):
         # a * exp(-|x - center|^2 / width^2)
         "bump": (("a", "center", "width"), ("center", "width")),
     }
-    READ = {"clip": lambda clip: math.inf if clip is None else float(clip)}
+    READ = {"clip": lambda clip: math.inf if clip is None else finite_or_inf(clip)}
     CATALOG = "reward"
 
     kind: str
@@ -414,30 +467,17 @@ class ModelSpec:
     @staticmethod
     def from_json(obj: dict) -> "ModelSpec":
         """Build a model from its JSON form; a malformed field is a ModelError."""
-        check_fields(obj, ("dimension", "drift", "diffusion", "branch_rate", "alpha_bar",
-                           "offspring", "gamma", "reward", "k_g"), "model")
-        try:
-            reward = obj["reward"]
-            check_fields(reward, ("depth", "levels"), "model reward")
-            levels = tuple(RewardFunction.from_json(g) for g in reward["levels"])
-            return ModelSpec(
-                dimension=int(obj["dimension"]),
-                drift=Coefficient.from_json(obj["drift"]),
-                diffusion=Coefficient.from_json(obj["diffusion"]),
-                branch_rate=RateFunction.from_json(obj["branch_rate"]),
-                alpha_bar=float(obj["alpha_bar"]),
-                offspring=Offspring.from_json(obj["offspring"]),
-                gamma=float(obj["gamma"]),
-                reward_depth=int(reward["depth"]),
-                reward_levels=levels,
-                k_g=float(obj["k_g"]),
-            )
-        except ModelError:
-            raise
-        except KeyError as exc:
-            raise ModelError(f"model is missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ModelError(f"model: {exc}") from exc
+        values = read_fields(obj, {
+            "dimension": whole, "drift": Coefficient.from_json,
+            "diffusion": Coefficient.from_json, "branch_rate": RateFunction.from_json,
+            "alpha_bar": finite, "offspring": Offspring.from_json, "gamma": finite,
+            "reward": lambda reward: read_fields(reward, {
+                "depth": whole, "levels": lambda gs: tuple(map(RewardFunction.from_json, gs))},
+                (), "model reward"),
+            "k_g": finite,
+        }, (), "model")
+        reward = values.pop("reward")
+        return ModelSpec(reward_depth=reward["depth"], reward_levels=reward["levels"], **values)
 
 
 def model_hash(spec: ModelSpec) -> str:

@@ -34,6 +34,7 @@ from .labels import (
 from .model import K_MAX, ModelSpec, evaluated_moment_bound, model_hash
 
 DEFAULT_MAX_PARTICLES = 1_000_000
+MAX_STEPS = 10**7  # Euler steps of one particle from t0 to the horizon
 
 
 class SimulationError(RuntimeError):
@@ -326,8 +327,8 @@ def forest_start(
     # each test is written as "not within", so that a NaN fails it too
     if not t0 < horizon < math.inf:
         raise SimulationError("horizon must be finite and exceed the start time")
-    if not 0 < dt < horizon - t0:
-        raise SimulationError("dt must satisfy 0 < dt < horizon - t0")
+    if not (0 < dt < horizon - t0 and (horizon - t0) / dt <= MAX_STEPS):  # not left to numpy
+        raise SimulationError(f"dt must satisfy 0 < dt < horizon - t0 in at most {MAX_STEPS} steps")
     init = [(tuple(lab), np.atleast_1d(np.asarray(x, dtype=float)).copy())
             for lab, x in initial]
     if not init:

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .labels import Label, generation
-from .model import CatalogEntry
+from .model import CatalogEntry, finite_or_inf, finites, text
 from .pde import ValueGrid
 from .simulator import CHUNK_SAMPLES, Chunk, GenealogyRecord, ParticleRecord, SimulationError
 
@@ -64,7 +64,7 @@ class StoppingRule(CatalogEntry):
         "never": _rule_params(),
         "min_of": _rule_params("parts"),
     }
-    READ = {"cut_policy": str, "center": lambda c: tuple(float(x) for x in c), "parts": list}
+    READ = {"cut_policy": text, "center": finites, "cap_t": finite_or_inf, "parts": list}
     CATALOG = "rule"
     ERROR = StoppingError
 
@@ -86,8 +86,9 @@ class StoppingRule(CatalogEntry):
         # each test is written as "not within", so that a NaN fails it too
         if not 0 < self.t_cut < math.inf:
             raise StoppingError("t_cut must be positive and finite")
-        if self.kind == "fixed_time" and not self.t < self.t_cut:
-            raise StoppingError("fixed_time rule can never fire: t must be below t_cut")
+        if self.kind == "fixed_time" and not 0 <= self.t < self.t_cut:
+            # a particle born after t is never stopped, and every one is born at 0 or later
+            raise StoppingError("fixed_time rule can never fire: t must lie in [0, t_cut)")
         if self.kind == "contact_set" and not self.epsilon > 0:
             raise StoppingError("contact rule needs epsilon > 0")
         if self.kind == "exit_ball" and not (0 < self.radius < math.inf and self.cap_t > 0):
@@ -395,23 +396,18 @@ def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
     two parts of a min_of rule must share t_cut and cut_policy, and the
     min_of rule's own t_cut, and its cut_policy if given, must be theirs.
     """
-    try:
-        kind, values = StoppingRule.json_fields(obj)
-        if kind == "min_of":
-            parts = [rule_from_json(p, grid) for p in values["parts"]]
-            if len(parts) != 2:
-                raise StoppingError("min_of takes exactly two parts")
-            rule = min_of_rules(parts[0], parts[1])
-            if (values["t_cut"], values.get("cut_policy", rule.cut_policy)) != \
-                    (rule.t_cut, rule.cut_policy):
-                raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
-            return rule
-        if kind == "contact_set":
-            if grid is None:
-                raise StoppingError("contact_set rule needs a solved grid")
-            values["grid"] = grid
-        return StoppingRule(kind, **values)
-    except StoppingError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise StoppingError(f"rule: {exc}") from exc
+    kind, values = StoppingRule.json_fields(obj)
+    if kind == "min_of":
+        parts = [rule_from_json(p, grid) for p in values["parts"]]
+        if len(parts) != 2:
+            raise StoppingError("min_of takes exactly two parts")
+        rule = min_of_rules(parts[0], parts[1])
+        if (values["t_cut"], values.get("cut_policy", rule.cut_policy)) != \
+                (rule.t_cut, rule.cut_policy):
+            raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
+        return rule
+    if kind == "contact_set":
+        if grid is None:
+            raise StoppingError("contact_set rule needs a solved grid")
+        values["grid"] = grid
+    return StoppingRule(kind, **values)

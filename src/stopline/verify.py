@@ -64,9 +64,6 @@ class PointCheck:
     z: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class SweepEntry:
@@ -76,9 +73,6 @@ class SweepEntry:
     margin: float
     passed: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class BranchingTest:
@@ -86,9 +80,6 @@ class BranchingTest:
     p_value: float
     n_samples: int
     insufficient: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

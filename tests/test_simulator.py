@@ -9,6 +9,7 @@ from scipy import stats as sps
 
 from stopline.labels import MOTHER, is_antichain
 from stopline.simulator import (
+    MAX_STEPS,
     SimulationError,
     _segment_steps,
     empirical_moment_bound_check,
@@ -62,6 +63,14 @@ def test_non_finite_times_are_refused(horizon, dt, t0, what):
     spec = make_spec(alpha=1.0, offspring=("deterministic", 2))
     with pytest.raises(SimulationError, match=what):
         simulate_forest(spec, START, horizon=horizon, dt=dt, seed=0, t0=t0)
+
+
+def test_more_than_max_steps_is_refused():
+    # a dt this small would ask numpy for arrays it cannot allocate
+    spec = make_spec(alpha=1.0, offspring=("deterministic", 2))
+    for dt in (1e-300, 1.0 / (2 * MAX_STEPS)):
+        with pytest.raises(SimulationError, match="steps"):
+            simulate_forest(spec, START, horizon=1.0, dt=dt, seed=0)
 
 
 def test_bit_identical_records_for_same_seed():
