@@ -36,6 +36,7 @@ from .simulator import (
     empirical_moment_bound_check,
     population_count,
     simulate_forest,
+    simulate_forests,
     total_born,
 )
 from .stopping import (

@@ -23,7 +23,7 @@ import numpy as np
 
 from .labels import MOTHER, Label, parse_label
 from .model import (ModelError, ModelSpec, check_assumptions, finite, finites, moment_report,
-                    of_type, read_fields, text, whole)
+                    of_type, read_fields, text, whole, write_json)
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
@@ -179,14 +179,8 @@ def _out_dir(config: Config) -> Path:
     return out
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _write_sidecar(out: Path, command: str) -> None:
-    _write_json(out / f"{command}.meta.json", {
+    write_json(out / f"{command}.meta.json", {
         "command": command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "host": platform.node(),
@@ -200,8 +194,8 @@ def cmd_check(config: Config) -> int:
     report = moment_report(config.model)
     audit = check_assumptions(config.model, np.array(config.check_grid))
     out = _out_dir(config)
-    _write_json(out / "check.json",
-                {"moment_report": report.to_json(), "assumptions": audit.to_json()})
+    write_json(out / "check.json",
+               {"moment_report": report.to_json(), "assumptions": audit.to_json()})
     _write_sidecar(out, "check")
     print(f"M = {report.M:.6g}, M_bar = {report.M_bar:.6g} "
           f"(argmax l = {report.M_bar_argmax}, interior: {report.M_bar_interior})")
@@ -218,7 +212,7 @@ def cmd_solve(config: Config) -> int:
     grid = solve_scalar(config.model, _solver(config))
     out = _out_dir(config)
     grid.write_csv(str(out / "grid.csv"))
-    _write_json(out / "solver_log.json", grid.log_json())
+    write_json(out / "solver_log.json", grid.log_json())
     _write_sidecar(out, "solve")
     for w in grid.warnings:
         print(f"warning: {w}")

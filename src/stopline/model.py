@@ -62,6 +62,13 @@ def read_fields(obj, table: dict, optional, where: str, error: type = ModelError
     return values
 
 
+def write_json(path, obj) -> None:
+    """Write `obj` as a result file: JSON, keys sorted, indent 2, a final newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def finite(value) -> float:
     """The default reader: a finite number, not NaN, an infinity, a bool or text."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -215,6 +222,8 @@ class RateFunction(CatalogEntry):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.value < 0 or self.cap < 0:
+            raise ModelError(f"{self.kind} rate must be nonnegative")
         if self.kind == "logistic" and self.width <= 0:
             raise ModelError("logistic width must be positive")
 
@@ -278,8 +287,8 @@ class Offspring(CatalogEntry):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind == "poisson" and (self.lam is None or min(self.lam.value, self.lam.cap) < 0):
-            raise ModelError("poisson offspring needs a nonnegative intensity function")
+        if self.kind == "poisson" and self.lam is None:
+            raise ModelError("poisson offspring needs an intensity function")
         if self.kind == "deterministic" and not 0 <= self.k0 <= K_MAX:
             # the solver and the simulator truncate counts at K_MAX
             raise ModelError(f"deterministic offspring k0 = {self.k0} is outside [0, {K_MAX}]")

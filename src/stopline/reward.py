@@ -12,7 +12,6 @@ takes v_n(x) read off the grid in place of g_n(x).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -21,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .labels import Label
-from .model import ModelSpec, model_hash
+from .model import ModelSpec, model_hash, write_json
 from .simulator import (
     DEFAULT_MAX_PARTICLES,
     GenealogyRecord,
@@ -78,9 +77,7 @@ class McEstimate:
         return asdict(self)
 
     def write_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json())
 
 
 def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,

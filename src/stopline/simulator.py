@@ -11,8 +11,8 @@ its root's state and not on what siblings do.
 One function, `draw_particles`, draws particles: many at a time, each
 from its own stream with the same calls in the same order, in chunks of
 about CHUNK_SAMPLES samples whose per-sample arithmetic is done once.  The
-estimators' block walk draws a generation of many lines this way, and
-`simulate_forest` a generation of one whole forest.
+block walk draws a generation of many lines this way, for the estimators
+and for `simulate_forests`, whose forests are lines of the never rule.
 """
 from __future__ import annotations
 
@@ -116,14 +116,6 @@ def _increments(b, s, noisy, steps, z):
     return incr
 
 
-def _diffuse_constant(x, t, steps, b, s, noisy, rng):
-    """Exact-in-law path for constant coefficients, one vectorized draw."""
-    z = rng.standard_normal((len(steps), x.shape[0])) if noisy else None
-    xs = x[None, :] + np.cumsum(_increments(b, s, noisy, steps, z), axis=0)
-    ts = t + np.cumsum(steps)
-    return ts, xs
-
-
 def _diffuse_general(x, t, steps, spec, rng):
     d = x.shape[0]
     ts = np.empty(len(steps))
@@ -187,22 +179,21 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
     each, and a uniform mark on [0, alpha_bar] that rejects the candidate or
     picks the offspring count.  A chunk holds items of one dt.
 
-    When the coefficients are constant and no mark reads the position, a
-    particle's loop draws only its random numbers, and the chunk's
-    per-sample arithmetic is done once over all its segments: the same
-    elementwise operations as `_diffuse_constant`, with one sequential
-    cumsum per segment, so every path is bit for bit the one drawn alone.
-    Otherwise each segment's path is computed before its mark reads it, by
-    `_diffuse_constant` or `_diffuse_general`.
+    When the coefficients are constant, a particle's loop draws only its
+    random numbers, and the chunk's per-sample arithmetic is done once over
+    all its segments, with one sequential cumsum per segment, so every path
+    is bit for bit the one drawn alone; where a mark reads the position, the
+    loop forms each segment's end by the same elementwise arithmetic.  For
+    general coefficients each segment's path is computed before its mark
+    reads it, by `_diffuse_general`.
     """
     a_bar = spec.alpha_bar
     coefficients = spec.constant_coefficients
     cdf = spec.offspring_cdf
-    deferred = coefficients is not None and cdf is not None
     batch, n_samples, chunk_dt, sums = [], 0, None, np.zeros(1)
 
     def chunk():
-        return _chunk(batch, coefficients, chunk_dt, sums) if deferred else _stack(batch)
+        return _chunk(batch, coefficients, chunk_dt, sums) if coefficients else _stack(batch)
 
     for seed, label, birth, x, horizon, dt in items:
         if batch and (n_samples >= CHUNK_SAMPLES or dt != chunk_dt):
@@ -220,26 +211,27 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
             n_samples += n
             if not n:
                 t = target
-            elif deferred:
+            elif coefficients is not None:
                 z = rng.standard_normal((n, spec.dimension)) if coefficients[2] else None
+                if cdf is None:
+                    # the segment's last sample, as `_chunk` computes it
+                    x = x + np.cumsum(_increments(*coefficients, _segment_steps(t, target, dt), z),
+                                      axis=0)[-1]
                 segments.append((t, n_full, residual, z))
                 if n_full + 1 >= len(sums):
                     sums = _dt_sums(dt, max(1024, 1 << (n_full + 2).bit_length()))
                 # the segment's last sample time, t + cumsum(steps)[-1]
                 t = float(t + (sums[n_full] + residual if residual else sums[n_full]))
             else:
-                steps = _segment_steps(t, target, dt)
-                if coefficients is not None:
-                    ts, xp = _diffuse_constant(x, t, steps, *coefficients, rng)
-                else:
-                    ts, xp = _diffuse_general(x, t, steps, spec, rng)
+                ts, xp = _diffuse_general(x, t, _segment_steps(t, target, dt), spec, rng)
                 segments.append((ts, xp))
                 t, x = float(ts[-1]), xp[-1]
             if proposal > horizon:
                 break
             proposals += 1
             u = rng.uniform(0.0, a_bar)
-            # a constant branch rate does not read x, which a deferred path leaves at birth
+            # x is the path's last sample wherever a mark reads it; with constant
+            # coefficients and a position-free mark it stays at birth
             alpha_here = spec.branch_rate(x)
             if u < alpha_here:
                 # accepted event: the same mark picks the offspring interval,
@@ -343,57 +335,66 @@ def forest_start(
     return init
 
 
-def simulate_forest(
-    spec: ModelSpec,
-    initial: Sequence[Tuple[Label, Sequence[float]]],
-    horizon: float,
-    dt: float,
-    seed: int,
-    max_particles: int = DEFAULT_MAX_PARTICLES,
-    t0: float = 0.0,
-) -> GenealogyRecord:
-    """Simulate one whole forest from time t0 (default 0) up to the horizon.
+def simulate_forests(spec: ModelSpec, initial: Sequence[Tuple[Label, Sequence[float]]],
+                     horizon: float, dt: float, seeds: Sequence[int],
+                     max_particles: int = DEFAULT_MAX_PARTICLES,
+                     t0: float = 0.0) -> List[GenealogyRecord]:
+    """Simulate one whole forest per seed, from time t0 (default 0) up to the horizon.
 
     Candidate event times are exact exponential arrivals at rate alpha_bar
     (no events at all when the bound is zero); only the diffusion between
     them is discretized, with the substep before an event shortened to hit
     the event time exactly.  Offspring counts come from the inverse cdf of
     the local pmf truncated at K_MAX, residual mass going to K_MAX.
-    Identical arguments reproduce the record bit for bit.
+    Identical arguments reproduce the records bit for bit.
 
-    The particles are drawn a generation at a time, in chunks, each bit for
-    bit the one a stop-line walk draws from the same seed and label, and
-    filed depth first.  `max_particles` caps the particles simulated.
+    A forest is the stop line of the rule that never fires: one `walk_lines`
+    walks the roots of every forest and files each particle it draws into
+    its forest's record, depth first.  More than `max_particles` drawn below
+    one root is a SimulationError.  A repeated seed gets the same record.
     """
+    from .stopping import Line, never_rule, walk_lines  # here, as stopping imports this module
     init = forest_start(spec, initial, horizon, dt, t0)
-    record = GenealogyRecord(particles={}, initial=init, horizon=horizon, dt=dt, seed=seed,
-                             spec_hash=model_hash(spec), t0=float(t0))
-    drawn: Dict[Label, ParticleRecord] = {}
-    births = [(label, None, record.t0, x) for label, x in init]
-    while births:
-        if len(drawn) + len(births) > max_particles:
-            raise SimulationError(f"population exceeded max_particles={max_particles}")
-        items = [(seed, label, birth, x, horizon, dt) for label, _, birth, x in births]
-        chunks = draw_particles(spec, items)
-        kids = []
-        for (label, parent, birth, _), (times, positions, end, count, proposals) in zip(
-                births, (p for chunk in chunks for p in chunk.particles())):
+    t0, spec_hash = float(t0), model_hash(spec)
+    records = {seed: GenealogyRecord(particles={}, initial=init, horizon=horizon, dt=dt,
+                                     seed=seed, spec_hash=spec_hash, t0=t0) for seed in seeds}
+    roots = {label for label, _ in init}
+
+    def draw(items):
+        items = list(items)
+        chunks = list(draw_particles(spec, items))
+        for (seed, label, birth, *_), (times, positions, end, count, proposals) in zip(
+                items, (p for chunk in chunks for p in chunk.particles())):
+            record = records[seed]
             record.proposals += proposals
             record.rejections += proposals - (count >= 0)
-            drawn[label] = ParticleRecord(
-                label=label, parent=parent, birth_time=birth, end_time=end,
-                end_kind="branched" if count >= 0 else "alive_at_horizon",
+            record.particles[label] = ParticleRecord(
+                label=label, parent=None if label in roots else label[:-1], birth_time=birth,
+                end_time=end, end_kind="branched" if count >= 0 else "alive_at_horizon",
                 offspring_count=count if count >= 0 else None, times=times, positions=positions)
-            kids += [(child(label, k), label, end, positions[-1]) for k in range(count)]
-        births = kids
-    # filed depth first, the label pushed last taken first
-    stack = record.roots()
-    while stack:
-        p = drawn[stack.pop()]
-        record.particles[p.label] = p
-        if p.end_kind == "branched":
-            stack.extend(child(p.label, k) for k in range(p.offspring_count))
-    return record
+        return chunks
+
+    walk_lines(never_rule(horizon - t0),
+               [Line(label, t0, x, seed, horizon, dt, t0) for seed in records for label, x in init],
+               draw, "", max_particles)
+    for record in records.values():
+        # filed depth first, the label pushed last taken first
+        drawn, record.particles = record.particles, {}
+        stack = record.roots()
+        while stack:
+            p = drawn[stack.pop()]
+            record.particles[p.label] = p
+            if p.end_kind == "branched":
+                stack.extend(child(p.label, k) for k in range(p.offspring_count))
+    return [records[seed] for seed in seeds]
+
+
+def simulate_forest(spec: ModelSpec, initial: Sequence[Tuple[Label, Sequence[float]]],
+                    horizon: float, dt: float, seed: int,
+                    max_particles: int = DEFAULT_MAX_PARTICLES,
+                    t0: float = 0.0) -> GenealogyRecord:
+    """Simulate one whole forest: `simulate_forests` with one seed."""
+    return simulate_forests(spec, initial, horizon, dt, [seed], max_particles, t0)[0]
 
 
 def population_count(record: GenealogyRecord, t: float) -> int:
@@ -428,12 +429,9 @@ def empirical_moment_bound_check(
         raise SimulationError("K must be positive")
     if reps < 100:
         raise SimulationError("reps must be at least 100")
-    x0 = np.zeros(spec.dimension)
-    vals = np.empty(reps)
-    for r in range(reps):
-        rec = simulate_forest(spec, [((), x0)], horizon=t, dt=t / 8.0,
-                              seed=replication_seed(seed, r))
-        vals[r] = K ** total_born(rec, t)
+    records = simulate_forests(spec, [((), np.zeros(spec.dimension))], horizon=t, dt=t / 8.0,
+                               seeds=[replication_seed(seed, r) for r in range(reps)])
+    vals = np.array([K ** total_born(rec, t) for rec in records], dtype=float)
     m_bar = evaluated_moment_bound(spec)
     log_bound = math.exp(min(700.0, spec.alpha_bar * m_bar * t)) * math.log(max(K, 1.0))
     bound = math.inf if log_bound > 700.0 else math.exp(log_bound)
@@ -462,8 +460,8 @@ def write_forest_csv(record: GenealogyRecord, path: str) -> None:
                 p.end_kind,
                 "" if p.offspring_count is None else p.offspring_count,
             ]
-            row += [repr(v) for v in p.positions[0]]
-            row += [repr(v) for v in p.positions[-1]]
+            row += [repr(float(v)) for v in p.positions[0]]
+            row += [repr(float(v)) for v in p.positions[-1]]
             w.writerow(row)
 
 

@@ -14,8 +14,8 @@ takes one generation of every line: it tests the rule on all their birth
 states at once, draws the particles not stopped there in chunks, and
 tests each chunk's samples at once.  Each line's stops come back in the
 order of a depth-first walk of its forest, roots ascending and children
-by descending index.  `evaluate_line` is the walk with a forest's roots as
-lines, reading each particle from the forest.
+by descending index.  `evaluate_line` walks a forest's roots, reading each
+particle from the forest, and `simulate_forests` draws forests by the walk.
 
 Each kind's firing condition is written once, in `_hits`, as expressions
 that read drawn samples and birth states alike; a birth state is sample 0
@@ -262,20 +262,27 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
     Each line's stops and abandoned particles come back in depth-first
     order, children by descending index, as a stack walk of one forest gives
     them.  More than `max_particles` drawn on one line is a SimulationError.
-    All the lines' roots must be of one generation.
+    Lines whose roots are of different generations walk apart.
     """
     t_cut = rule.t_cut
     for line in lines:
         if t_cut > line.horizon - line.base + 1e-12:
             raise StoppingError(
                 f"t_cut {t_cut} exceeds the simulated horizon {line.horizon - line.base}")
-    if not lines:
-        return []
+    levels = sorted({generation(line.label) for line in lines})
+    if len(levels) != 1:
+        # a round takes one generation of every line
+        outcomes = {}
+        for level in levels:
+            ids = [i for i, line in enumerate(lines) if generation(line.label) == level]
+            walks = walk_lines(rule, [lines[i] for i in ids], draw, spec_hash, max_particles)
+            outcomes.update(zip(ids, walks))
+        return [outcomes[i] for i in range(len(lines))]
     outcomes = [LineOutcome([], []) for _ in lines]
     drawn = [0] * len(lines)
     bases = np.array([line.base for line in lines])
     rebased = bases.any()  # else each line's clock is the forest's, times - 0 being times
-    level = generation(lines[0].label)
+    level = levels[0]
     # the round's particles: their line, label, birth time and birth place
     at = list(range(len(lines)))
     labels = [line.label for line in lines]
@@ -356,15 +363,9 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     """
     lines = sorted((Line(label, record.t0, x, record.seed, record.horizon, record.dt)
                     for label, x in record.initial), key=lambda line: line.label)
-    outcomes = {}
-    # a walk takes one generation a round, so roots of each generation walk apart
-    for level in {generation(line.label) for line in lines}:
-        group = [line for line in lines if generation(line.label) == level]
-        outcomes.update(zip([line.label for line in group],
-                            walk_lines(rule, group, _reader(record), record.spec_hash)))
-    return LineOutcome(stops=[s for line in lines for s in outcomes[line.label].stops],
-                       passed_alive=[lab for line in lines
-                                     for lab in outcomes[line.label].passed_alive],
+    outcomes = walk_lines(rule, lines, _reader(record), record.spec_hash)
+    return LineOutcome(stops=[s for out in outcomes for s in out.stops],
+                       passed_alive=[lab for out in outcomes for lab in out.passed_alive],
                        record=record)
 
 

@@ -15,7 +15,6 @@ lines of another, each line on the subtree's clock.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -24,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .labels import MOTHER, Label
-from .model import ModelSpec, model_hash
+from .model import ModelSpec, model_hash, write_json
 from .pde import ValueGrid
 from .reward import McEstimate, _dpp_rule, mc_value, reward_of_outcome
 from .simulator import (
@@ -105,9 +104,7 @@ class VerificationReport:
         return {**asdict(self), "all_passed": self.all_passed()}
 
     def write_json(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_json())
 
 
 def _check_grid(spec: ModelSpec, grid: ValueGrid) -> None:

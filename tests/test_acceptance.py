@@ -18,7 +18,7 @@ from stopline.labels import MOTHER
 from stopline.model import RewardFunction, moment_report, value_bound
 from stopline.pde import SolverSettings, contact_boundary, solve_scalar
 from stopline.reward import mc_value
-from stopline.simulator import empirical_moment_bound_check, population_count, replication_seed, simulate_forest
+from stopline.simulator import empirical_moment_bound_check, population_count, replication_seed, simulate_forests
 from stopline.stopping import first_branch_rule, fixed_time_rule, trivial_root_rule
 from stopline.verify import branching_property_test, cross_validate, dpp_consistency, subtree_reward_samples
 
@@ -46,11 +46,9 @@ def test_criterion_01_yule_mean():
     spec = make_spec(alpha=1.0, offspring=("deterministic", 2))
     reps = 10_000
     start = time.monotonic()
-    counts = np.empty(reps)
-    for r in range(reps):
-        rec = simulate_forest(spec, [(MOTHER, [0.0])], horizon=1.0, dt=0.25,
-                              seed=replication_seed(424242, r))
-        counts[r] = population_count(rec, 1.0)
+    records = simulate_forests(spec, [(MOTHER, [0.0])], horizon=1.0, dt=0.25,
+                               seeds=[replication_seed(424242, r) for r in range(reps)])
+    counts = np.array([population_count(rec, 1.0) for rec in records], dtype=float)
     elapsed = time.monotonic() - start
     se = counts.std(ddof=1) / math.sqrt(reps)
     gap = abs(counts.mean() - math.e)

@@ -206,6 +206,9 @@ def test_override_flag_changes_scalar(tmp_path):
     ("verify", "verify.epsilon=Infinity"),
     ("value", "mc.dt=NaN"),
     ("simulate", "simulate.horizon=NaN"),
+    # a negative rate is a malformed model, not a solve that fails to converge
+    ("solve", "model.branch_rate.value=-1"),
+    ("check", 'model.branch_rate={"kind":"logistic","cap":-1}'),
     # a fixed_time rule below every birth time never fires
     ("value", "rule.t=-1"),
 ])
@@ -399,8 +402,8 @@ def _non_finite(path: Path):
     found = []
     for row in rows:
         for col, cell in row.items():
-            try:  # forest.csv writes its positions as numpy reprs
-                x = float(cell.removeprefix("np.float64(").removesuffix(")"))
+            try:
+                x = float(cell)
             except ValueError:
                 continue  # a label or a kind
             if not math.isfinite(x):

@@ -181,7 +181,9 @@ def test_check_assumptions_flags_alpha_violation():
 
 @pytest.mark.parametrize("spec", [
     make_spec(offspring=("binary", (0.3, 0.6))),
-    make_spec(alpha=-0.1, alpha_bar=0.3),
+    # a rate is never negative, but a NaN center gives a NaN rate at each x
+    dataclasses.replace(make_spec(alpha_bar=0.3),
+                        branch_rate=RateFunction("logistic", cap=0.2, center=math.nan)),
 ], ids=["pmf_mass", "branch_rate"])
 def test_check_assumptions_messages_print_plain_floats(spec):
     (message,) = check_assumptions(spec, np.linspace(-5.0, 5.0, 41)).hard_violations

@@ -1,6 +1,11 @@
+import dataclasses
 import gc
+import hashlib
+import itertools
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from pytest import approx
 from scipy import stats as sps
 
 from stopline.labels import MOTHER, is_antichain
+from stopline.model import ModelSpec, Offspring, RateFunction
 from stopline.simulator import (
     MAX_STEPS,
     SimulationError,
@@ -17,6 +23,7 @@ from stopline.simulator import (
     population_count,
     replication_seed,
     simulate_forest,
+    simulate_forests,
     total_born,
 )
 
@@ -146,11 +153,9 @@ def test_pure_death_counts():
 def test_death_time_is_exponential():
     spec = make_spec(alpha=1.0, offspring=("deterministic", 0))
     reps = 4000
-    ends = np.empty(reps)
-    for r in range(reps):
-        rec = simulate_forest(spec, START, horizon=60.0, dt=10.0,
-                              seed=replication_seed(7, r))
-        ends[r] = rec.particles[MOTHER].end_time
+    records = simulate_forests(spec, START, horizon=60.0, dt=10.0,
+                               seeds=[replication_seed(7, r) for r in range(reps)])
+    ends = np.array([rec.particles[MOTHER].end_time for rec in records])
     assert np.all(np.isfinite(ends))
     se = ends.std(ddof=1) / math.sqrt(reps)
     assert abs(ends.mean() - 1.0) <= 3 * se
@@ -159,11 +164,9 @@ def test_death_time_is_exponential():
 def test_yule_population_mean():
     spec = make_spec(alpha=1.0, offspring=("deterministic", 2))
     reps = 3000
-    counts = np.empty(reps)
-    for r in range(reps):
-        rec = simulate_forest(spec, START, horizon=1.0, dt=0.25,
-                              seed=replication_seed(13, r))
-        counts[r] = population_count(rec, 1.0)
+    records = simulate_forests(spec, START, horizon=1.0, dt=0.25,
+                               seeds=[replication_seed(13, r) for r in range(reps)])
+    counts = np.array([population_count(rec, 1.0) for rec in records], dtype=float)
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - math.e) <= 3 * se
 
@@ -177,14 +180,14 @@ def test_thinning_accepts_all_at_the_bound():
 
 def test_thinning_rejects_half_at_half_rate():
     spec = make_spec(alpha=0.5, alpha_bar=1.0, offspring=("deterministic", 1))
+    # the forests of replication_seed(17, r), r = 0, 1, ..., drawn 8 at a time
+    forests = (rec for r in itertools.count(0, 8) for rec in simulate_forests(
+        spec, START, horizon=2000.0, dt=500.0, seeds=[replication_seed(17, r + i) for i in range(8)]))
     proposals = rejections = 0
-    r = 0
     while proposals < 100_000:
-        rec = simulate_forest(spec, START, horizon=2000.0, dt=500.0,
-                              seed=replication_seed(17, r))
+        rec = next(forests)
         proposals += rec.proposals
         rejections += rec.rejections
-        r += 1
     frac = rejections / proposals
     se = math.sqrt(0.25 / proposals)
     assert abs(frac - 0.5) <= 3 * se
@@ -216,9 +219,8 @@ def test_poisson_offspring_matches_pmf():
     lam = 0.5
     spec = make_spec(alpha=1.0, offspring=("poisson", lam))
     counts: dict = {}
-    for r in range(1200):
-        rec = simulate_forest(spec, START, horizon=6.0, dt=2.0,
-                              seed=replication_seed(29, r))
+    for rec in simulate_forests(spec, START, horizon=6.0, dt=2.0,
+                                seeds=[replication_seed(29, r) for r in range(1200)]):
         for k in branched_counts(rec):
             counts[k] = counts.get(k, 0) + 1
     n = sum(counts.values())
@@ -308,3 +310,72 @@ def test_open_forest_is_freed_without_the_cycle_collector():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+# --- whole forests, pinned bit for bit
+
+
+def _pinned_models():
+    models = {}
+    for noise in (0.9, 0.0):
+        # constant coefficients; without noise the drift still moves the particles
+        const = make_spec(drift=("constant", 0.3), diffusion=("constant", noise), alpha=1.0,
+                          offspring=("binary", (0.3, 0.7)))
+        models[f"constant_rate@{noise}"] = const
+        models[f"logistic_rate@{noise}"] = dataclasses.replace(
+            const, branch_rate=RateFunction("logistic", cap=1.5, center=0.5, width=0.7),
+            alpha_bar=1.5)
+        models[f"poisson_logistic@{noise}"] = dataclasses.replace(
+            const, offspring=Offspring("poisson", lam=RateFunction("logistic", cap=2.0)))
+    put = json.loads((Path(__file__).parent.parent / "configs" / "put.json").read_text())
+    models["put"] = ModelSpec.from_json(put["model"])
+    return models
+
+
+PINNED_MODELS = _pinned_models()
+# three roots of two generations, on a clock that starts at 0.5
+MULTI_ROOT = [((1,), [0.2]), ((0, 2), [-0.3]), ((2,), [0.7])]
+PINNED_FORESTS = [(name, START if name != "put" else [(MOTHER, [0.6])], 2.5, 0.0)
+                  for name in PINNED_MODELS]
+PINNED_FORESTS += [("logistic_rate@0.9", MULTI_ROOT, 3.0, 0.5),
+                   ("constant_rate@0.9", MULTI_ROOT, 3.0, 0.5)]
+FOREST_DIGEST = "0769de4a1a803ed5ad5da72019d58fbd3efe094142ef7ac545bcffa19fd06987"
+
+
+def forest_digest(records):
+    """SHA-256 over forests: each particle's label, parent, end, offspring
+    count, times and positions, in the order its record files them, and each
+    forest's proposals and rejections."""
+    h = hashlib.sha256()
+    for rec in records:
+        for p in rec.particles.values():
+            h.update(repr((p.label, p.parent, p.end_time, p.offspring_count)).encode())
+            h.update(np.ascontiguousarray(p.times, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(p.positions, dtype=np.float64).tobytes())
+        h.update(repr((rec.proposals, rec.rejections)).encode())
+    return h.hexdigest()
+
+
+def test_forests_are_pinned():
+    seeds = list(range(8))
+    alone = [[simulate_forest(PINNED_MODELS[name], initial, horizon, 0.05, seed, t0=t0)
+              for seed in seeds] for name, initial, horizon, t0 in PINNED_FORESTS]
+    assert forest_digest(rec for recs in alone for rec in recs) == FOREST_DIGEST
+    # one walk over many forests draws each as a walk of its own does
+    for (name, initial, horizon, t0), recs in zip(PINNED_FORESTS, alone):
+        together = simulate_forests(PINNED_MODELS[name], initial, horizon, 0.05, seeds, t0=t0)
+        assert [rec.seed for rec in together] == seeds
+        assert [forest_digest([rec]) for rec in together] == [forest_digest([rec]) for rec in recs]
+
+
+def test_max_particles_is_a_bound_per_root():
+    spec = make_spec(alpha=2.0, offspring=("deterministic", 2))
+    initial = [((0,), [0.0]), ((1,), [0.0])]
+    rec = simulate_forest(spec, initial, horizon=1.0, dt=0.25, seed=4)
+    below = [sum(lab[0] == root for lab in rec.particles) for root in (0, 1)]
+    cap = max(below)
+    assert sum(below) > cap
+    capped = simulate_forest(spec, initial, horizon=1.0, dt=0.25, seed=4, max_particles=cap)
+    assert forest_digest([capped]) == forest_digest([rec])
+    with pytest.raises(SimulationError, match="max_particles"):
+        simulate_forest(spec, initial, horizon=1.0, dt=0.25, seed=4, max_particles=cap - 1)

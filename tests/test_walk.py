@@ -9,6 +9,7 @@ reference bit for bit.
 """
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_max_particles_is_a_bound_per_line():
         reference_value(spec, rule, start, reps, DT, 9, max_particles=most - 1)
     with pytest.raises(SimulationError, match="max_particles"):
         mc_value(spec, rule, start, reps, DT, seed=9, max_particles=most - 1)
+
+
+def _outcome(out):
+    return ([(s.label, s.time, s.position.tolist(), s.generation, s.forced, s.part)
+             for s in out.stops], out.passed_alive)
+
+
+@pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
+def test_roots_of_two_generations_walk_as_two_walks(grids, policy):
+    spec = MODELS["binary"]
+    draw = partial(draw_particles, spec)
+    lines = [Line(label, 0.0, np.array([x]), seed, T_CUT, DT)
+             for seed, label, x in [(1, (0,), 0.1), (2, (1, 2), -0.4), (3, (2,), 0.5),
+                                    (4, (0, 1), 0.3)]]
+    for name, rule in catalog(grids["binary"], policy).items():
+        together = walk_lines(rule, lines, draw, model_hash(spec))
+        first = walk_lines(rule, lines[0::2], draw, model_hash(spec))
+        second = walk_lines(rule, lines[1::2], draw, model_hash(spec))
+        apart = [first[0], second[0], first[1], second[1]]
+        assert [_outcome(out) for out in together] == [_outcome(out) for out in apart], name
 
 
 def stack_walk(record, t, t_cut):
