@@ -11,6 +11,11 @@ The offspring probabilities p_k(x) are formed in one place,
 families, in log space for Poisson.  The simulator's draws, the
 generating function the solver sums, the Poisson moment ladder and the
 assumption audit all read it, so Monte Carlo and the PDE share one law.
+
+Rates and rewards have one formula each, `RateFunction.__call__` and
+`RewardFunction.__call__`, numpy over states.  The simulator's marks, the
+Monte Carlo reward, the solver's stencil and obstacles and the audit all
+call them, so an obstacle and the reward scored at its node are one double.
 """
 from __future__ import annotations
 
@@ -227,18 +232,14 @@ class RateFunction(CatalogEntry):
         if self.kind == "logistic" and self.width <= 0:
             raise ModelError("logistic width must be positive")
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x):
+        """The rate at each state of x, coordinate last; a float for one state."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            return self.value
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.cap / (1.0 + math.exp(-(x[0] - self.center) / self.width))
-
-    def grid_values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a 1-D grid (each node a 1-D state)."""
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(xs, self.value)
-        return self.cap / (1.0 + np.exp(-(xs - self.center) / self.width))
+            rate = np.full(x.shape[:-1], self.value)
+        else:
+            rate = self.cap / (1.0 + np.exp(-(x[..., 0] - self.center) / self.width))
+        return float(rate) if x.ndim == 1 else rate
 
     def supremum(self) -> float:
         """Exact sup over all of space (catalog forms are monotone/constant)."""
@@ -306,7 +307,7 @@ class Offspring(CatalogEntry):
         (len(xs), k_max + 1); tail mass is not folded in."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self.kind == "poisson":
-            return _poisson_pmf(self.lam.grid_values(xs), k_max)
+            return _poisson_pmf(self.lam(xs[:, None]), k_max)
         p = np.zeros((len(xs), k_max + 1))
         if self.kind == "deterministic":
             if self.k0 <= k_max:
@@ -363,23 +364,16 @@ class RewardFunction(CatalogEntry):
         if self.kind == "bump" and self.width <= 0:
             raise ModelError("bump width must be positive")
 
-    def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def __call__(self, x):
+        """The reward at each state of x, coordinate last; a float for one state."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            return self.c
-        if self.kind == "clipped_put":
-            return min(self.clip, max(self.strike - x[0], 0.0))
-        d2 = float(np.sum((x - self.center) ** 2))
-        return self.a * math.exp(-d2 / self.width**2)
-
-    def grid_values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on a 1-D grid."""
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(xs, self.c)
-        if self.kind == "clipped_put":
-            return np.minimum(self.clip, np.maximum(self.strike - xs, 0.0))
-        return self.a * np.exp(-((xs - self.center) ** 2) / self.width**2)
+            g = np.full(x.shape[:-1], self.c)
+        elif self.kind == "clipped_put":
+            g = np.minimum(self.clip, np.maximum(self.strike - x[..., 0], 0.0))
+        else:
+            g = self.a * np.exp(-np.sum((x - self.center) ** 2, axis=-1) / self.width**2)
+        return float(g) if x.ndim == 1 else g
 
     def lipschitz(self) -> float:
         if self.kind == "constant":
@@ -682,18 +676,18 @@ def check_assumptions(spec: ModelSpec,
     if len(off_mass):
         i = off_mass[0]
         hard.append(f"offspring pmf sums to {float(totals[i])!r} at x={float(grid[i])!r}")
-    # the branch rate once per sample point, for the bound and the continuity samples
-    alpha_vals = [spec.branch_rate(np.full(spec.dimension, x)) for x in grid]
+    # the branch rate at every sample point, for the bound and the continuity samples
+    alpha_vals = spec.branch_rate(grid[:, None])
     alpha_sup = spec.branch_rate.supremum()
     if not alpha_sup <= spec.alpha_bar + 1e-12:
         hard.append(f"branch rate supremum {alpha_sup} exceeds declared bound {spec.alpha_bar}")
     else:
-        for x, a in zip(grid, alpha_vals):
+        for x, a in zip(grid.tolist(), alpha_vals.tolist()):
             if not 0 <= a <= spec.alpha_bar + 1e-12:
-                hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={float(x)!r}")
+                hard.append(f"branch rate {a} outside [0, {spec.alpha_bar}] at x={x!r}")
                 break
     for n, g in enumerate(spec.reward_levels):
-        vals = g.grid_values(grid)
+        vals = g(grid[:, None])
         if not np.all((vals >= -1e-12) & (vals <= spec.k_g + 1e-12)):
             hard.append(f"reward level {n} escapes [0, {spec.k_g}] on the sample grid")
     lam_sup = spec.offspring.intensity_sup()

@@ -247,7 +247,7 @@ def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
     h = float(xs[1] - xs[0])
     b = spec.drift(xs)
     s = spec.diffusion(xs)
-    alpha = spec.branch_rate.grid_values(xs)
+    alpha = spec.branch_rate(xs[:, None])
     diff = 0.5 * s * s / (h * h)
     b_plus = np.maximum(b, 0.0)
     b_minus = np.maximum(-b, 0.0)
@@ -401,7 +401,7 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
             "gamma %.6g below uniqueness threshold %.6g: solution may not be unique"
             % (spec.gamma, report.gamma_threshold)
         )
-    obstacles = np.array([spec.reward_at(n).grid_values(xs) for n in range(depth + 1)])
+    obstacles = np.array([spec.reward_at(n)(xs[:, None]) for n in range(depth + 1)])
     values = np.empty_like(obstacles)
     stats: List[Optional[LevelStats]] = [None] * (depth + 1)
     values[depth], stats[depth] = _picard(spec, settings, stencils, obstacles[depth], v_bar)

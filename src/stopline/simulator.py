@@ -41,14 +41,14 @@ class SimulationError(RuntimeError):
     pass
 
 
-def label_stream(seed: int, label: Label, salt: str = "") -> np.random.Generator:
+def label_stream(seed: int, label: Label) -> np.random.Generator:
     """Independent random stream for one particle.
 
-    The Philox key is a cryptographic digest of (seed, salt, label path),
-    so streams for distinct labels never collide and a subtree's
-    randomness is identical whenever (seed, label) match.
+    The Philox key is a cryptographic digest of (seed, label path), so
+    streams for distinct labels never collide and a subtree's randomness
+    is identical whenever (seed, label) match.
     """
-    text = f"{seed}|{salt}|" + ".".join(str(k) for k in label)
+    text = f"{seed}||" + ".".join(str(k) for k in label)
     digest = hashlib.sha256(text.encode()).digest()
     entropy = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
@@ -190,6 +190,7 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
     a_bar = spec.alpha_bar
     coefficients = spec.constant_coefficients
     cdf = spec.offspring_cdf
+    rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
     batch, n_samples, chunk_dt, sums = [], 0, None, np.zeros(1)
 
     def chunk():
@@ -230,9 +231,9 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
                 break
             proposals += 1
             u = rng.uniform(0.0, a_bar)
-            # x is the path's last sample wherever a mark reads it; with constant
-            # coefficients and a position-free mark it stays at birth
-            alpha_here = spec.branch_rate(x)
+            # x is the path's last sample wherever a mark reads it; a mark with a
+            # cdf reads no position, and x stays at birth under constant coefficients
+            alpha_here = spec.branch_rate(x) if cdf is None else rate
             if u < alpha_here:
                 # accepted event: the same mark picks the offspring interval,
                 # residual mass going to K_MAX

@@ -91,6 +91,8 @@ class StoppingRule(CatalogEntry):
             raise StoppingError("fixed_time rule can never fire: t must lie in [0, t_cut)")
         if self.kind == "contact_set" and not self.epsilon > 0:
             raise StoppingError("contact rule needs epsilon > 0")
+        if self.kind == "contact_set" and self.grid is None:
+            raise StoppingError("contact_set rule needs a solved grid")
         if self.kind == "exit_ball" and not (0 < self.radius < math.inf and self.cap_t > 0):
             raise StoppingError("exit_ball rule needs a finite radius > 0 and cap_t > 0")
 
@@ -175,7 +177,7 @@ class Line:
 
 
 def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times: np.ndarray,
-          positions: np.ndarray, starts: np.ndarray, spec_hash: str) -> np.ndarray:
+          positions: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Where a rule other than never and min_of fires, sample by sample.
 
     Particle i's samples are rows starts[i]:starts[i + 1] of `times` and
@@ -197,12 +199,7 @@ def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times:
         dist2 = np.sum((positions - np.asarray(rule.center)) ** 2, axis=-1)
         return (dist2 >= rule.radius**2) | (times >= rule.cap_t - 1e-12)
     if rule.kind == "contact_set":
-        grid = rule.grid
-        if grid is None:
-            raise StoppingError("contact rule has no value grid attached")
-        if spec_hash and not grid.model_hash.startswith(spec_hash):
-            raise StoppingError("value grid was solved for a different model")
-        xs = positions[:, 0]
+        grid, xs = rule.grid, positions[:, 0]
         # the exact clearance test runs only where the grid's table says it can fire
         hits = grid.contact_candidates(level, rule.epsilon, xs)
         if hits.any():
@@ -214,8 +211,8 @@ def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times:
 
 
 def first_fire(rule: StoppingRule, depth: int, level: int, births: np.ndarray,
-               times: np.ndarray, positions: np.ndarray, starts: np.ndarray,
-               spec_hash: str = "") -> Tuple[np.ndarray, np.ndarray]:
+               times: np.ndarray, positions: np.ndarray,
+               starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Each particle's first firing of the rule: the sample index, -1 for
     none, and the index of the min_of part that fired first, ties going to
     part 0 (0 for every other kind); `_hits` says what the arguments are.
@@ -230,19 +227,26 @@ def first_fire(rule: StoppingRule, depth: int, level: int, births: np.ndarray,
     if rule.kind == "min_of":
         first = part = None
         for k, sub in enumerate(rule.parts):
-            fire, _ = first_fire(sub, depth, level, births, times, positions, starts, spec_hash)
+            fire, _ = first_fire(sub, depth, level, births, times, positions, starts)
             if first is None:
                 first, part = fire, np.zeros(n, dtype=int)
             else:
                 earlier = (fire >= 0) & ((first < 0) | (fire < first))
                 first, part = np.where(earlier, fire, first), np.where(earlier, k, part)
         return first, part
-    hits = _hits(rule, depth, level, births, times, positions, starts, spec_hash)
+    hits = _hits(rule, depth, level, births, times, positions, starts)
     if len(times) == n:  # one sample each, as in the birth test
         return np.where(hits, starts[:-1], -1), np.zeros(n, dtype=int)
     rows = np.flatnonzero(hits)
     first = np.concatenate((rows, [len(times)]))[np.searchsorted(rows, starts[:-1])]
     return np.where(first < starts[1:], first, -1), np.zeros(n, dtype=int)
+
+
+def _grids(rule: StoppingRule) -> List[ValueGrid]:
+    """The grids of the contact_set rules a rule is made of."""
+    if rule.kind == "min_of":
+        return [grid for part in rule.parts for grid in _grids(part)]
+    return [rule.grid] if rule.kind == "contact_set" else []
 
 
 def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str = "",
@@ -261,9 +265,12 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
 
     Each line's stops and abandoned particles come back in depth-first
     order, children by descending index, as a stack walk of one forest gives
-    them.  More than `max_particles` drawn on one line is a SimulationError.
-    Lines whose roots are of different generations walk apart.
+    them.  More than `max_particles` drawn on one line is a SimulationError,
+    and a contact grid not solved for the model `spec_hash` names is a
+    StoppingError.  Lines whose roots are of different generations walk apart.
     """
+    if spec_hash and any(not grid.model_hash.startswith(spec_hash) for grid in _grids(rule)):
+        raise StoppingError("value grid was solved for a different model")
     t_cut = rule.t_cut
     for line in lines:
         if t_cut > line.horizon - line.base + 1e-12:
@@ -292,8 +299,7 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
     while labels:
         n = len(labels)
         births = np.array(born) - bases[at] if rebased else np.array(born)
-        fire, part = first_fire(rule, depth, level, births, births, places, np.arange(n + 1),
-                                spec_hash)
+        fire, part = first_fire(rule, depth, level, births, births, places, np.arange(n + 1))
         todo = []
         for i, (row, k, birth) in enumerate(zip(fire.tolist(), part.tolist(), births.tolist())):
             if row >= 0 and birth < t_cut:
@@ -320,7 +326,7 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
                 times = times - np.repeat(shift, np.diff(starts))
                 ends = ends - shift
             fire, part = first_fire(rule, depth, level, births[ids], times, chunk.positions,
-                                    starts, spec_hash)
+                                    starts)
             rows = []
             for i, row, k, lo, hi, end, count, died in zip(
                     ids, fire.tolist(), part.tolist(), starts[:-1].tolist(), starts[1:].tolist(),
@@ -408,7 +414,5 @@ def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
             raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
         return rule
     if kind == "contact_set":
-        if grid is None:
-            raise StoppingError("contact_set rule needs a solved grid")
         values["grid"] = grid
     return StoppingRule(kind, **values)

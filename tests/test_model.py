@@ -25,6 +25,7 @@ from stopline.model import (
     value_bound,
 )
 from stopline.model import ModelSpec
+from stopline.pde import SolverSettings, _build_stencil, solve_scalar
 
 from conftest import make_spec
 
@@ -95,7 +96,7 @@ def test_generating_function_poisson_intensity_per_node():
     lam = RateFunction("logistic", cap=0.5, center=0.0, width=1.0)
     spec = dataclasses.replace(make_spec(), offspring=Offspring("poisson", lam=lam))
     xs = np.linspace(-3.0, 3.0, 7)
-    lams = spec.offspring.lam.grid_values(xs)
+    lams = spec.offspring.lam(xs[:, None])
     np.testing.assert_allclose(generating_function(spec, xs, 1.5), np.exp(lams * 0.5),
                                rtol=1e-14, atol=0.0)
 
@@ -292,20 +293,44 @@ def test_logistic_rate_bounds_and_lipschitz():
     assert np.max(slopes) <= rate.lipschitz() + 1e-9
 
 
-@pytest.mark.parametrize("rate,rtol", [
-    (RateFunction("constant", value=0.35), 0.0),
-    (RateFunction("logistic", cap=0.8, center=0.3, width=0.5), 1e-14),
-])
-def test_rate_grid_values_match_pointwise(rate, rtol):
+@pytest.mark.parametrize("rate", [
+    RateFunction("constant", value=0.35),
+    RateFunction("logistic", cap=0.8, center=0.3, width=0.5),
+], ids=lambda rate: rate.kind)
+def test_rate_grid_values_match_pointwise(rate):
     # the stencil and the Poisson generating function read rates on the
-    # whole grid; numpy's exp may round differently from math.exp
+    # whole grid, the simulator's marks one state at a time
     xs = np.linspace(-10, 10, 401)
     pointwise = np.array([rate(np.array([x])) for x in xs])
-    grid = rate.grid_values(xs)
-    if rtol == 0.0:
-        assert np.array_equal(grid, pointwise)
-    else:
-        np.testing.assert_allclose(grid, pointwise, rtol=rtol, atol=0.0)
+    assert np.array_equal(rate(xs[:, None]), pointwise)
+
+
+RATE_KINDS = [RateFunction("constant", value=0.35),
+              RateFunction("logistic", cap=0.8, center=0.3, width=0.5)]
+REWARD_KINDS = (RewardFunction("constant", c=0.4),
+                RewardFunction("clipped_put", strike=1.0, clip=0.9),
+                RewardFunction("bump", a=0.8, center=0.3, width=0.7))
+
+
+@pytest.mark.parametrize("rate", RATE_KINDS, ids=lambda rate: rate.kind)
+def test_one_formula_per_rate_and_reward(rate):
+    # the simulator's marks and the Monte Carlo reward call one state at a
+    # time, the stencil and the obstacle rows every node at once; all of them
+    # read the same doubles
+    spec = dataclasses.replace(make_spec(diffusion=("constant", 0.5), rewards=REWARD_KINDS),
+                               branch_rate=rate, alpha_bar=rate.supremum())
+    grid = solve_scalar(spec, SolverSettings(x_lo=-4.0, x_hi=4.0, n_cells=100))
+    xs = grid.xs
+    at_nodes = [(rate, _build_stencil(spec, xs).alpha)]
+    at_nodes += [(g, grid.obstacles[n]) for n, g in enumerate(REWARD_KINDS)]
+    planes = np.stack([xs, xs[::-1]], axis=-1)  # states of dimension 2
+    for f, nodes in at_nodes:
+        one = [f(np.array([x])) for x in xs]
+        assert all(type(v) is float for v in one), f
+        assert np.array_equal(f(xs[:, None]), one), f
+        assert np.array_equal(nodes, one), f
+        assert np.array_equal(f(planes), [f(state) for state in planes]), f
+        assert f(planes[None]).shape == (1, len(xs)), f
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))

@@ -306,11 +306,11 @@ def assert_birth_test_matches_drawn(rule, record):
         # the walk takes a path's first firing only before the particle's end,
         # and a birth state's only before t_cut
         fire, part = first_fire(rule, depth, len(lab), np.array([birth]), p.times, p.positions,
-                                np.array([0, n]), record.spec_hash)
+                                np.array([0, n]))
         before_end = p.times[0] < min(p.end_time, rule.t_cut)
         expected = (0, int(part[0])) if fire[0] == 0 and before_end else None
         fire, part = first_fire(rule, depth, len(lab), np.array([birth]), np.array([birth]),
-                                x[None, :], np.array([0, 1]), record.spec_hash)
+                                x[None, :], np.array([0, 1]))
         at_birth = (0, int(part[0])) if fire[0] == 0 and birth < rule.t_cut else None
         assert at_birth == expected, (rule, lab)
         fired += expected is not None

@@ -208,6 +208,16 @@ def small_grid():
     return solve_scalar(spec, SolverSettings(x_lo=-6.0, x_hi=6.0, n_cells=200))
 
 
+def test_contact_rule_needs_a_grid():
+    # refused when the rule is built, not when it is first tested
+    with pytest.raises(StoppingError, match="needs a solved grid"):
+        contact_set_rule(None, 1e-3, 2.0)
+    with pytest.raises(StoppingError, match="needs a solved grid"):
+        rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
+            {"kind": "never", "t_cut": 2.0},
+            {"kind": "contact_set", "epsilon": 0.1, "t_cut": 2.0}]})
+
+
 def test_every_rule_kind_survives_json_roundtrip(small_grid):
     contact = contact_set_rule(small_grid, 1e-3, 2.0, FORCE_STOP)
     rules = [
@@ -316,10 +326,10 @@ def test_candidate_table_keeps_every_contact_firing(case):
     grid, epsilon, xs = case
     rule = contact_set_rule(grid, epsilon, 1.0)
     path = _hits(rule, 0, 0, np.zeros(1), np.zeros(len(xs)), xs[:, None],
-                 np.array([0, len(xs)]), "")
+                 np.array([0, len(xs)]))
     assert np.array_equal(path, _exact_contact(grid, 0, epsilon, xs))
     for x in xs:
-        birth = _hits(rule, 0, 0, np.zeros(1), np.zeros(1), np.array([[x]]), np.array([0, 1]), "")
+        birth = _hits(rule, 0, 0, np.zeros(1), np.zeros(1), np.array([[x]]), np.array([0, 1]))
         assert np.array_equal(birth, _exact_contact(grid, 0, epsilon, np.array([x])))
 
 

@@ -5,11 +5,20 @@ import pytest
 from pytest import approx
 
 from stopline.labels import MOTHER
-from stopline.model import RewardFunction
+from stopline.model import RewardFunction, model_hash
 from stopline.pde import SolverSettings, solve_scalar
-from stopline.reward import reward_of_outcome
+from stopline.reward import RewardError, mc_value, reward_of_outcome
 from stopline.simulator import replication_seed, simulate_forest
-from stopline.stopping import evaluate_line, first_branch_rule, fixed_time_rule
+from stopline.stopping import (
+    Line,
+    StoppingError,
+    contact_set_rule,
+    evaluate_line,
+    first_branch_rule,
+    fixed_time_rule,
+    min_of_rules,
+    walk_lines,
+)
 from stopline.verify import (
     VerifyError,
     _extract_subtree,
@@ -19,7 +28,7 @@ from stopline.verify import (
     subtree_reward_samples,
 )
 
-from conftest import make_spec
+from conftest import make_spec, recording_draw
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +77,7 @@ def test_cross_validate_rejects_wrong_model(bump_grid):
     other = make_spec(diffusion=("constant", 0.5), alpha=0.1,
                       offspring=("deterministic", 2),
                       rewards=(RewardFunction("bump", a=0.8),))
-    with pytest.raises(VerifyError):
+    with pytest.raises(VerifyError, match="solved for a different model"):
         cross_validate(other, grid, points=[0.0], reps=10, dt=0.01, seed=1,
                        epsilon=1e-3, t_cut=2.0)
 
@@ -223,16 +232,39 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
 
 
 def test_mc_value_rejects_mismatched_grid(bump_grid):
-    from stopline.reward import RewardError, mc_value
-    from stopline.stopping import fixed_time_rule
-
     _, grid = bump_grid
     other = make_spec(diffusion=("constant", 0.7), alpha=0.1,
                       offspring=("deterministic", 2),
                       rewards=(RewardFunction("bump", a=0.5),))
-    with pytest.raises(RewardError):
+    with pytest.raises(RewardError, match="solved for a different model"):
         mc_value(other, fixed_time_rule(0.1, 1.0), ((), [0.0]), reps=4, dt=0.05, seed=1,
                  grid=grid)
+
+
+@pytest.mark.parametrize("entry", ["dpp_consistency", "mc_value_contact", "walk_lines_min_of"])
+def test_a_grid_of_another_model_is_refused(bump_grid, entry):
+    # as cross_validate and mc_value's grid above: each entry point that reads
+    # a solved grid refuses one solved for another model, before drawing
+    _, grid = bump_grid
+    other = make_spec(diffusion=("constant", 0.7), alpha=0.1,
+                      offspring=("deterministic", 2),
+                      rewards=(RewardFunction("bump", a=0.5),))
+    contact = contact_set_rule(grid, 1e-3, 1.0)
+    start = (MOTHER, np.array([0.0]))
+    draw, asked = recording_draw(other)
+    error, call = {
+        "dpp_consistency": (VerifyError, lambda: dpp_consistency(
+            other, grid, first_branch_rule(1.0), point=0.0, reps=4, dt=0.05, seed=1,
+            epsilon=1e-3)),
+        "mc_value_contact": (StoppingError, lambda: mc_value(
+            other, contact, start, reps=4, dt=0.05, seed=1)),
+        "walk_lines_min_of": (StoppingError, lambda: walk_lines(
+            min_of_rules(fixed_time_rule(0.1, 1.0), contact),
+            [Line(MOTHER, 0.0, start[1], 1, 1.0, 0.05)], draw, model_hash(other))),
+    }[entry]
+    with pytest.raises(error, match="solved for a different model"):
+        call()
+    assert asked == []
 
 
 def branching_spec(sigma=0.4):
