@@ -227,9 +227,12 @@ class RateFunction(CatalogEntry):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.value < 0 or self.cap < 0:
+        # each test is written as "not within", so that a NaN fails it too
+        if not (self.value >= 0 and self.cap >= 0):
             raise ModelError(f"{self.kind} rate must be nonnegative")
-        if self.kind == "logistic" and self.width <= 0:
+        if self.kind == "logistic" and not -math.inf < self.center < math.inf:
+            raise ModelError("logistic center must be finite")
+        if self.kind == "logistic" and not self.width > 0:
             raise ModelError("logistic width must be positive")
 
     def __call__(self, x):
@@ -361,7 +364,7 @@ class RewardFunction(CatalogEntry):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind == "bump" and self.width <= 0:
+        if self.kind == "bump" and not self.width > 0:  # "not within", so a NaN fails it
             raise ModelError("bump width must be positive")
 
     def __call__(self, x):
@@ -406,11 +409,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ModelError("dimension must be >= 1")
-        if self.gamma <= 0:
+        # each test is written as "not within", so that a NaN fails it too
+        if not self.gamma > 0:
             raise ModelError("discount gamma must be positive")
-        if self.alpha_bar < 0:
+        if not self.alpha_bar >= 0:
             raise ModelError("alpha_bar must be nonnegative")
-        if self.k_g < 1:
+        if not self.k_g >= 1:
             raise ModelError("reward bound k_g must be >= 1")
         if len(self.reward_levels) != self.reward_depth + 1:
             raise ModelError("reward levels must have depth + 1 entries")

@@ -13,6 +13,13 @@ from its own stream with the same calls in the same order, in chunks of
 about CHUNK_SAMPLES samples whose per-sample arithmetic is done once.  The
 block walk draws a generation of many lines this way, for the estimators
 and for `simulate_forests`, whose forests are lines of the never rule.
+
+A stream is the Philox generator that `label_stream` builds for (seed,
+label).  `draw_particles` does not build one per particle: it derives the
+Philox keys of all its items in one numpy pass, numpy's `SeedSequence`
+mixing run over every label's entropy words at once, and re-keys one
+reused Philox at the start of each particle, so every particle reads the
+numbers its own `label_stream` would give.
 """
 from __future__ import annotations
 
@@ -41,17 +48,103 @@ class SimulationError(RuntimeError):
     pass
 
 
+def _entropy(seed: int, label: Label) -> bytes:
+    """The 128-bit entropy of the stream for (seed, label), little endian: the
+    first 16 bytes of a SHA-256 of the seed and the label path."""
+    return hashlib.sha256((f"{seed}||" + ".".join(map(str, label))).encode()).digest()[:16]
+
+
 def label_stream(seed: int, label: Label) -> np.random.Generator:
-    """Independent random stream for one particle.
+    """Independent random stream for one particle, built on its own: the
+    reference that `draw_particles`' batched keys reproduce.
 
     The Philox key is a cryptographic digest of (seed, label path), so
     streams for distinct labels never collide and a subtree's randomness
     is identical whenever (seed, label) match.
     """
-    text = f"{seed}||" + ".".join(str(k) for k in label)
-    digest = hashlib.sha256(text.encode()).digest()
-    entropy = int.from_bytes(digest[:16], "little")
+    entropy = int.from_bytes(_entropy(seed, label), "little")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=entropy)))
+
+
+# numpy's SeedSequence on an entropy of at most 4 uint32 words and no spawn
+# key, as M. E. O'Neill's seed_seq design ("Developing a seed_seq
+# alternative", pcg-random.org, 2015).  Each hashmix call xors a word with
+# the running hash constant, multiplies it by the constant's next power and
+# xorshifts it by 16 bits.  The constants do not depend on the data, so
+# they are tabled: a pool of 4 words takes calls 0-3 from INIT_A, MULT_A;
+# every word is then mixed into every other, word s into the rest in round
+# s (calls 4-15); generate_state's 4 output words run from INIT_B, MULT_B.
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    powers = [init]
+    for _ in range(calls):
+        powers.append(powers[-1] * mult & 0xFFFFFFFF)
+    return np.array(powers, dtype=np.uint32)
+
+
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _round_constants(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Round s's xor and multiplier per destination word; word s, which the
+    round leaves as it is, gets zeros."""
+    xor, mul = np.zeros(4, np.uint32), np.zeros(4, np.uint32)
+    for call, dst in enumerate((d for d in range(4) if d != s), start=4 + 3 * s):
+        xor[dst], mul[dst] = _POOL_HASH[call], _POOL_HASH[call + 1]
+    return xor, mul
+
+
+_MIX_ROUNDS = [(s, *_round_constants(s)) for s in range(4)]
+
+
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """`SeedSequence(entropy=e).generate_state(2, np.uint64)` for every row
+    of `words`, an entropy e of 4 uint32 words, least significant first (a
+    missing high word hashes as 0 in numpy too): the (n, 2) uint64 keys."""
+    pool = words ^ _POOL_HASH[:4]
+    pool *= _POOL_HASH[1:5]
+    pool ^= pool >> 16
+    for s, xor, mul in _MIX_ROUNDS:
+        # mix(x, hashmix(word s)) = xorshift(MIX_L x - MIX_R hashmix(word s))
+        h = pool[:, s, None] ^ xor
+        h *= mul
+        h ^= h >> 16
+        h *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= h
+        mixed ^= mixed >> 16
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    pool ^= _STATE_HASH[:4]
+    pool *= _STATE_HASH[1:]
+    pool ^= pool >> 16
+    return pool.astype("<u4", copy=False).view("<u8")
+
+
+def _stream_keys(items) -> List[List[int]]:
+    """The Philox key of each (seed, label, ...) item's `label_stream`."""
+    words = np.frombuffer(b"".join(_entropy(seed, label) for seed, label, *_ in items),
+                          dtype="<u4").reshape(-1, 4)
+    return _philox_keys(words).tolist()
+
+
+# The one Philox that `draw_particles` re-keys for each particle, and the
+# state it sets: the particle's key, counter 0 and an empty buffer, as a
+# Philox built from the key starts.  A particle is drawn whole between two
+# re-keys and no chunk is yielded inside it, so interleaved draws never
+# share a stream; threads must not draw at once.
+_PHILOX = np.random.Philox(0)
+_STREAM = np.random.Generator(_PHILOX)
+_FRESH = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+          "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _keyed_stream(key: List[int]) -> np.random.Generator:
+    """The reused generator, started afresh from a Philox key."""
+    _FRESH["state"]["key"] = key
+    _PHILOX.state = _FRESH
+    return _STREAM
 
 
 def replication_seed(seed: int, rep: int, salt: str = "") -> int:
@@ -174,10 +267,12 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
     """Draw particles in chunks of about CHUNK_SAMPLES samples, in item order.
 
     Each item is (seed, label, birth time, birth position, horizon, dt), and
-    its particle is drawn from `label_stream(seed, label)`: exponential
-    candidate event times at rate alpha_bar, the Euler-Maruyama path up to
-    each, and a uniform mark on [0, alpha_bar] that rejects the candidate or
-    picks the offspring count.  A chunk holds items of one dt.
+    its particle is drawn from the numbers of `label_stream(seed, label)`:
+    exponential candidate event times at rate alpha_bar, the Euler-Maruyama
+    path up to each, and a uniform mark on [0, alpha_bar] that rejects the
+    candidate or picks the offspring count.  A chunk holds items of one dt.
+    The keys of all the items' streams are derived at once, in numpy, and
+    each particle re-keys one reused Philox; no items, no chunk.
 
     When the coefficients are constant, a particle's loop draws only its
     random numbers, and the chunk's per-sample arithmetic is done once over
@@ -192,17 +287,18 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
     cdf = spec.offspring_cdf
     rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
     batch, n_samples, chunk_dt, sums = [], 0, None, np.zeros(1)
+    items = list(items)
 
     def chunk():
         return _chunk(batch, coefficients, chunk_dt, sums) if coefficients else _stack(batch)
 
-    for seed, label, birth, x, horizon, dt in items:
+    for (_, _, birth, x, horizon, dt), key in zip(items, _stream_keys(items)):
         if batch and (n_samples >= CHUNK_SAMPLES or dt != chunk_dt):
             yield chunk()
             batch, n_samples = [], 0
         if dt != chunk_dt:
             chunk_dt, sums = dt, np.zeros(1)
-        rng = label_stream(seed, label)
+        rng = _keyed_stream(key)
         segments, t, count, proposals, start = [], birth, -1, 0, x
         while True:
             proposal = t + rng.exponential(1.0 / a_bar) if a_bar > 0 else math.inf

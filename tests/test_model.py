@@ -180,14 +180,17 @@ def test_check_assumptions_flags_alpha_violation():
     assert any("branch rate" in v for v in audit.hard_violations)
 
 
-@pytest.mark.parametrize("spec", [
-    make_spec(offspring=("binary", (0.3, 0.6))),
-    # a rate is never negative, but a NaN center gives a NaN rate at each x
-    dataclasses.replace(make_spec(alpha_bar=0.3),
-                        branch_rate=RateFunction("logistic", cap=0.2, center=math.nan)),
-], ids=["pmf_mass", "branch_rate"])
+# No field of this model is NaN, yet its rate is: an infinite cap over a
+# steep logistic reads inf / inf far below the center, at x = -5 first.
+NAN_RATE = dataclasses.replace(make_spec(alpha_bar=math.inf),
+                               branch_rate=RateFunction("logistic", cap=math.inf, width=1e-3))
+
+
+@pytest.mark.parametrize("spec", [make_spec(offspring=("binary", (0.3, 0.6))), NAN_RATE],
+                         ids=["pmf_mass", "branch_rate"])
 def test_check_assumptions_messages_print_plain_floats(spec):
-    (message,) = check_assumptions(spec, np.linspace(-5.0, 5.0, 41)).hard_violations
+    with np.errstate(over="ignore", invalid="ignore"):
+        (message,) = check_assumptions(spec, np.linspace(-5.0, 5.0, 41)).hard_violations
     assert message.endswith(" at x=-5.0")
     assert "np." not in message
 
@@ -208,14 +211,32 @@ def test_check_assumptions_flags_pmf_mass_deficit():
 @pytest.mark.parametrize("spec, message", [
     (make_spec(offspring=("binary", (math.nan, 0.5))), "offspring pmf sums to nan"),
     (make_spec(rewards=(RewardFunction("bump", a=math.nan),)), "reward level 0 escapes"),
-    (make_spec(alpha=0.2, alpha_bar=math.nan), "branch rate supremum"),
-    (make_spec(alpha=math.nan, alpha_bar=0.3), "branch rate supremum nan"),
-], ids=["pmf_sum", "reward", "alpha_bar", "branch_rate"])
+    (NAN_RATE, "branch rate nan"),
+], ids=["pmf_sum", "reward", "branch_rate"])
 def test_check_assumptions_reports_nan_as_hard_failure(spec, message):
     # a NaN fails every comparison, so each test is written as "not within"
-    audit = check_assumptions(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        audit = check_assumptions(spec)
     assert not audit.ok
     assert any(v.startswith(message) for v in audit.hard_violations)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RateFunction("constant", value=math.nan), "rate must be nonnegative"),
+    (lambda: RateFunction("logistic", cap=math.nan), "rate must be nonnegative"),
+    (lambda: RateFunction("logistic", cap=0.2, center=math.nan), "center must be finite"),
+    (lambda: RateFunction("logistic", cap=0.2, center=-math.inf), "center must be finite"),
+    (lambda: RateFunction("logistic", cap=0.2, width=math.nan), "width must be positive"),
+    (lambda: RewardFunction("bump", a=0.8, width=math.nan), "width must be positive"),
+    (lambda: make_spec(gamma=math.nan), "gamma must be positive"),
+    (lambda: make_spec(alpha=0.2, alpha_bar=math.nan), "alpha_bar must be nonnegative"),
+    (lambda: make_spec(k_g=math.nan), "k_g must be >= 1"),
+], ids=["rate_value", "rate_cap", "rate_center", "rate_center_inf", "rate_width", "bump_width",
+        "gamma", "alpha_bar", "k_g"])
+def test_nan_model_field_is_refused(build, message):
+    # the JSON reader refuses NaN; a model built in Python meets these checks
+    with pytest.raises(ModelError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("k0", [-1, K_MAX + 1, 100])

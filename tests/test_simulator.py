@@ -17,7 +17,10 @@ from stopline.model import ModelSpec, Offspring, RateFunction
 from stopline.simulator import (
     MAX_STEPS,
     SimulationError,
+    _keyed_stream,
+    _philox_keys,
     _segment_steps,
+    _stream_keys,
     empirical_moment_bound_check,
     label_stream,
     population_count,
@@ -270,10 +273,62 @@ def test_exact_event_times_not_grid_snapped():
     assert rec.particles[MOTHER].times[-1] == approx(end)
 
 
+def _key(stream):
+    return stream.bit_generator.state["state"]["key"].tolist()
+
+
+# numpy splits 0, 1, 2^32 and 2^96 - 1 into 1, 1, 2 and 3 words and hashes
+# the missing high words as 0; 2^128 - 1 fills all 4 words with ones
+EDGE_ENTROPIES = [0, 1, 2**32, 2**96 - 1, 2**128 - 1]
+
+
+def test_batched_keys_equal_seed_sequence_keys():
+    rng = np.random.default_rng(20231)
+    entropies = EDGE_ENTROPIES + [int.from_bytes(rng.bytes(16), "little") for _ in range(20_000)]
+    words = np.frombuffer(b"".join(e.to_bytes(16, "little") for e in entropies),
+                          dtype="<u4").reshape(-1, 4)
+    keys = _philox_keys(words)
+    assert keys.dtype == np.uint64 and keys.shape == (len(entropies), 2)
+    expected = np.array([np.random.SeedSequence(entropy=e).generate_state(2, np.uint64)
+                         for e in entropies])
+    assert np.array_equal(keys, expected)
+
+
+def test_batched_keys_equal_label_stream_keys():
+    deep = tuple(i % 3 for i in range(600))
+    pairs = [(seed, label)
+             for seed in (0, 1, -1, -(2**40), replication_seed(3, 0), replication_seed(3, 7, "dpp"),
+                          2**64 - 1)
+             for label in ((), (0,), (1,), (0, 0), (63, 2), deep[:500], deep)]
+    keys = _stream_keys([(seed, label, 0.0, None, 1.0, 0.1) for seed, label in pairs])
+    assert keys == [_key(label_stream(seed, label)) for seed, label in pairs]
+    assert len({tuple(k) for k in keys}) == len(pairs)
+    assert _stream_keys([]) == []
+
+
+def test_a_keyed_stream_draws_what_its_label_stream_draws():
+    # the reused generator is left mid-buffer and with a spare 32-bit half,
+    # then re-keyed: every part of the state must start afresh
+    for seed, label in [(1, ()), (-4, (2, 0)), (replication_seed(9, 2), (1,) * 40)]:
+        _keyed_stream([12345, 678]).random(3, dtype=np.float32)
+        [key] = _stream_keys([(seed, label)])
+        ours, ref = _keyed_stream(key), label_stream(seed, label)
+        assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+        for draw in (lambda g: g.exponential(2.0), lambda g: g.standard_normal((3, 2)),
+                     lambda g: g.uniform(0.0, 1.5), lambda g: g.random(3, dtype=np.float32),
+                     lambda g: g.standard_normal(5)):
+            assert np.array_equal(draw(ours), draw(ref))
+
+
 def test_label_streams_differ():
-    a = label_stream(1, (0,))
-    b = label_stream(1, (1,))
-    assert a.standard_normal(4).tolist() != b.standard_normal(4).tolist()
+    # siblings, mother and child, and the same label under another seed
+    pairs = [(1, ()), (1, (0,)), (1, (1,)), (1, (0, 0)), (1, (0, 1)), (1, (10,)), (1, (1, 0)),
+             (2, (0,)), (-1, (0,)), (11, ()), (1, (1, 1))]
+    keys = _stream_keys(pairs)
+    assert keys == [_key(label_stream(seed, label)) for seed, label in pairs]
+    assert len({tuple(k) for k in keys}) == len(pairs)
+    normals = {tuple(_keyed_stream(key).standard_normal(4).tolist()) for key in keys}
+    assert len(normals) == len(pairs)
 
 
 def test_moment_bound_check_k_one():

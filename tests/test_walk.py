@@ -8,11 +8,13 @@ the `_extract_subtree` pair of forests.  Every estimate must equal its
 reference bit for bit.
 """
 import dataclasses
+import itertools
 import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stopline.labels import MOTHER
 from stopline.model import (
@@ -160,12 +162,46 @@ def test_chunked_draws_equal_one_particle_draws():
              for seed in range(12) for dt in (0.05, 0.05, 0.01, 0.2)]
     together = list(draw_particles(spec, items))
     alone = [next(draw_particles(spec, [item])) for item in items]
+    assert list(draw_particles(spec, [])) == list(draw_particles(spec, iter(()))) == []
     assert len(together) < len(alone)
     assert sum(len(c.starts) - 1 for c in together) == len(items)
     for field in ("times", "positions", "end_time", "count", "proposals"):
         joined = [getattr(c, field) for c in together]
         assert np.array_equal(np.concatenate(joined), np.concatenate(
             [getattr(c, field) for c in alone])), field
+
+
+# items of mixed dt, seeds and label depths, in no particular order
+POOL = [(replication_seed(5, i), (i % 3,) * (i % 4), 0.1 * i, np.array([0.3 * (i % 5) - 0.6]),
+         1.0 + 0.05 * i, dt) for i, dt in enumerate([0.05, 0.05, 0.01, 0.2] * 6)]
+
+
+def _particles(chunks):
+    return [p for chunk in chunks for p in chunk.particles()]
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(
+        all(np.array_equal(u, v) for u, v in zip(p, q)) for p, q in zip(a, b))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=st.sampled_from(sorted(MODELS)), order=st.permutations(range(len(POOL))),
+       cuts=st.lists(st.integers(0, len(POOL)), max_size=5))
+def test_draws_do_not_depend_on_the_batch(model, order, cuts):
+    # a particle is the same whichever items share its call, in whatever order,
+    # while the calls' chunks are taken in turn; the cuts may leave a piece empty
+    spec = MODELS[model]
+    base = _particles(draw_particles(spec, POOL))
+    items = [POOL[i] for i in order]
+    bounds = [0, *sorted(cuts), len(items)]
+    calls = [draw_particles(spec, iter(items[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [[] for _ in calls]
+    for turn in itertools.zip_longest(*calls):
+        for got, chunk in zip(chunks, turn):
+            if chunk is not None:
+                got.append(chunk)
+    assert _same([p for got in chunks for p in _particles(got)], [base[i] for i in order])
 
 
 def test_max_particles_is_a_bound_per_line():
