@@ -173,6 +173,17 @@ def _rule(obj, spec: ModelSpec, grid=None) -> StoppingRule:
     return rule
 
 
+def _needs_grid(obj) -> bool:
+    """Whether a rule's config form is a contact_set rule, or a min_of rule
+    with one among its parts; a malformed form is left to `rule_from_json`."""
+    if not isinstance(obj, dict):
+        return False
+    if obj.get("kind") == "min_of":
+        parts = obj.get("parts")
+        return isinstance(parts, list) and any(_needs_grid(part) for part in parts)
+    return obj.get("kind") == "contact_set"
+
+
 def _out_dir(config: Config) -> Path:
     out = Path(config.outputs)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,10 +250,7 @@ def cmd_value(config: Config) -> int:
     spec, mc = config.model, config.mc
     if config.rule is None:
         raise ConfigError("config needs a 'rule' section for the value command")
-    grid = None
-    # a contact_set rule may also sit among the parts of a min_of rule
-    if "contact_set" in json.dumps(config.rule):
-        grid = solve_scalar(spec, _solver(config))
+    grid = solve_scalar(spec, _solver(config)) if _needs_grid(config.rule) else None
     rule = _rule(config.rule, spec, grid)
     est = mc_value(spec, rule, _start(config), mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
@@ -256,6 +264,9 @@ def cmd_verify(config: Config) -> int:
     spec, mc, ver, points = config.model, config.mc, config.verify, config.points
     if not points:
         raise ConfigError("points must list at least one point")
+    if ver.branching and not spec.alpha_bar > 0:
+        raise ConfigError("verify.branching needs a model that branches, and alpha_bar is "
+                          f"{spec.alpha_bar:g}")
     sweep_times = (mc.t_cut / 4, mc.t_cut / 2) if ver.sweep_times is None else ver.sweep_times
     grid = solve_scalar(spec, _solver(config))
     theta = _rule({**ver.dpp_theta, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, spec, grid)
@@ -264,7 +275,7 @@ def cmd_verify(config: Config) -> int:
     for point in points:
         report.dpp.append(dpp_consistency(spec, grid, theta, point, mc.reps, mc.dt, mc.seed,
                                           ver.epsilon))
-    if ver.branching and spec.alpha_bar > 0:
+    if ver.branching:
         report.branching = branching_property_test(
             spec, points[0], mc.reps, mc.dt, mc.seed,
             branch_window=ver.branch_window,

@@ -261,6 +261,12 @@ def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
     return _Stencil(xs=xs, diag=diag, lower=lower, upper=upper, alpha=alpha)
 
 
+def _source(spec: ModelSpec, st: _Stencil, w_next: np.ndarray) -> np.ndarray:
+    """alpha G(x, w_next) at the stencil's nodes: the source of the linear
+    obstacle problem whose generating-function argument is frozen at w_next."""
+    return st.alpha * generating_function(spec, st.xs, w_next, K_MAX)
+
+
 def _lcp_residual(st: _Stencil, source: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(A v - source) at interior nodes, A being the upwind M-matrix."""
     return (st.diag[1:-1] * v[1:-1] - st.lower[1:-1] * v[:-2]
@@ -364,12 +370,11 @@ def _solve_level_linear(spec: ModelSpec, stencils: List[_Stencil], g: np.ndarray
     given, which skips them.  Returns the solution, its obstacle rows and
     the banded solves.
     """
-    st = stencils[0]
-    source = st.alpha * generating_function(spec, st.xs, w_next, K_MAX)
+    source = _source(spec, stencils[0], w_next)
     bc = _boundary_values(g, settings)
     if obstacle is None:
         return _solve_lcp(stencils, source, g, v_start, bc)
-    return _policy_iteration(st, source, g, v_start, bc, obstacle)
+    return _policy_iteration(stencils[0], source, g, v_start, bc, obstacle)
 
 
 def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
@@ -462,15 +467,6 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
                          step_norms=norms, step_ratios=ratios, step_signed_max=signed)
 
 
-def _discrete_residual(spec: ModelSpec, st: _Stencil, xs: np.ndarray, v: np.ndarray,
-                       w_next: np.ndarray) -> np.ndarray:
-    """-(L v) at interior nodes under the upwind stencil; NaN at the ends."""
-    res = np.full_like(v, np.nan)
-    source = st.alpha * generating_function(spec, xs, w_next, K_MAX)
-    res[1:-1] = _lcp_residual(st, source, v)
-    return res
-
-
 def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:
     """Flag contact nodes and record complementarity diagnostics per level."""
     contact_tol = 10.0 * grid.settings.tol_fp
@@ -479,10 +475,9 @@ def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:
         g = grid.obstacles[n]
         w_next = grid.values[min(n + 1, grid.depth)]
         grid.contact[n] = v - g <= contact_tol
-        res = _discrete_residual(spec, st, grid.xs, v, w_next)
-        interior = slice(1, -1)
-        contact_i = grid.contact[n][interior]
-        res_i = res[interior]
+        # -(L v) at the interior nodes under the upwind stencil
+        res_i = _lcp_residual(st, _source(spec, st, w_next), v)
+        contact_i = grid.contact[n][1:-1]
         s = grid.stats[n]
         s.max_obstacle_violation = float(np.max(g - v))
         s.contact_count = int(np.sum(grid.contact[n]))

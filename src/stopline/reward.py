@@ -5,9 +5,9 @@ exp(-gamma tau) g_n(x); the empty product is one, and a particle that
 leaves the population unstopped contributes nothing.  Products are
 accumulated in log space because many small factors underflow.
 
-One estimator, `mc_value`, scores every stop line.  Given a solved grid it
-scores the line of theta ^ tau as the right-hand side of the
-dynamic-programming identity: a theta stop or a stop forced at the cut
+One replication engine, `line_rewards`, walks and scores every stop line.
+Given a solved grid it scores the line of theta ^ tau as the right-hand side
+of the dynamic-programming identity: a theta stop or a stop forced at the cut
 takes v_n(x) read off the grid in place of g_n(x).
 """
 from __future__ import annotations
@@ -99,6 +99,20 @@ def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,
     )
 
 
+def line_rewards(spec: ModelSpec, rule: StoppingRule, lines: Sequence[Line], dt: float,
+                 max_particles: int, grid=None) -> np.ndarray:
+    """Each line's reward under the rule, as `reward_of_outcome` scores it with
+    `grid`, by one block walk (`walk_lines`) that draws at step dt only the
+    particles a line reads, at most `max_particles` per line, so each reward
+    is bit for bit its full forest's.  A grid solved for another model is
+    refused before anything is drawn."""
+    if grid is not None and not grid.model_hash.startswith(model_hash(spec)):
+        raise RewardError("grid was solved for a different model")
+    outcomes = walk_lines(rule, lines, partial(draw_particles, spec, dt), model_hash(spec),
+                          max_particles)
+    return np.array([reward_of_outcome(spec, out, grid) for out in outcomes])
+
+
 def mc_value(
     spec: ModelSpec,
     rule: StoppingRule,
@@ -115,24 +129,16 @@ def mc_value(
     Unbiased for the truncated-line reward up to the time-discretization of
     rule firing; the t_cut policy decides what unresolved particles are
     worth (abandon: one, force_stop: stop there).  Each replication is a
-    line of one block walk (`walk_lines`), so only the particles its line
-    reads are simulated, at most `max_particles` per line, and the estimate
-    is bit for bit the one from full forests.  A particle the line stops at
-    its birth is never simulated and does not count toward `max_particles`.
-    With a solved `grid` the stops are scored as in `reward_of_outcome`,
-    which on the line of theta ^ tau makes this the right-hand side of the
-    dynamic-programming identity.
+    line of `line_rewards`; a particle stopped at its birth is never drawn
+    and does not count toward `max_particles`.  With a solved `grid`, on the
+    line of theta ^ tau, this is the dynamic-programming right-hand side.
     """
     if reps < 2:
         raise RewardError("reps must be at least 2")
-    if grid is not None and not grid.model_hash.startswith(model_hash(spec)):
-        raise RewardError("grid was solved for a different model")
     ((label, x),) = forest_start(spec, [start], rule.t_cut, dt)
-    lines = [Line(label, 0.0, x, replication_seed(seed, r, rng_salt), rule.t_cut, dt)
+    lines = [Line(label, 0.0, x, replication_seed(seed, r, rng_salt), rule.t_cut)
              for r in range(reps)]
-    outcomes = walk_lines(rule, lines, partial(draw_particles, spec), model_hash(spec),
-                          max_particles)
-    rewards = np.array([reward_of_outcome(spec, out, grid) for out in outcomes])
+    rewards = line_rewards(spec, rule, lines, dt, max_particles, grid)
     return estimate_from_samples(rewards, seed, rule.t_cut, rule.cut_policy)
 
 

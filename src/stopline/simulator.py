@@ -8,11 +8,11 @@ dies.  Every particle consumes randomness from its own counter-based
 stream keyed on (seed, label), so the law of a subtree depends only on
 its root's state and not on what siblings do.
 
-One function, `draw_particles`, draws particles: many at a time, each
-from its own stream with the same calls in the same order, in chunks of
-about CHUNK_SAMPLES samples whose per-sample arithmetic is done once.  The
-block walk draws a generation of many lines this way, for the estimators
-and for `simulate_forests`, whose forests are lines of the never rule.
+One function, `draw_particles`, draws particles at one step size: many at
+a time, each from its own stream with the same calls in the same order, in
+chunks of about CHUNK_SAMPLES samples whose per-sample arithmetic is done
+once.  The block walk draws a generation of many lines this way, for the
+estimators and for `simulate_forests`, whose forests are never-rule lines.
 
 A stream is the Philox generator that `label_stream` builds for (seed,
 label).  `draw_particles` does not build one per particle: it derives the
@@ -133,7 +133,9 @@ def _stream_keys(items) -> List[List[int]]:
 # state it sets: the particle's key, counter 0 and an empty buffer, as a
 # Philox built from the key starts.  A particle is drawn whole between two
 # re-keys and no chunk is yielded inside it, so interleaved draws never
-# share a stream; threads must not draw at once.
+# share a stream; threads must not draw at once.  It stays module-level: a
+# Philox built per `draw_particles` call costs about 12 us, and that took
+# `test_offspring_frequencies_chi_square` from 3.9 s to 5.8-6.3 s.
 _PHILOX = np.random.Philox(0)
 _STREAM = np.random.Generator(_PHILOX)
 _FRESH = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -263,16 +265,16 @@ class Chunk:
                      np.array(proposals, dtype=int))
 
 
-def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
+def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     """Draw particles in chunks of about CHUNK_SAMPLES samples, in item order.
 
-    Each item is (seed, label, birth time, birth position, horizon, dt), and
-    its particle is drawn from the numbers of `label_stream(seed, label)`:
-    exponential candidate event times at rate alpha_bar, the Euler-Maruyama
-    path up to each, and a uniform mark on [0, alpha_bar] that rejects the
-    candidate or picks the offspring count.  A chunk holds items of one dt.
-    The keys of all the items' streams are derived at once, in numpy, and
-    each particle re-keys one reused Philox; no items, no chunk.
+    Each item is (seed, label, birth time, birth position, horizon), and its
+    particle is drawn at step dt from the numbers of `label_stream(seed,
+    label)`: exponential candidate event times at rate alpha_bar, the
+    Euler-Maruyama path up to each, and a uniform mark on [0, alpha_bar] that
+    rejects the candidate or picks the offspring count.  The keys of all the
+    items' streams are derived at once, in numpy, and each particle re-keys
+    one reused Philox; no items, no chunk.
 
     When the coefficients are constant, a particle's loop draws only its
     random numbers, and the chunk's per-sample arithmetic is done once over
@@ -286,18 +288,16 @@ def draw_particles(spec: ModelSpec, items) -> Iterator[Chunk]:
     coefficients = spec.constant_coefficients
     cdf = spec.offspring_cdf
     rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
-    batch, n_samples, chunk_dt, sums = [], 0, None, np.zeros(1)
+    batch, n_samples, sums = [], 0, np.zeros(1)
     items = list(items)
 
     def chunk():
-        return _chunk(batch, coefficients, chunk_dt, sums) if coefficients else _stack(batch)
+        return _chunk(batch, coefficients, dt, sums) if coefficients else _stack(batch)
 
-    for (_, _, birth, x, horizon, dt), key in zip(items, _stream_keys(items)):
-        if batch and (n_samples >= CHUNK_SAMPLES or dt != chunk_dt):
+    for (_, _, birth, x, horizon), key in zip(items, _stream_keys(items)):
+        if batch and n_samples >= CHUNK_SAMPLES:
             yield chunk()
             batch, n_samples = [], 0
-        if dt != chunk_dt:
-            chunk_dt, sums = dt, np.zeros(1)
         rng = _keyed_stream(key)
         segments, t, count, proposals, start = [], birth, -1, 0, x
         while True:
@@ -459,7 +459,7 @@ def simulate_forests(spec: ModelSpec, initial: Sequence[Tuple[Label, Sequence[fl
 
     def draw(items):
         items = list(items)
-        chunks = list(draw_particles(spec, items))
+        chunks = list(draw_particles(spec, dt, items))
         for (seed, label, birth, *_), (times, positions, end, count, proposals) in zip(
                 items, (p for chunk in chunks for p in chunk.particles())):
             record = records[seed]
@@ -472,7 +472,7 @@ def simulate_forests(spec: ModelSpec, initial: Sequence[Tuple[Label, Sequence[fl
         return chunks
 
     walk_lines(never_rule(horizon - t0),
-               [Line(label, t0, x, seed, horizon, dt, t0) for seed in records for label, x in init],
+               [Line(label, t0, x, seed, horizon, t0) for seed in records for label, x in init],
                draw, "", max_particles)
     for record in records.values():
         # filed depth first, the label pushed last taken first

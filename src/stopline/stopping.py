@@ -9,10 +9,10 @@ nothing) or force-stopped there.  The resulting stop set is an ancestry
 antichain by construction.
 
 There is one walk, `walk_lines`, a block walk over many lines (a root
-with its stream seed, horizon, dt and clock base) at once.  Each round
-takes one generation of every line: it tests the rule on all their birth
-states at once, draws the particles not stopped there in chunks, and
-tests each chunk's samples at once.  Each line's stops come back in the
+with its stream seed, horizon and clock base) at once, at one step size.
+Each round takes one generation of every line: it tests the rule on all
+their birth states at once, draws the particles not stopped there in
+chunks, and tests each chunk's samples at once.  Each line's stops come back in the
 order of a depth-first walk of its forest, roots ascending and children
 by descending index.  `evaluate_line` walks a forest's roots, reading each
 particle from the forest, and `simulate_forests` draws forests by the walk.
@@ -164,15 +164,14 @@ class LineOutcome:
 @dataclass(frozen=True, slots=True)
 class Line:
     """One root of a block walk, with what its particles are drawn from: the
-    stream seed, horizon and dt of its forest.  The rule reads the line's
-    clock, which is the forest's time less `base`."""
+    stream seed and horizon of its forest.  The rule reads the line's clock,
+    which is the forest's time less `base`."""
 
     label: Label
     birth: float
     position: np.ndarray
     seed: int
     horizon: float
-    dt: float
     base: float = 0.0
 
 
@@ -256,12 +255,12 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
     The walk advances all lines together, one generation per round.  A round
     tests the rule once on the birth states of all its particles (a root's
     line start, or its mother's end state); a particle stopped there is never
-    drawn.  `draw(items)` draws the others, each item being (seed, label,
-    birth time, position, horizon, dt), in chunks (`simulator.Chunk`), and
-    the rule is tested on each chunk's samples at once.  A drawn particle is
-    stopped at its first firing, passes eligibility to its children if it
-    dies before t_cut, and is otherwise force-stopped at t_cut or abandoned,
-    as the cut policy says.  The stop set is thus an ancestry antichain.
+    drawn.  `draw(items)` draws the others at its one step size, each item
+    being (seed, label, birth time, position, horizon), in chunks
+    (`simulator.Chunk`), and the rule is tested on each chunk's samples.  A
+    drawn particle is stopped at its first firing, passes eligibility to its
+    children if it dies before t_cut, and is otherwise force-stopped at t_cut
+    or abandoned, as the cut policy says.  The stop set is thus an ancestry antichain.
 
     Each line's stops and abandoned particles come back in depth-first
     order, children by descending index, as a stack walk of one forest gives
@@ -310,8 +309,8 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
             drawn[at[i]] += 1
             if drawn[at[i]] > max_particles:
                 raise SimulationError(f"population exceeded max_particles={max_particles}")
-        items = ((lines[at[i]].seed, labels[i], born[i], places[i], lines[at[i]].horizon,
-                  lines[at[i]].dt) for i in todo)
+        items = ((lines[at[i]].seed, labels[i], born[i], places[i], lines[at[i]].horizon)
+                 for i in todo)
         next_at, next_labels, next_born, next_places = [], [], [], []
         done = 0
         for chunk in draw(items):
@@ -367,7 +366,7 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     This is `walk_lines` with the forest's roots as lines, ascending, and a
     draw that reads each particle from `record.particles`.
     """
-    lines = sorted((Line(label, record.t0, x, record.seed, record.horizon, record.dt)
+    lines = sorted((Line(label, record.t0, x, record.seed, record.horizon)
                     for label, x in record.initial), key=lambda line: line.label)
     outcomes = walk_lines(rule, lines, _reader(record), record.spec_hash)
     return LineOutcome(stops=[s for out in outcomes for s in out.stops],

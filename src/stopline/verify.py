@@ -8,16 +8,15 @@ statistically indistinguishable from a fresh population started at the
 branch state.  Pass thresholds are |z| <= 3 for equality checks and
 p >= 0.01 for the distributional test, stated in every report.
 
-The branching test draws every replication's mother in chunks, then walks
-the child-0 subtrees of all mothers that branch in the window as lines of
-one block walk (`stopping.walk_lines`), and then the fresh starts as the
-lines of another, each line on the subtree's clock.
+The branching test draws every replication's mother in chunks, then scores
+the child-0 subtrees of all mothers that branch in the window as the lines
+of one `reward.line_rewards` call, and the fresh starts as the lines of
+another, each line on the subtree's clock.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .labels import MOTHER, Label
 from .model import ModelSpec, model_hash, write_json
 from .pde import ValueGrid
-from .reward import McEstimate, _dpp_rule, mc_value, reward_of_outcome
+from .reward import McEstimate, _dpp_rule, line_rewards, mc_value
 from .simulator import (
     DEFAULT_MAX_PARTICLES,
     GenealogyRecord,
@@ -41,7 +40,6 @@ from .stopping import (
     contact_set_rule,
     fixed_time_rule,
     trivial_root_rule,
-    walk_lines,
 )
 
 Z_THRESHOLD = 3.0
@@ -205,8 +203,8 @@ def subtree_reward_samples(
     particle with child 0's label at the recorded branch position and epoch.
     With shared_streams the fresh forest reuses the same per-label streams,
     so the two samples must agree outcome by outcome.  The A subtrees are
-    the lines of one block walk, and the fresh starts of another; only the
-    particles the walks read are drawn.  An A subtree is drawn to its
+    the lines of one `line_rewards` call, and the fresh starts of another;
+    only the particles the walks read are drawn.  An A subtree is drawn to its
     forest's horizon and a fresh start only to t_cut + dt past the branch, so
     the shared-stream control compares two computations, not one with itself.
     """
@@ -220,7 +218,7 @@ def subtree_reward_samples(
     seeds = [replication_seed(seed, r, "A") for r in range(reps)]
     # (replication, branch time, branch place) of each mother that branches in the window
     branched: List[Tuple[int, float, np.ndarray]] = []
-    mothers = draw_particles(spec, ((seed_a, MOTHER, 0.0, x0, horizon_a, dt) for seed_a in seeds))
+    mothers = draw_particles(spec, dt, ((seed_a, MOTHER, 0.0, x0, horizon_a) for seed_a in seeds))
     for r, (_, positions, end, count, _) in enumerate(p for chunk in mothers
                                                       for p in chunk.particles()):
         if count > 0 and end <= branch_window:
@@ -228,20 +226,15 @@ def subtree_reward_samples(
             if max_samples is not None and len(branched) >= max_samples:
                 break
 
-    def rewards(lines, max_particles):
-        outcomes = walk_lines(rule, lines, partial(draw_particles, spec), model_hash(spec),
-                              max_particles)
-        return np.array([reward_of_outcome(spec, out) for out in outcomes])
-
     # child 0's subtree, on a clock that starts at the branch; the mother is
     # one of the particles of its forest
-    a = rewards([Line(CHILD0, base, x, seeds[r], horizon_a, dt, base) for r, base, x in branched],
-                DEFAULT_MAX_PARTICLES - 1)
+    a = line_rewards(spec, rule, [Line(CHILD0, base, x, seeds[r], horizon_a, base)
+                                  for r, base, x in branched], dt, DEFAULT_MAX_PARTICLES - 1)
     # the fresh forest starts at the recorded branch epoch, and its clock is
     # rebased like the subtree's, so reward atoms align bit for bit
-    b = rewards([Line(CHILD0, base, x, seeds[r] if shared_streams else
-                      replication_seed(seed, r, "B"), base + t_cut_sub + dt, dt, base)
-                 for r, base, x in branched], DEFAULT_MAX_PARTICLES)
+    b = line_rewards(spec, rule, [Line(CHILD0, base, x, seeds[r] if shared_streams else
+                                       replication_seed(seed, r, "B"), base + t_cut_sub + dt, base)
+                                  for r, base, x in branched], dt, DEFAULT_MAX_PARTICLES)
     return a, b
 
 

@@ -44,16 +44,16 @@ def make_spec(
     )
 
 
-def recording_draw(spec):
-    """A draw for `walk_lines` that is `draw_particles` for `spec`, and the
-    list of the items (seed, label, birth time, position, horizon, dt) it
+def recording_draw(spec, dt):
+    """A draw for `walk_lines` that is `draw_particles` for `spec` at step dt,
+    and the list of the items (seed, label, birth time, position, horizon) it
     has been asked for, so a test can see which particles a walk draws."""
     asked = []
 
     def draw(items):
         items = list(items)
         asked.extend(items)
-        return draw_particles(spec, items)
+        return draw_particles(spec, dt, items)
     return draw, asked
 
 

@@ -320,6 +320,35 @@ def test_verify_small_run(tmp_path):
     assert report["points"][0]["v_pde"] == pytest.approx(0.8, abs=1e-6)
 
 
+def test_verify_runs_the_branching_test_when_asked(tmp_path):
+    cfg = copy_config(tmp_path, "bump.json",
+                      **{"mc.reps": 300, "solver.n_cells": 200, "points": [0.0],
+                         "verify.sweep_times": [0.5], "verify.branching": True})
+    assert run_cli(["verify", cfg]) == 0
+    branching = json.loads((tmp_path / "out" / "verify.json").read_text())["branching"]
+    assert branching["n_samples"] > 0 and not branching["insufficient"]
+
+
+def test_branching_test_on_a_model_that_cannot_branch_is_usage_error(tmp_path, capsys):
+    cfg = copy_config(tmp_path, "put.json", **{"mc.reps": 50, "verify.branching": True})
+    assert run_cli(["verify", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "verify.branching" in err and "alpha_bar" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cut_policy", ["contact_set", "abandonn"])
+def test_value_decides_to_solve_from_the_rule_kind(tmp_path, capsys, cut_policy):
+    # no solver section: a rule with no contact part needs no solve, whatever its text
+    cfg = copy_config(tmp_path, "yule.json", **{"rule.cut_policy": cut_policy})
+    config = json.loads(cfg.read_text())
+    del config["solver"]
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["value", cfg]) == 2
+    assert capsys.readouterr().err == f"error: unknown cut policy {cut_policy!r}\n"
+
+
 def test_value_with_contact_rule_solves_grid(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
                       **{"rule": {"kind": "contact_set", "epsilon": 0.0002,

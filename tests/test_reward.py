@@ -217,10 +217,10 @@ def forest_pair(spec, seed, rule):
     the full forest's, born at the same time and place."""
     start = [(MOTHER, [PRUNE_X0])]
     full = simulate_forest(spec, start, horizon=PRUNE_T_CUT, dt=PRUNE_DT, seed=seed)
-    draw, asked = recording_draw(spec)
-    (line,) = walk_lines(rule, [Line(MOTHER, 0.0, np.array([PRUNE_X0]), seed, PRUNE_T_CUT,
-                                     PRUNE_DT)], draw, model_hash(spec))
-    for _, lab, birth, x, _, _ in asked:
+    draw, asked = recording_draw(spec, PRUNE_DT)
+    (line,) = walk_lines(rule, [Line(MOTHER, 0.0, np.array([PRUNE_X0]), seed, PRUNE_T_CUT)],
+                         draw, model_hash(spec))
+    for _, lab, birth, x, _ in asked:
         p = full.particles[lab]
         assert birth == p.times[0] and np.array_equal(x, p.positions[0]), lab
     return full, [item[1] for item in asked], line
@@ -405,9 +405,9 @@ def stop_line_digest(spec, grid):
                 _dpp_rule(first_branch_rule(PRUNE_T_CUT, policy),
                           contact_set_rule(grid, 1e-3, PRUNE_T_CUT, policy))]
             for rule in rules:
-                walked = walk_lines(rule, [Line(MOTHER, t0, np.array([x0]), seed, PRUNE_T_CUT + t0,
-                                                PRUNE_DT)], partial(draw_particles, spec),
-                                    model_hash(spec))[0]
+                walked = walk_lines(rule, [Line(MOTHER, t0, np.array([x0]), seed,
+                                                PRUNE_T_CUT + t0)],
+                                    partial(draw_particles, spec, PRUNE_DT), model_hash(spec))[0]
                 for line in (evaluate_line(full, rule), walked):
                     for s in line.stops:
                         h.update(repr((tuple(s.label), int(s.part), bool(s.forced))).encode())

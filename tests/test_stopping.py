@@ -369,9 +369,9 @@ def test_candidate_table_stays_out_of_repr_equality_and_log(small_grid):
 def test_contact_rule_stops_nan_start_at_birth(small_grid):
     spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
                      rewards=(RewardFunction("bump", a=0.8),))
-    draw, asked = recording_draw(spec)
+    draw, asked = recording_draw(spec, 0.1)
     (outcome,) = walk_lines(contact_set_rule(small_grid, 1e-3, 2.0),
-                            [Line(MOTHER, 0.0, np.array([math.nan]), 3, 2.0, 0.1)], draw,
+                            [Line(MOTHER, 0.0, np.array([math.nan]), 3, 2.0)], draw,
                             model_hash(spec))
     assert [(s.label, s.time) for s in outcome.stops] == [(MOTHER, 0.0)]
     assert math.isnan(outcome.stops[0].position[0])

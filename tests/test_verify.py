@@ -251,7 +251,7 @@ def test_a_grid_of_another_model_is_refused(bump_grid, entry):
                       rewards=(RewardFunction("bump", a=0.5),))
     contact = contact_set_rule(grid, 1e-3, 1.0)
     start = (MOTHER, np.array([0.0]))
-    draw, asked = recording_draw(other)
+    draw, asked = recording_draw(other, 0.05)
     error, call = {
         "dpp_consistency": (VerifyError, lambda: dpp_consistency(
             other, grid, first_branch_rule(1.0), point=0.0, reps=4, dt=0.05, seed=1,
@@ -260,7 +260,7 @@ def test_a_grid_of_another_model_is_refused(bump_grid, entry):
             other, contact, start, reps=4, dt=0.05, seed=1)),
         "walk_lines_min_of": (StoppingError, lambda: walk_lines(
             min_of_rules(fixed_time_rule(0.1, 1.0), contact),
-            [Line(MOTHER, 0.0, start[1], 1, 1.0, 0.05)], draw, model_hash(other))),
+            [Line(MOTHER, 0.0, start[1], 1, 1.0)], draw, model_hash(other))),
     }[entry]
     with pytest.raises(error, match="solved for a different model"):
         call()

@@ -156,24 +156,25 @@ def test_a_line_of_many_chunks_equals_the_replication_loop():
 
 
 def test_chunked_draws_equal_one_particle_draws():
-    # particles of several dt steps and lengths, drawn together and one by one
+    # particles of several lengths, drawn together and one by one, a call per dt
     spec = MODELS["binary"]
-    items = [(seed, (seed % 3,), 0.1 * seed, np.array([0.2 * seed]), 2.0 + seed, dt)
-             for seed in range(12) for dt in (0.05, 0.05, 0.01, 0.2)]
-    together = list(draw_particles(spec, items))
-    alone = [next(draw_particles(spec, [item])) for item in items]
-    assert list(draw_particles(spec, [])) == list(draw_particles(spec, iter(()))) == []
-    assert len(together) < len(alone)
-    assert sum(len(c.starts) - 1 for c in together) == len(items)
-    for field in ("times", "positions", "end_time", "count", "proposals"):
-        joined = [getattr(c, field) for c in together]
-        assert np.array_equal(np.concatenate(joined), np.concatenate(
-            [getattr(c, field) for c in alone])), field
+    items = [(seed, (seed % 3,), 0.1 * seed, np.array([0.2 * seed]), 2.0 + seed)
+             for seed in range(12) for _ in range(2)]
+    for dt in (0.05, 0.01, 0.2):
+        together = list(draw_particles(spec, dt, items))
+        alone = [next(draw_particles(spec, dt, [item])) for item in items]
+        assert list(draw_particles(spec, dt, [])) == list(draw_particles(spec, dt, iter(()))) == []
+        assert len(together) < len(alone)
+        assert sum(len(c.starts) - 1 for c in together) == len(items)
+        for field in ("times", "positions", "end_time", "count", "proposals"):
+            joined = [getattr(c, field) for c in together]
+            assert np.array_equal(np.concatenate(joined), np.concatenate(
+                [getattr(c, field) for c in alone])), (dt, field)
 
 
-# items of mixed dt, seeds and label depths, in no particular order
+# items of mixed seeds, label depths, births and horizons, in no particular order
 POOL = [(replication_seed(5, i), (i % 3,) * (i % 4), 0.1 * i, np.array([0.3 * (i % 5) - 0.6]),
-         1.0 + 0.05 * i, dt) for i, dt in enumerate([0.05, 0.05, 0.01, 0.2] * 6)]
+         1.0 + 0.05 * i) for i in range(24)]
 
 
 def _particles(chunks):
@@ -186,16 +187,17 @@ def _same(a, b):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(model=st.sampled_from(sorted(MODELS)), order=st.permutations(range(len(POOL))),
+@given(model=st.sampled_from(sorted(MODELS)), dt=st.sampled_from([0.05, 0.01, 0.2]),
+       order=st.permutations(range(len(POOL))),
        cuts=st.lists(st.integers(0, len(POOL)), max_size=5))
-def test_draws_do_not_depend_on_the_batch(model, order, cuts):
+def test_draws_do_not_depend_on_the_batch(model, dt, order, cuts):
     # a particle is the same whichever items share its call, in whatever order,
     # while the calls' chunks are taken in turn; the cuts may leave a piece empty
     spec = MODELS[model]
-    base = _particles(draw_particles(spec, POOL))
+    base = _particles(draw_particles(spec, dt, POOL))
     items = [POOL[i] for i in order]
     bounds = [0, *sorted(cuts), len(items)]
-    calls = [draw_particles(spec, iter(items[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    calls = [draw_particles(spec, dt, iter(items[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
     chunks = [[] for _ in calls]
     for turn in itertools.zip_longest(*calls):
         for got, chunk in zip(chunks, turn):
@@ -209,9 +211,9 @@ def test_max_particles_is_a_bound_per_line():
     rule = never_rule(1.5)
     start, reps = (MOTHER, [0.0]), 6
     # the particles mc_value's walk draws on each line
-    draw, asked = recording_draw(spec)
+    draw, asked = recording_draw(spec, DT)
     seeds = [replication_seed(9, r) for r in range(reps)]
-    walk_lines(rule, [Line(MOTHER, 0.0, np.array([0.0]), seed, rule.t_cut, DT) for seed in seeds],
+    walk_lines(rule, [Line(MOTHER, 0.0, np.array([0.0]), seed, rule.t_cut) for seed in seeds],
                draw, model_hash(spec))
     drawn = [sum(item[0] == seed for item in asked) for seed in seeds]
     most = max(drawn)
@@ -232,8 +234,8 @@ def _outcome(out):
 @pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
 def test_roots_of_two_generations_walk_as_two_walks(grids, policy):
     spec = MODELS["binary"]
-    draw = partial(draw_particles, spec)
-    lines = [Line(label, 0.0, np.array([x]), seed, T_CUT, DT)
+    draw = partial(draw_particles, spec, DT)
+    lines = [Line(label, 0.0, np.array([x]), seed, T_CUT)
              for seed, label, x in [(1, (0,), 0.1), (2, (1, 2), -0.4), (3, (2,), 0.5),
                                     (4, (0, 1), 0.3)]]
     for name, rule in catalog(grids["binary"], policy).items():
