@@ -27,7 +27,7 @@ from .model import (ModelError, ModelSpec, check_assumptions, finite, finites, m
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
-from .stopping import StoppingError, StoppingRule, rule_from_json
+from .stopping import StoppingError, rule_from_json
 from .verify import VerifyError, branching_property_test, cross_validate, dpp_consistency
 
 EXIT_OK = 0
@@ -156,32 +156,12 @@ def _solver(config: Config) -> SolverSettings:
 
 
 def _start(config: Config) -> Tuple[Label, np.ndarray]:
-    start = config.start or _Start((0.0,) * config.model.dimension)
+    dimension = config.model.dimension
+    start = config.start or _Start((0.0,) * dimension)
+    if len(start.x) != dimension:
+        raise ConfigError(f"start.x has {len(start.x)} coordinate(s), "
+                          f"the model has dimension {dimension}")
     return start.label, np.asarray(start.x, dtype=float)
-
-
-def _rule(obj, spec: ModelSpec, grid=None) -> StoppingRule:
-    """A rule from its config form, checked against the model it stops."""
-    rule = rule_from_json(obj, grid)
-    parts = [rule]
-    while parts:
-        part = parts.pop()
-        parts += part.parts
-        if part.kind == "exit_ball" and len(part.center) != spec.dimension:
-            raise StoppingError(f"exit_ball center has {len(part.center)} coordinate(s), "
-                                f"the model has dimension {spec.dimension}")
-    return rule
-
-
-def _needs_grid(obj) -> bool:
-    """Whether a rule's config form is a contact_set rule, or a min_of rule
-    with one among its parts; a malformed form is left to `rule_from_json`."""
-    if not isinstance(obj, dict):
-        return False
-    if obj.get("kind") == "min_of":
-        parts = obj.get("parts")
-        return isinstance(parts, list) and any(_needs_grid(part) for part in parts)
-    return obj.get("kind") == "contact_set"
 
 
 def _out_dir(config: Config) -> Path:
@@ -250,9 +230,9 @@ def cmd_value(config: Config) -> int:
     spec, mc = config.model, config.mc
     if config.rule is None:
         raise ConfigError("config needs a 'rule' section for the value command")
-    grid = solve_scalar(spec, _solver(config)) if _needs_grid(config.rule) else None
-    rule = _rule(config.rule, spec, grid)
-    est = mc_value(spec, rule, _start(config), mc.reps, mc.dt, mc.seed)
+    start = _start(config)
+    rule = rule_from_json(config.rule, spec.dimension, lambda: solve_scalar(spec, _solver(config)))
+    est = mc_value(spec, rule, start, mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
     est.write_json(str(out / "value.json"))
     _write_sidecar(out, "value")
@@ -267,9 +247,19 @@ def cmd_verify(config: Config) -> int:
     if ver.branching and not spec.alpha_bar > 0:
         raise ConfigError("verify.branching needs a model that branches, and alpha_bar is "
                           f"{spec.alpha_bar:g}")
+    taken = sorted({"t_cut", "cut_policy"} & set(ver.dpp_theta))
+    if taken:
+        raise ConfigError(f"verify.dpp_theta has field(s) {', '.join(taken)}, "
+                          "which it takes from mc")
+    solver = _solver(config)
+    outside = [x for x in points if not solver.x_lo <= x <= solver.x_hi]
+    if outside:
+        raise ConfigError(f"point {outside[0]} lies outside the solver domain "
+                          f"[{solver.x_lo}, {solver.x_hi}]")
     sweep_times = (mc.t_cut / 4, mc.t_cut / 2) if ver.sweep_times is None else ver.sweep_times
-    grid = solve_scalar(spec, _solver(config))
-    theta = _rule({**ver.dpp_theta, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy}, spec, grid)
+    grid = solve_scalar(spec, solver)
+    theta = rule_from_json({**ver.dpp_theta, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy},
+                           spec.dimension, lambda: grid)
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, ver.epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
     for point in points:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .model import (
     K_MAX,
+    ModelError,
     ModelSpec,
     generating_function,
     model_hash,
@@ -242,8 +243,6 @@ class _Stencil:
 
 
 def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
-    if spec.dimension != 1:
-        raise SolverError("the PDE solver is restricted to dimension 1")
     h = float(xs[1] - xs[0])
     b = spec.drift(xs)
     s = spec.diffusion(xs)
@@ -388,8 +387,10 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
     with equal rewards (depth 0) there is no such level.  Iterates decrease
     monotonically on every shipped model; the step norms and their ratios
     are logged and a failed gamma uniqueness condition produces a warning,
-    not an error.
+    not an error.  A model of dimension other than 1 is a ModelError.
     """
+    if spec.dimension != 1:
+        raise ModelError("the PDE solver is restricted to dimension 1")
     depth = spec.reward_depth
     xs = np.linspace(settings.x_lo, settings.x_hi, settings.n_cells + 1)
     stencils = _stencils(spec, xs)

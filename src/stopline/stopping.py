@@ -25,9 +25,10 @@ earlier of its two parts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,8 +98,9 @@ class StoppingRule(CatalogEntry):
             raise StoppingError("exit_ball rule needs a finite radius > 0 and cap_t > 0")
 
     @classmethod
-    def from_json(cls, obj: dict, grid: Optional[ValueGrid] = None) -> "StoppingRule":
-        return rule_from_json(obj, grid)
+    def from_json(cls, obj: dict, dimension: int,
+                  grid: Optional[Callable[[], ValueGrid]] = None) -> "StoppingRule":
+        return rule_from_json(obj, dimension, grid)
 
 
 def trivial_root_rule(t_cut: float, cut_policy: str = ABANDON) -> StoppingRule:
@@ -241,11 +243,19 @@ def first_fire(rule: StoppingRule, depth: int, level: int, births: np.ndarray,
     return np.where(first < starts[1:], first, -1), np.zeros(n, dtype=int)
 
 
-def _grids(rule: StoppingRule) -> List[ValueGrid]:
-    """The grids of the contact_set rules a rule is made of."""
+def _leaves(rule: StoppingRule) -> List[StoppingRule]:
+    """The rules other than min_of that a rule is made of."""
     if rule.kind == "min_of":
-        return [grid for part in rule.parts for grid in _grids(part)]
-    return [rule.grid] if rule.kind == "contact_set" else []
+        return [leaf for part in rule.parts for leaf in _leaves(part)]
+    return [rule]
+
+
+def _check_center(rule: StoppingRule, dimension: int) -> None:
+    """Refuse an exit_ball rule whose center is not of `dimension`: numpy
+    would broadcast it against the positions."""
+    if rule.kind == "exit_ball" and len(rule.center) != dimension:
+        raise StoppingError(f"exit_ball center has {len(rule.center)} coordinate(s), "
+                            f"the model has dimension {dimension}")
 
 
 def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str = "",
@@ -264,11 +274,15 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
 
     Each line's stops and abandoned particles come back in depth-first
     order, children by descending index, as a stack walk of one forest gives
-    them.  More than `max_particles` drawn on one line is a SimulationError,
-    and a contact grid not solved for the model `spec_hash` names is a
-    StoppingError.  Lines whose roots are of different generations walk apart.
+    them.  More than `max_particles` drawn on one line is a SimulationError;
+    a contact grid not solved for the model `spec_hash` names, and an
+    exit_ball center whose length is not the lines' dimension, are each a
+    StoppingError raised before anything is drawn.  Lines whose roots are
+    of different generations walk apart.
     """
-    if spec_hash and any(not grid.model_hash.startswith(spec_hash) for grid in _grids(rule)):
+    leaves = _leaves(rule)
+    if spec_hash and any(not leaf.grid.model_hash.startswith(spec_hash)
+                         for leaf in leaves if leaf.kind == "contact_set"):
         raise StoppingError("value grid was solved for a different model")
     t_cut = rule.t_cut
     for line in lines:
@@ -294,6 +308,8 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
     labels = [line.label for line in lines]
     born = [line.birth for line in lines]
     places = np.array([line.position for line in lines], dtype=float).reshape(len(lines), -1)
+    for leaf in leaves:
+        _check_center(leaf, places.shape[1])
     depth = 0
     while labels:
         n = len(labels)
@@ -395,16 +411,21 @@ def _reader(record: GenealogyRecord):
     return draw
 
 
-def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
-    """Build a rule from its JSON form; a malformed field is a StoppingError.
+def rule_from_json(obj: dict, dimension: int,
+                   grid: Optional[Callable[[], ValueGrid]] = None) -> StoppingRule:
+    """Build a rule for a model of `dimension` from its JSON form; a malformed
+    field, and an exit_ball center of another dimension, are a StoppingError.
 
-    A contact_set rule, also as a part of a min_of rule, reads `grid`; the
-    two parts of a min_of rule must share t_cut and cut_policy, and the
-    min_of rule's own t_cut, and its cut_policy if given, must be theirs.
+    `grid()` gives the solved grid that a contact_set part reads.  It is
+    called once, when the first such part is read, so a part read before it
+    is checked before any solve, and never for a rule without one.  The two
+    parts of a min_of rule must share t_cut and cut_policy, and the min_of
+    rule's own t_cut, and its cut_policy if given, must be theirs.
     """
+    grid = functools.cache(grid or (lambda: None))  # the parts share its one call
     kind, values = StoppingRule.json_fields(obj)
     if kind == "min_of":
-        parts = [rule_from_json(p, grid) for p in values["parts"]]
+        parts = [rule_from_json(p, dimension, grid) for p in values["parts"]]
         if len(parts) != 2:
             raise StoppingError("min_of takes exactly two parts")
         rule = min_of_rules(parts[0], parts[1])
@@ -413,5 +434,7 @@ def rule_from_json(obj: dict, grid: Optional[ValueGrid] = None) -> StoppingRule:
             raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
         return rule
     if kind == "contact_set":
-        values["grid"] = grid
-    return StoppingRule(kind, **values)
+        values["grid"] = grid()
+    rule = StoppingRule(kind, **values)
+    _check_center(rule, dimension)
+    return rule

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stopline
-from stopline import pde
+from stopline import cli, pde
 from stopline.cli import main
 from stopline.labels import parse_label
 from stopline.model import ModelSpec
@@ -114,7 +114,7 @@ def test_value_equals_api_estimate(tmp_path):
     assert run_cli(["value", cfg]) == 0
     est = json.loads((tmp_path / "out" / "value.json").read_text())
     config = json.loads(cfg.read_text())
-    rule = rule_from_json(config["rule"])
+    rule = rule_from_json(config["rule"], 1)
     assert rule.kind == "fixed_time"
     start = (parse_label(config["start"]["label"]), np.asarray(config["start"]["x"], dtype=float))
     mc = config["mc"]
@@ -211,6 +211,19 @@ def test_override_flag_changes_scalar(tmp_path):
     ("check", 'model.branch_rate={"kind":"logistic","cap":-1}'),
     # a fixed_time rule below every birth time never fires
     ("value", "rule.t=-1"),
+    # dpp_theta takes t_cut and cut_policy from mc, never silently replaced
+    ("verify", 'verify.dpp_theta={"kind":"fixed_time","t":0.5,"t_cut":1,"cut_policy":"abandon"}'),
+    ("verify", 'verify.dpp_theta={"kind":"fixed_time","t":0.5,"t_cut":6.0}'),
+    ("verify", 'verify.dpp_theta={"kind":"first_branch","cut_policy":"force_stop"}'),
+    # the solver is one-dimensional: a model it cannot take is a usage error
+    ("solve", "model.dimension=2"),
+    ("verify", "model.dimension=2"),
+    # a start or a point that the model or the solver cannot take
+    ("simulate", 'start={"x":[0.0,0.0]}'),
+    ("value", 'start={"x":[0.0,0.0]}'),
+    ("value", 'start={"x":[]}'),
+    ("verify", "points=[99.0]"),
+    ("verify", "points=[0.0,-8.5]"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
@@ -347,6 +360,36 @@ def test_value_decides_to_solve_from_the_rule_kind(tmp_path, capsys, cut_policy)
     cfg.write_text(json.dumps(config))
     assert run_cli(["value", cfg]) == 2
     assert capsys.readouterr().err == f"error: unknown cut policy {cut_policy!r}\n"
+
+
+def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, capsys):
+    # no solver section: the part read before the contact part is what is refused
+    contact = {"kind": "contact_set", "epsilon": 0.0002, "t_cut": 1.0}
+    cfg = copy_config(tmp_path, "yule.json", rule={"kind": "min_of", "t_cut": 1.0, "parts": [
+        {"kind": "never", "t_cut": 1.0, "cut_polcy": "abandon"}, contact]})
+    config = json.loads(cfg.read_text())
+    del config["solver"]
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["value", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: rule never has unknown field(s): cut_polcy\n"
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("verify", ["points=[99.0]"]),
+    ("value", ['rule={"kind":"contact_set","epsilon":0.0002,"t_cut":6.0}',
+               'start={"x":[0.0,0.0]}']),
+])
+def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command,
+                                                    overrides):
+    def solve(*args):
+        raise AssertionError("solved before the config was refused")
+    monkeypatch.setattr(cli, "solve_scalar", solve)
+    cfg = copy_config(tmp_path, "bump.json")
+    assert run_cli([command, cfg, *(arg for o in overrides for arg in ("--set", o))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_value_with_contact_rule_solves_grid(tmp_path):

@@ -11,6 +11,7 @@ from pytest import approx
 from stopline.labels import MOTHER, is_antichain
 from stopline.model import RewardFunction, model_hash
 from stopline.pde import SolverError, SolverSettings, ValueGrid, solve_scalar
+from stopline.reward import mc_value
 from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
     FORCE_STOP,
@@ -193,12 +194,12 @@ def test_fixed_time_requires_room_below_t_cut():
 
 def test_rule_json_roundtrip():
     rule = min_of_rules(fixed_time_rule(0.5, 2.0), exit_ball_rule([1.0], 0.5, 1.5, 2.0))
-    clone = rule_from_json(rule.to_json())
+    clone = rule_from_json(rule.to_json(), 1)
     assert clone.kind == "min_of"
     assert clone.parts[0].t == approx(0.5)
     assert clone.parts[1].radius == approx(0.5)
     with pytest.raises(StoppingError):
-        rule_from_json({"kind": "contact_set", "epsilon": 0.1, "t_cut": 1.0})
+        rule_from_json({"kind": "contact_set", "epsilon": 0.1, "t_cut": 1.0}, 1)
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ def test_contact_rule_needs_a_grid():
     with pytest.raises(StoppingError, match="needs a solved grid"):
         rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
             {"kind": "never", "t_cut": 2.0},
-            {"kind": "contact_set", "epsilon": 0.1, "t_cut": 2.0}]})
+            {"kind": "contact_set", "epsilon": 0.1, "t_cut": 2.0}]}, 1)
 
 
 def test_every_rule_kind_survives_json_roundtrip(small_grid):
@@ -234,7 +235,7 @@ def test_every_rule_kind_survives_json_roundtrip(small_grid):
     for rule in rules:
         obj = json.loads(json.dumps(rule.to_json()))
         assert set(obj) == {"kind", *StoppingRule.PARAMS[rule.kind][0]}
-        assert rule_from_json(obj, small_grid) == rule
+        assert rule_from_json(obj, 1, lambda: small_grid) == rule
 
 
 @pytest.mark.parametrize("obj", [
@@ -247,7 +248,7 @@ def test_every_rule_kind_survives_json_roundtrip(small_grid):
 ])
 def test_misspelt_rule_field_is_refused(obj):
     with pytest.raises(StoppingError, match="unknown field"):
-        rule_from_json(obj)
+        rule_from_json(obj, 1)
 
 
 @pytest.mark.parametrize("obj", [
@@ -258,7 +259,73 @@ def test_misspelt_rule_field_is_refused(obj):
 ])
 def test_missing_rule_field_is_refused(obj):
     with pytest.raises(StoppingError, match="missing"):
-        rule_from_json(obj)
+        rule_from_json(obj, 1)
+
+
+def _no_grid():
+    raise AssertionError("the grid was asked for")
+
+
+def test_rule_from_json_asks_for_the_grid_only_for_a_contact_part(small_grid):
+    contact = {"kind": "contact_set", "epsilon": 1e-3, "t_cut": 2.0}
+    rule = rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
+        {"kind": "never", "t_cut": 2.0}, {"kind": "fixed_time", "t": 0.5, "t_cut": 2.0}]},
+        1, _no_grid)
+    assert rule == min_of_rules(never_rule(2.0), fixed_time_rule(0.5, 2.0))
+    # a part read before the contact part is refused before the grid is asked for
+    with pytest.raises(StoppingError, match="cut_polcy"):
+        rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
+            {"kind": "never", "t_cut": 2.0, "cut_polcy": "abandon"}, contact]}, 1, _no_grid)
+    asked = []
+
+    def grid():
+        asked.append(small_grid)
+        return small_grid
+    rule = rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [contact, contact]}, 1, grid)
+    assert asked == [small_grid]
+    assert [part.grid for part in rule.parts] == [small_grid, small_grid]
+
+
+@pytest.mark.parametrize("center", [[], [0.0, 0.0]])
+def test_exit_ball_center_of_another_dimension_is_refused(center):
+    ball = {"kind": "exit_ball", "center": center, "radius": 1.0, "cap_t": 3.0, "t_cut": 6.0}
+    with pytest.raises(StoppingError, match="exit_ball center"):
+        rule_from_json({"kind": "min_of", "t_cut": 6.0, "parts": [
+            {"kind": "never", "t_cut": 6.0}, ball]}, 1)
+    assert rule_from_json(ball, len(center)).center == tuple(center)
+    # a rule built in Python is refused by the walk, before anything is drawn
+    spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
+                     rewards=(RewardFunction("bump", a=0.8),))
+    rule = exit_ball_rule(center, 1.0, 3.0, 6.0)
+    draw, asked = recording_draw(spec, 0.01)
+    for tested in (rule, min_of_rules(never_rule(6.0), rule)):
+        with pytest.raises(StoppingError, match="exit_ball center"):
+            walk_lines(tested, [Line(MOTHER, 0.0, np.zeros(1), 5, 6.0)], draw)
+        with pytest.raises(StoppingError, match="exit_ball center"):
+            mc_value(spec, tested, (MOTHER, [0.0]), reps=200, dt=0.01, seed=5)
+    assert asked == []
+
+
+def test_exit_ball_stops_a_two_dimensional_forest_outside_the_ball():
+    spec = make_spec(diffusion=("constant", 1.0), alpha=0.5, offspring=("deterministic", 2),
+                     dimension=2)
+    rule = exit_ball_rule([0.5, -0.5], 1.0, 3.0, 6.0, FORCE_STOP)
+    stops = 0
+    for seed in range(5):
+        rec = simulate_forest(spec, [(MOTHER, [0.5, -0.5])], horizon=6.0, dt=0.01, seed=seed)
+        out = evaluate_line(rec, rule)
+        assert is_antichain(out.stop_labels()) and out.passed_alive == []
+        for stop in out.stops:
+            assert stop.position.shape == (2,)
+            outside = np.hypot(*(stop.position - [0.5, -0.5])) >= 1.0
+            assert outside or stop.time >= 3.0 - 1e-12
+            stops += outside
+    assert stops > 0
+    est = mc_value(spec, rule, (MOTHER, [0.5, -0.5]), reps=50, dt=0.01, seed=5)
+    assert 0 < est.mean <= 1 and est.stderr > 0
+    with pytest.raises(StoppingError, match="exit_ball center"):
+        mc_value(spec, exit_ball_rule([0.5], 1.0, 3.0, 6.0), (MOTHER, [0.5, -0.5]), reps=50,
+                 dt=0.01, seed=5)
 
 
 # --- the contact rule's candidate table -------------------------------------
