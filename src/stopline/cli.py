@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 assumption or validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import platform
@@ -257,9 +258,11 @@ def cmd_verify(config: Config) -> int:
         raise ConfigError(f"point {outside[0]} lies outside the solver domain "
                           f"[{solver.x_lo}, {solver.x_hi}]")
     sweep_times = (mc.t_cut / 4, mc.t_cut / 2) if ver.sweep_times is None else ver.sweep_times
-    grid = solve_scalar(spec, solver)
+    # theta, with mc's t_cut and cut_policy, is read before the solve, which it shares
+    solve = functools.cache(lambda: solve_scalar(spec, solver))
     theta = rule_from_json({**ver.dpp_theta, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy},
-                           spec.dimension, lambda: grid)
+                           spec.dimension, solve)
+    grid = solve()
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, ver.epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)
     for point in points:

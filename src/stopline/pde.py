@@ -288,22 +288,21 @@ def _stencils(spec: ModelSpec, xs: np.ndarray) -> List[_Stencil]:
 
 
 def _solve_lcp(stencils: List[_Stencil], source: np.ndarray, g: np.ndarray,
-               v0: np.ndarray,
-               bc_vals: Tuple[float, float]) -> Tuple[np.ndarray, np.ndarray, int]:
+               v0: np.ndarray, bc_vals: Tuple[float, float],
+               obstacle: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, int]:
     """Exact solve of min{A v - source, v - g} = 0 on stencils[0], coarse to fine.
 
-    The same problem, with source, g and v0 interpolated, is first solved on
-    the next coarser stencil, recursively; its contact set, read at these
-    nodes, is the first row choice of the policy iteration here.  That
-    choice only sets where the iteration starts: it still stops only when
-    the row choice repeats, so the result is the exact solution whatever the
-    coarse grids say.  Returns the solution, the interior obstacle rows and
+    The first row choice of the policy iteration here is `obstacle` if given;
+    else the same problem, with source, g and v0 interpolated, is solved on
+    the next coarser stencil, recursively, and its contact set is read at
+    these nodes.  That choice only sets where the iteration starts: it still
+    stops only when the row choice repeats, so the result is exact whatever
+    the first choice.  Returns the solution, the interior obstacle rows and
     the banded solves over all grids.
     """
     st = stencils[0]
-    obstacle = None
     coarse_solves = 0
-    if len(stencils) > 1:
+    if obstacle is None and len(stencils) > 1:
         xc = stencils[1].xs
         coarse = [np.interp(xc, st.xs, a) for a in (source, g, v0)]
         _, contact, coarse_solves = _solve_lcp(stencils[1:], *coarse, bc_vals)
@@ -359,23 +358,6 @@ def _boundary_values(g: np.ndarray, settings: SolverSettings) -> Tuple[float, fl
     return float(lo), float(hi)
 
 
-def _solve_level_linear(spec: ModelSpec, stencils: List[_Stencil], g: np.ndarray,
-                        w_next: np.ndarray, v_start: np.ndarray, settings: SolverSettings,
-                        obstacle: Optional[np.ndarray] = None
-                        ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The linear obstacle solve with its source frozen at w_next.
-
-    Its first row choice comes from the coarse grids, or is `obstacle` when
-    given, which skips them.  Returns the solution, its obstacle rows and
-    the banded solves.
-    """
-    source = _source(spec, stencils[0], w_next)
-    bc = _boundary_values(g, settings)
-    if obstacle is None:
-        return _solve_lcp(stencils, source, g, v_start, bc)
-    return _policy_iteration(stencils[0], source, g, v_start, bc, obstacle)
-
-
 def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
     """Value functions of every reward level, 0 to spec.reward_depth.
 
@@ -414,8 +396,8 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
     for n in range(depth - 1, -1, -1):
         g = obstacles[n]
         v_start = np.maximum(values[n + 1], g)
-        values[n], _, n_sw = _solve_level_linear(spec, stencils, g, values[n + 1], v_start,
-                                                 settings)
+        values[n], _, n_sw = _solve_lcp(stencils, _source(spec, stencils[0], values[n + 1]), g,
+                                        v_start, _boundary_values(g, settings))
         stats[n] = LevelStats(picard_iterations=1, psor_sweeps=[n_sw],
                               step_norms=[], step_ratios=[])
     grid = ValueGrid(
@@ -438,21 +420,24 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
             g: np.ndarray, v_bar: float) -> Tuple[np.ndarray, LevelStats]:
     """Fixed point of the self-coupled level with obstacle g, from v_bar.
 
-    Steps 1 and 2 take their first row choice from the coarse grids.  From
-    step 3 on the contact set barely moves, so each step starts from the
-    previous step's obstacle rows instead; the policy iteration still
-    settles on the exact solution, and skips the coarse solves.
+    Each step solves the linear obstacle problem with its source frozen at
+    the previous iterate, on the boundary pair formed once.  Steps 1 and 2
+    take their first row choice from the coarse grids.  From step 3 on the
+    contact set barely moves, so each step starts from the previous step's
+    obstacle rows instead; the policy iteration still settles on the exact
+    solution, and skips the coarse solves.
     """
+    bc = _boundary_values(g, settings)
     w = np.full_like(g, v_bar)
-    w[0], w[-1] = _boundary_values(g, settings)
+    w[0], w[-1] = bc
     sweeps: List[int] = []
     norms: List[float] = []
     ratios: List[float] = []
     signed: List[float] = []
     rows = None
     for it in range(1, MAX_PICARD + 1):
-        v, rows, n_sw = _solve_level_linear(spec, stencils, g, w, w, settings,
-                                            rows if it > 2 else None)
+        v, rows, n_sw = _solve_lcp(stencils, _source(spec, stencils[0], w), g, w, bc,
+                                   rows if it > 2 else None)
         sweeps.append(n_sw)
         step = float(np.max(np.abs(v - w)))
         norms.append(step)

@@ -473,7 +473,7 @@ def simulate_forests(spec: ModelSpec, initial: Sequence[Tuple[Label, Sequence[fl
 
     walk_lines(never_rule(horizon - t0),
                [Line(label, t0, x, seed, horizon, t0) for seed in records for label, x in init],
-               draw, "", max_particles)
+               draw, spec_hash, max_particles)
     for record in records.values():
         # filed depth first, the label pushed last taken first
         drawn, record.particles = record.particles, {}

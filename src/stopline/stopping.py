@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .labels import Label, generation
 from .model import CatalogEntry, finite_or_inf, finites, text
 from .pde import ValueGrid
-from .simulator import CHUNK_SAMPLES, Chunk, GenealogyRecord, ParticleRecord, SimulationError
+from .simulator import Chunk, GenealogyRecord, SimulationError
 
 ABANDON = "abandon"
 FORCE_STOP = "force_stop"
@@ -258,7 +258,7 @@ def _check_center(rule: StoppingRule, dimension: int) -> None:
                             f"the model has dimension {dimension}")
 
 
-def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str = "",
+def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str,
                max_particles: float = math.inf) -> List[LineOutcome]:
     """Apply a rule to the forests below many lines at once: one stop line each.
 
@@ -275,14 +275,14 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str =
     Each line's stops and abandoned particles come back in depth-first
     order, children by descending index, as a stack walk of one forest gives
     them.  More than `max_particles` drawn on one line is a SimulationError;
-    a contact grid not solved for the model `spec_hash` names, and an
-    exit_ball center whose length is not the lines' dimension, are each a
-    StoppingError raised before anything is drawn.  Lines whose roots are
-    of different generations walk apart.
+    a contact grid not solved for the model `spec_hash` (required) names,
+    and an exit_ball center whose length is not the lines' dimension, are
+    each a StoppingError raised before anything is drawn.  Lines whose roots
+    are of different generations walk apart.
     """
     leaves = _leaves(rule)
-    if spec_hash and any(not leaf.grid.model_hash.startswith(spec_hash)
-                         for leaf in leaves if leaf.kind == "contact_set"):
+    if any(not leaf.grid.model_hash.startswith(spec_hash)
+           for leaf in leaves if leaf.kind == "contact_set"):
         raise StoppingError("value grid was solved for a different model")
     t_cut = rule.t_cut
     for line in lines:
@@ -391,24 +391,19 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
 
 
 def _reader(record: GenealogyRecord):
-    """A draw for `walk_lines` that reads each particle from a forest."""
-    def chunk(batch: List[ParticleRecord]) -> Chunk:
-        return Chunk.stack([(p.times, p.positions) for p in batch],
-                           [p.end_time for p in batch],
-                           [p.offspring_count if p.end_kind == "branched" else -1 for p in batch],
-                           [0] * len(batch))
-
+    """A draw for `walk_lines` that reads a round's particles from a forest,
+    as one chunk: each particle is tested on its own rows, so the chunking
+    does not change the walk."""
     def draw(items):
-        batch, n_samples = [], 0
-        for item in items:
-            batch.append(record.particles[item[1]])
-            n_samples += len(batch[-1].times)
-            if n_samples >= CHUNK_SAMPLES:
-                yield chunk(batch)
-                batch, n_samples = [], 0
-        if batch:
-            yield chunk(batch)
+        ps = [record.particles[item[1]] for item in items]
+        if ps:
+            yield Chunk.stack([(p.times, p.positions) for p in ps], [p.end_time for p in ps],
+                              [p.offspring_count if p.end_kind == "branched" else -1 for p in ps],
+                              [0] * len(ps))
     return draw
+
+
+_PENDING_GRID = object()  # what a contact_set part is checked with, before its grid is solved
 
 
 def rule_from_json(obj: dict, dimension: int,
@@ -417,10 +412,11 @@ def rule_from_json(obj: dict, dimension: int,
     field, and an exit_ball center of another dimension, are a StoppingError.
 
     `grid()` gives the solved grid that a contact_set part reads.  It is
-    called once, when the first such part is read, so a part read before it
-    is checked before any solve, and never for a rule without one.  The two
-    parts of a min_of rule must share t_cut and cut_policy, and the min_of
-    rule's own t_cut, and its cut_policy if given, must be theirs.
+    called once, when the first such part's own fields have been checked, so
+    that part and every part read before it are checked before any solve,
+    and never for a rule without one.  The two parts of a min_of rule must
+    share t_cut and cut_policy, and the min_of rule's own t_cut, and its
+    cut_policy if given, must be theirs.
     """
     grid = functools.cache(grid or (lambda: None))  # the parts share its one call
     kind, values = StoppingRule.json_fields(obj)
@@ -434,7 +430,7 @@ def rule_from_json(obj: dict, dimension: int,
             raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
         return rule
     if kind == "contact_set":
-        values["grid"] = grid()
+        return replace(StoppingRule(kind, grid=_PENDING_GRID, **values), grid=grid())
     rule = StoppingRule(kind, **values)
     _check_center(rule, dimension)
     return rule

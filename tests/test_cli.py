@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -23,6 +24,14 @@ from stopline.reward import mc_value
 from stopline.stopping import rule_from_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# SHA-256 of the result files of the five commands on each shipped config, as
+# `test_every_command_runs_on_every_shipped_config` runs them
+SHIPPED_RESULT_DIGESTS = {
+    "bump.json": "7e6b95e5e2d4afd0",
+    "poisson_check.json": "7b682cd08877a317",
+    "put.json": "d6f1fa8706c2b39e",
+    "yule.json": "06c0fcc589c84cf1",
+}
 
 
 def run_cli(args):
@@ -264,6 +273,14 @@ def test_every_command_runs_on_every_shipped_config(tmp_path, name):
              "--set", "solver.n_cells=200"]
     for command in ("check", "solve", "simulate", "value", "verify"):
         assert run_cli([command, cfg, *small]) == 0, command
+    # the result files, sidecars excluded, are pinned: a change that moves
+    # any of them must re-pin its config's digest
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "out").iterdir()):
+        if not path.name.endswith(".meta.json"):
+            named = f"{path.name}\0{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            digest.update(named.encode())
+    assert digest.hexdigest()[:16] == SHIPPED_RESULT_DIGESTS[name]
 
 
 def test_override_edits_model_loaded_from_file(tmp_path):
@@ -379,6 +396,9 @@ def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, caps
     ("verify", ["points=[99.0]"]),
     ("value", ['rule={"kind":"contact_set","epsilon":0.0002,"t_cut":6.0}',
                'start={"x":[0.0,0.0]}']),
+    ("verify", ['verify.dpp_theta={"kind":"fixed_time","tt":0.5}']),
+    ("verify", ["mc.t_cut=0"]),
+    ("value", ['rule={"kind":"contact_set","epsilon":0,"t_cut":6}']),
 ])
 def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                     overrides):

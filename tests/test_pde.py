@@ -241,8 +241,8 @@ def test_warm_picard_steps_equal_cascade_every_step(model, n_cells, put_spec, bu
             + (RewardFunction("bump", a=0.5, center=0.0, width=1.0),))
         settings = SolverSettings(x_lo=-8, x_hi=8, n_cells=n_cells)
     warm = solve_scalar(spec, settings)
-    level = pde._solve_level_linear
-    monkeypatch.setattr(pde, "_solve_level_linear", lambda *args: level(*args[:6]))
+    solve = pde._solve_lcp
+    monkeypatch.setattr(pde, "_solve_lcp", lambda *args: solve(*args[:5]))
     cascade = solve_scalar(spec, settings)
     assert np.array_equal(warm.values, cascade.values)
     assert np.array_equal(warm.obstacles, cascade.obstacles)

@@ -300,7 +300,7 @@ def test_exit_ball_center_of_another_dimension_is_refused(center):
     draw, asked = recording_draw(spec, 0.01)
     for tested in (rule, min_of_rules(never_rule(6.0), rule)):
         with pytest.raises(StoppingError, match="exit_ball center"):
-            walk_lines(tested, [Line(MOTHER, 0.0, np.zeros(1), 5, 6.0)], draw)
+            walk_lines(tested, [Line(MOTHER, 0.0, np.zeros(1), 5, 6.0)], draw, model_hash(spec))
         with pytest.raises(StoppingError, match="exit_ball center"):
             mc_value(spec, tested, (MOTHER, [0.0]), reps=200, dt=0.01, seed=5)
     assert asked == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from stopline import reward, stopping
 from stopline.labels import MOTHER
 from stopline.model import RewardFunction, model_hash
 from stopline.pde import SolverSettings, solve_scalar
@@ -69,16 +70,6 @@ def test_cross_validate_rejects_outside_point(bump_grid):
     spec, grid = bump_grid
     with pytest.raises(VerifyError):
         cross_validate(spec, grid, points=[9.5], reps=10, dt=0.01, seed=1,
-                       epsilon=1e-3, t_cut=2.0)
-
-
-def test_cross_validate_rejects_wrong_model(bump_grid):
-    _, grid = bump_grid
-    other = make_spec(diffusion=("constant", 0.5), alpha=0.1,
-                      offspring=("deterministic", 2),
-                      rewards=(RewardFunction("bump", a=0.8),))
-    with pytest.raises(VerifyError, match="solved for a different model"):
-        cross_validate(other, grid, points=[0.0], reps=10, dt=0.01, seed=1,
                        epsilon=1e-3, t_cut=2.0)
 
 
@@ -241,19 +232,27 @@ def test_mc_value_rejects_mismatched_grid(bump_grid):
                  grid=grid)
 
 
-@pytest.mark.parametrize("entry", ["dpp_consistency", "mc_value_contact", "walk_lines_min_of"])
-def test_a_grid_of_another_model_is_refused(bump_grid, entry):
-    # as cross_validate and mc_value's grid above: each entry point that reads
-    # a solved grid refuses one solved for another model, before drawing
+@pytest.mark.parametrize("entry", ["cross_validate", "dpp_consistency", "mc_value_contact",
+                                   "walk_lines_min_of", "evaluate_line_contact"])
+def test_a_grid_of_another_model_is_refused(bump_grid, monkeypatch, entry):
+    # as mc_value's grid above: each entry point that reads a solved grid
+    # refuses one solved for another model, before drawing; the error is the
+    # refusing layer's, the walk's or line_rewards'
     _, grid = bump_grid
     other = make_spec(diffusion=("constant", 0.7), alpha=0.1,
                       offspring=("deterministic", 2),
                       rewards=(RewardFunction("bump", a=0.5),))
     contact = contact_set_rule(grid, 1e-3, 1.0)
     start = (MOTHER, np.array([0.0]))
+    forest = simulate_forest(other, [start], horizon=1.0, dt=0.05, seed=1)
+    # every walk draws through `draw`, a forest's reader too, so `asked` sees any draw
     draw, asked = recording_draw(other, 0.05)
+    monkeypatch.setattr(reward, "draw_particles", lambda spec, dt, items: draw(items))
+    monkeypatch.setattr(stopping, "_reader", lambda record: draw)
     error, call = {
-        "dpp_consistency": (VerifyError, lambda: dpp_consistency(
+        "cross_validate": (StoppingError, lambda: cross_validate(
+            other, grid, points=[0.0], reps=10, dt=0.05, seed=1, epsilon=1e-3, t_cut=1.0)),
+        "dpp_consistency": (RewardError, lambda: dpp_consistency(
             other, grid, first_branch_rule(1.0), point=0.0, reps=4, dt=0.05, seed=1,
             epsilon=1e-3)),
         "mc_value_contact": (StoppingError, lambda: mc_value(
@@ -261,6 +260,7 @@ def test_a_grid_of_another_model_is_refused(bump_grid, entry):
         "walk_lines_min_of": (StoppingError, lambda: walk_lines(
             min_of_rules(fixed_time_rule(0.1, 1.0), contact),
             [Line(MOTHER, 0.0, start[1], 1, 1.0)], draw, model_hash(other))),
+        "evaluate_line_contact": (StoppingError, lambda: evaluate_line(forest, contact)),
     }[entry]
     with pytest.raises(error, match="solved for a different model"):
         call()
