@@ -252,6 +252,13 @@ def cmd_verify(config: Config) -> int:
     if taken:
         raise ConfigError(f"verify.dpp_theta has field(s) {', '.join(taken)}, "
                           "which it takes from mc")
+    # each test is written as "not within", so that a NaN fails it too
+    if not ver.epsilon > 0:
+        raise ConfigError(f"verify.epsilon must be positive, not {ver.epsilon:g}")
+    if not 0 < mc.dt < mc.t_cut:
+        raise ConfigError(f"mc.dt must lie in (0, mc.t_cut) = (0, {mc.t_cut:g}), not {mc.dt:g}")
+    if mc.reps < 2:
+        raise ConfigError(f"mc.reps must be at least 2, not {mc.reps}")
     solver = _solver(config)
     outside = [x for x in points if not solver.x_lo <= x <= solver.x_hi]
     if outside:

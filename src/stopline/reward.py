@@ -103,9 +103,10 @@ def line_rewards(spec: ModelSpec, rule: StoppingRule, lines: Sequence[Line], dt:
                  max_particles: int, grid=None) -> np.ndarray:
     """Each line's reward under the rule, as `reward_of_outcome` scores it with
     `grid`, by one block walk (`walk_lines`) that draws at step dt only the
-    particles a line reads, at most `max_particles` per line, so each reward
-    is bit for bit its full forest's.  A grid solved for another model is
-    refused before anything is drawn."""
+    particles a line reads, at most `max_particles` per line, each only to
+    two steps past its rule's firing deadline, so each reward is bit for bit
+    its full forest's.  A grid solved for another model is refused before
+    anything is drawn."""
     if grid is not None and not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
     outcomes = walk_lines(rule, lines, partial(draw_particles, spec, dt), model_hash(spec),

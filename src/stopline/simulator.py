@@ -11,8 +11,10 @@ its root's state and not on what siblings do.
 One function, `draw_particles`, draws particles at one step size: many at
 a time, each from its own stream with the same calls in the same order, in
 chunks of about CHUNK_SAMPLES samples whose per-sample arithmetic is done
-once.  The block walk draws a generation of many lines this way, for the
-estimators and for `simulate_forests`, whose forests are never-rule lines.
+once, each up to its horizon or two steps past its stopping rule's
+deadline.  The block walk draws a generation of many lines this way, for
+the estimators and for `simulate_forests`, whose forests are never-rule
+lines.
 
 A stream is the Philox generator that `label_stream` builds for (seed,
 label).  `draw_particles` does not build one per particle: it derives the
@@ -268,13 +270,22 @@ class Chunk:
 def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     """Draw particles in chunks of about CHUNK_SAMPLES samples, in item order.
 
-    Each item is (seed, label, birth time, birth position, horizon), and its
-    particle is drawn at step dt from the numbers of `label_stream(seed,
-    label)`: exponential candidate event times at rate alpha_bar, the
-    Euler-Maruyama path up to each, and a uniform mark on [0, alpha_bar] that
-    rejects the candidate or picks the offspring count.  The keys of all the
-    items' streams are derived at once, in numpy, and each particle re-keys
-    one reused Philox; no items, no chunk.
+    Each item is (seed, label, birth time, birth position, horizon, deadline),
+    and its particle is drawn at step dt from the numbers of
+    `label_stream(seed, label)`: exponential candidate event times at rate
+    alpha_bar, the Euler-Maruyama path up to each, and a uniform mark on
+    [0, alpha_bar] that rejects the candidate or picks the offspring count.
+    The keys of all the items' streams are derived at once, in numpy, and
+    each particle re-keys one reused Philox; no items, no chunk.
+
+    A particle is drawn up to min(horizon, deadline + 2 dt), the deadline
+    being the forest time by which its stopping rule has fired (inf for
+    none).  A shorter draw of a stream is a prefix of the longer one, and
+    two steps past the deadline its first sample at or after the deadline is
+    a whole dt step of both draws, with the same time and position.  One
+    step is not enough: where the dt sums run behind k dt, that sample can
+    be the shorter draw's residual step, a hair short of dt.  An event past
+    the shorter horizon is not drawn.
 
     When the coefficients are constant, a particle's loop draws only its
     random numbers, and the chunk's per-sample arithmetic is done once over
@@ -294,10 +305,11 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     def chunk():
         return _chunk(batch, coefficients, dt, sums) if coefficients else _stack(batch)
 
-    for (_, _, birth, x, horizon), key in zip(items, _stream_keys(items)):
+    for (_, _, birth, x, horizon, deadline), key in zip(items, _stream_keys(items)):
         if batch and n_samples >= CHUNK_SAMPLES:
             yield chunk()
             batch, n_samples = [], 0
+        horizon = min(horizon, deadline + 2 * dt)
         rng = _keyed_stream(key)
         segments, t, count, proposals, start = [], birth, -1, 0, x
         while True:

@@ -12,7 +12,8 @@ There is one walk, `walk_lines`, a block walk over many lines (a root
 with its stream seed, horizon and clock base) at once, at one step size.
 Each round takes one generation of every line: it tests the rule on all
 their birth states at once, draws the particles not stopped there in
-chunks, and tests each chunk's samples at once.  Each line's stops come back in the
+chunks, each only up to two steps past its rule's firing deadline, and
+tests each chunk's samples at once.  Each line's stops come back in the
 order of a depth-first walk of its forest, roots ascending and children
 by descending index.  `evaluate_line` walks a forest's roots, reading each
 particle from the forest, and `simulate_forests` draws forests by the walk.
@@ -243,6 +244,22 @@ def first_fire(rule: StoppingRule, depth: int, level: int, births: np.ndarray,
     return np.where(first < starts[1:], first, -1), np.zeros(n, dtype=int)
 
 
+def firing_deadline(rule: StoppingRule, births: np.ndarray) -> np.ndarray:
+    """Each particle's firing deadline: a time on its line's clock by which
+    the rule has fired on it if it is still alive, given its birth time; inf
+    where there is none.
+
+    fixed_time fires by t and exit_ball by cap_t, each on a particle born by
+    then (1e-12 past, as `_hits` reads t); a particle born later keeps inf.
+    min_of takes the earlier of its parts' deadlines, and the other kinds
+    have none.
+    """
+    if rule.kind == "min_of":
+        return np.minimum.reduce([firing_deadline(part, births) for part in rule.parts])
+    last = {"fixed_time": rule.t, "exit_ball": rule.cap_t}.get(rule.kind, math.inf)
+    return np.where(births <= last + 1e-12, last, math.inf)
+
+
 def _leaves(rule: StoppingRule) -> List[StoppingRule]:
     """The rules other than min_of that a rule is made of."""
     if rule.kind == "min_of":
@@ -266,8 +283,12 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str,
     tests the rule once on the birth states of all its particles (a root's
     line start, or its mother's end state); a particle stopped there is never
     drawn.  `draw(items)` draws the others at its one step size, each item
-    being (seed, label, birth time, position, horizon), in chunks
-    (`simulator.Chunk`), and the rule is tested on each chunk's samples.  A
+    being (seed, label, birth time, position, horizon, deadline), in chunks
+    (`simulator.Chunk`), and the rule is tested on each chunk's samples.  The
+    deadline is the particle's `firing_deadline` on its forest's clock, and
+    the draw ends the particle two steps past it, where the rule has fired:
+    the walk reads no sample beyond that, so each outcome is bit for bit the
+    one of the whole path to the forest's horizon.  A
     drawn particle is stopped at its first firing, passes eligibility to its
     children if it dies before t_cut, and is otherwise force-stopped at t_cut
     or abandoned, as the cut policy says.  The stop set is thus an ancestry antichain.
@@ -325,8 +346,10 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str,
             drawn[at[i]] += 1
             if drawn[at[i]] > max_particles:
                 raise SimulationError(f"population exceeded max_particles={max_particles}")
-        items = ((lines[at[i]].seed, labels[i], born[i], places[i], lines[at[i]].horizon)
-                 for i in todo)
+        # on the forests' clocks, for the draw, which adds its two steps
+        deadlines = (firing_deadline(rule, births) + bases[at]).tolist()
+        items = ((lines[at[i]].seed, labels[i], born[i], places[i], lines[at[i]].horizon,
+                  deadlines[i]) for i in todo)
         next_at, next_labels, next_born, next_places = [], [], [], []
         done = 0
         for chunk in draw(items):

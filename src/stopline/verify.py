@@ -199,9 +199,12 @@ def subtree_reward_samples(
     With shared_streams the fresh forest reuses the same per-label streams,
     so the two samples must agree outcome by outcome.  The A subtrees are
     the lines of one `line_rewards` call, and the fresh starts of another;
-    only the particles the walks read are drawn.  An A subtree is drawn to its
-    forest's horizon and a fresh start only to t_cut + dt past the branch, so
-    the shared-stream control compares two computations, not one with itself.
+    only the particles the walks read are drawn.  A mother is drawn only to
+    the branch window.  An A subtree's forest runs to `branch_window + s +
+    2 dt` and a fresh start's only to s + 2 dt past the branch, but the walk
+    draws every particle born by s only to s + 2 dt past the branch in both,
+    so the shared-stream control no longer compares two draw lengths; the
+    walk's own tests pin that its outcomes do not depend on the horizon.
     """
     if spec.alpha_bar <= 0:
         raise VerifyError("branching test needs a nonzero branch rate")
@@ -213,7 +216,9 @@ def subtree_reward_samples(
     seeds = [replication_seed(seed, r, "A") for r in range(reps)]
     # (replication, branch time, branch place) of each mother that branches in the window
     branched: List[Tuple[int, float, np.ndarray]] = []
-    mothers = draw_particles(spec, dt, ((seed_a, MOTHER, 0.0, x0, horizon_a) for seed_a in seeds))
+    # a mother is read only if her event lies in the window: drawn that far
+    mothers = draw_particles(spec, dt, ((seed_a, MOTHER, 0.0, x0, branch_window, math.inf)
+                                        for seed_a in seeds))
     for r, (_, positions, end, count, _) in enumerate(p for chunk in mothers
                                                       for p in chunk.particles()):
         if count > 0 and end <= branch_window:

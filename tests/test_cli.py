@@ -399,6 +399,13 @@ def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, caps
     ("verify", ['verify.dpp_theta={"kind":"fixed_time","tt":0.5}']),
     ("verify", ["mc.t_cut=0"]),
     ("value", ['rule={"kind":"contact_set","epsilon":0,"t_cut":6}']),
+    # verify's Monte Carlo settings are read before the solve, not after it
+    ("verify", ["verify.epsilon=0"]),
+    ("verify", ["verify.epsilon=-0.001"]),
+    ("verify", ["mc.dt=0"]),
+    ("verify", ["mc.dt=-0.005"]),
+    ("verify", ["mc.dt=6.0"]),
+    ("verify", ["mc.reps=1"]),
 ])
 def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                     overrides):

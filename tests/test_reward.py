@@ -220,7 +220,7 @@ def forest_pair(spec, seed, rule):
     draw, asked = recording_draw(spec, PRUNE_DT)
     (line,) = walk_lines(rule, [Line(MOTHER, 0.0, np.array([PRUNE_X0]), seed, PRUNE_T_CUT)],
                          draw, model_hash(spec))
-    for _, lab, birth, x, _ in asked:
+    for _, lab, birth, x, *_ in asked:
         p = full.particles[lab]
         assert birth == p.times[0] and np.array_equal(x, p.positions[0]), lab
     return full, [item[1] for item in asked], line

@@ -26,7 +26,13 @@ from stopline.model import (
     model_hash,
 )
 from stopline.pde import SolverSettings, solve_scalar
-from stopline.reward import _dpp_rule, estimate_from_samples, mc_value, reward_of_outcome
+from stopline.reward import (
+    _dpp_rule,
+    estimate_from_samples,
+    line_rewards,
+    mc_value,
+    reward_of_outcome,
+)
 from stopline.simulator import (
     CHUNK_SAMPLES,
     SimulationError,
@@ -158,7 +164,7 @@ def test_a_line_of_many_chunks_equals_the_replication_loop():
 def test_chunked_draws_equal_one_particle_draws():
     # particles of several lengths, drawn together and one by one, a call per dt
     spec = MODELS["binary"]
-    items = [(seed, (seed % 3,), 0.1 * seed, np.array([0.2 * seed]), 2.0 + seed)
+    items = [(seed, (seed % 3,), 0.1 * seed, np.array([0.2 * seed]), 2.0 + seed, math.inf)
              for seed in range(12) for _ in range(2)]
     for dt in (0.05, 0.01, 0.2):
         together = list(draw_particles(spec, dt, items))
@@ -174,7 +180,7 @@ def test_chunked_draws_equal_one_particle_draws():
 
 # items of mixed seeds, label depths, births and horizons, in no particular order
 POOL = [(replication_seed(5, i), (i % 3,) * (i % 4), 0.1 * i, np.array([0.3 * (i % 5) - 0.6]),
-         1.0 + 0.05 * i) for i in range(24)]
+         1.0 + 0.05 * i, math.inf) for i in range(24)]
 
 
 def _particles(chunks):
@@ -315,3 +321,72 @@ def test_subtree_samples_equal_the_pair_loop(model, shared, max_samples):
     if shared:
         assert np.array_equal(a, b)
     assert all(math.isfinite(v) for v in a_ref + b_ref)
+
+
+def deadline_rules(grid, policy):
+    """Rules with a firing deadline well below t_cut, and that deadline."""
+    contact = contact_set_rule(grid, 1e-3, T_CUT, policy)
+    return {
+        "fixed_time": (fixed_time_rule(0.42, T_CUT, policy), 0.42),
+        "exit_ball": (exit_ball_rule([0.0], 1.5, 0.9, T_CUT, policy), 0.9),
+        "min_of": (min_of_rules(fixed_time_rule(0.42, T_CUT, policy), contact), 0.42),
+    }
+
+
+@pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
+@pytest.mark.parametrize("model", ["binary", "logistic_rate", "linear_branching"])
+def test_a_particle_is_drawn_only_to_its_deadline_bit_for_bit(grids, model, policy):
+    # coarse steps, so that some mothers born by the deadline branch after it,
+    # before their next grid sample; lines on two clocks, with forests that
+    # run past t_cut
+    spec, dt, start = MODELS[model], 0.1, 1.2
+    lines = [Line(MOTHER, base, np.array([start]), replication_seed(6, r), base + T_CUT + 0.5,
+                  base) for r, base in zip(range(80), itertools.cycle((0.0, 0.7)))]
+    for name, (rule, last) in deadline_rules(grids[model], policy).items():
+        draw, asked = recording_draw(spec, dt)
+        drawn = []
+
+        def keeping(items):
+            chunks = list(draw(items))
+            drawn.extend(p for chunk in chunks for p in chunk.particles())
+            return chunks
+        walked = walk_lines(rule, lines, keeping, model_hash(spec))
+        rewards = line_rewards(spec, rule, lines, dt, 1_000_000)
+        for line, out, reward in zip(lines, walked, rewards):
+            full = simulate_forest(spec, [(MOTHER, line.position)], line.horizon, dt, line.seed,
+                                   t0=line.base)
+            ref = evaluate_line(_extract_subtree(full, MOTHER), rule)
+            assert _outcome(out) == _outcome(ref), name
+            assert reward == reward_of_outcome(spec, ref), name
+        # a particle born by the deadline is asked for and drawn only two steps
+        # past it; one born after it, whole, to its forest's horizon
+        by_line = {line.seed: line for line in lines}
+        clipped = late = 0
+        for item, (times, _, end, _, _) in zip(asked, drawn):
+            seed, _, birth, _, horizon = item[:5]
+            base = by_line[seed].base
+            if birth - base <= last + 1e-12:
+                assert times[-1] <= base + last + 2 * dt + 1e-9, name
+                assert item[5:] == (base + last,), name
+                clipped += math.isinf(end) and times[-1] < horizon - dt
+            else:
+                assert times[-1] == pytest.approx(min(end, horizon), abs=1e-9), name
+                assert item[5:] == (math.inf,), name
+                late += 1
+        assert clipped > 0, name
+        if rule.kind != "exit_ball":  # a particle born after cap_t stops at birth
+            assert late > 0, name
+
+
+def test_two_steps_past_the_deadline_keep_its_sample_whole():
+    # the dt sums run behind k dt by more than the rules' 1e-12 here, so the
+    # first sample at the deadline is sample k + 1, which a draw ending one
+    # step past the deadline would take as a residual step a hair short of dt
+    spec = make_spec(drift=("constant", 1.0), diffusion=("constant", 0.3))
+    dt, k = 0.1, 930
+    rule = fixed_time_rule(k * dt, k * dt + 1.0, FORCE_STOP)
+    line = Line(MOTHER, 0.0, np.array([0.0]), 11, k * dt + 2.0)
+    full = simulate_forest(spec, [(MOTHER, [0.0])], line.horizon, dt, line.seed)
+    assert full.particles[MOTHER].times[k] < k * dt - 1e-12
+    (walked,) = walk_lines(rule, [line], partial(draw_particles, spec, dt), model_hash(spec))
+    assert _outcome(walked) == _outcome(evaluate_line(full, rule))
