@@ -165,6 +165,16 @@ def _start(config: Config) -> Tuple[Label, np.ndarray]:
     return start.label, np.asarray(start.x, dtype=float)
 
 
+def _check_mc(mc: _Mc) -> None:
+    """Refuse, before any solve, a step or a replication count that no line
+    cut at mc.t_cut can be estimated with."""
+    # written as "not within", so that a NaN fails it too
+    if not 0 < mc.dt < mc.t_cut:
+        raise ConfigError(f"mc.dt must lie in (0, mc.t_cut) = (0, {mc.t_cut:g}), not {mc.dt:g}")
+    if mc.reps < 2:
+        raise ConfigError(f"mc.reps must be at least 2, not {mc.reps}")
+
+
 def _out_dir(config: Config) -> Path:
     out = Path(config.outputs)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,7 +242,9 @@ def cmd_value(config: Config) -> int:
     if config.rule is None:
         raise ConfigError("config needs a 'rule' section for the value command")
     start = _start(config)
-    rule = rule_from_json(config.rule, spec.dimension, lambda: solve_scalar(spec, _solver(config)))
+    _check_mc(mc)
+    rule = rule_from_json(config.rule, spec.dimension, mc.t_cut, mc.cut_policy,
+                          lambda: solve_scalar(spec, _solver(config)))
     est = mc_value(spec, rule, start, mc.reps, mc.dt, mc.seed)
     out = _out_dir(config)
     est.write_json(str(out / "value.json"))
@@ -248,27 +260,19 @@ def cmd_verify(config: Config) -> int:
     if ver.branching and not spec.alpha_bar > 0:
         raise ConfigError("verify.branching needs a model that branches, and alpha_bar is "
                           f"{spec.alpha_bar:g}")
-    taken = sorted({"t_cut", "cut_policy"} & set(ver.dpp_theta))
-    if taken:
-        raise ConfigError(f"verify.dpp_theta has field(s) {', '.join(taken)}, "
-                          "which it takes from mc")
     # each test is written as "not within", so that a NaN fails it too
     if not ver.epsilon > 0:
         raise ConfigError(f"verify.epsilon must be positive, not {ver.epsilon:g}")
-    if not 0 < mc.dt < mc.t_cut:
-        raise ConfigError(f"mc.dt must lie in (0, mc.t_cut) = (0, {mc.t_cut:g}), not {mc.dt:g}")
-    if mc.reps < 2:
-        raise ConfigError(f"mc.reps must be at least 2, not {mc.reps}")
+    _check_mc(mc)
     solver = _solver(config)
     outside = [x for x in points if not solver.x_lo <= x <= solver.x_hi]
     if outside:
         raise ConfigError(f"point {outside[0]} lies outside the solver domain "
                           f"[{solver.x_lo}, {solver.x_hi}]")
     sweep_times = (mc.t_cut / 4, mc.t_cut / 2) if ver.sweep_times is None else ver.sweep_times
-    # theta, with mc's t_cut and cut_policy, is read before the solve, which it shares
+    # theta is read before the solve, which it shares
     solve = functools.cache(lambda: solve_scalar(spec, solver))
-    theta = rule_from_json({**ver.dpp_theta, "t_cut": mc.t_cut, "cut_policy": mc.cut_policy},
-                           spec.dimension, solve)
+    theta = rule_from_json(ver.dpp_theta, spec.dimension, mc.t_cut, mc.cut_policy, solve)
     grid = solve()
     report = cross_validate(spec, grid, points, mc.reps, mc.dt, mc.seed, ver.epsilon,
                             mc.t_cut, mc.cut_policy, sweep_times)

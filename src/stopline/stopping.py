@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .labels import Label, generation
-from .model import CatalogEntry, finite_or_inf, finites, text
+from .model import CatalogEntry, finite_or_inf, finites
 from .pde import ValueGrid
 from .simulator import Chunk, GenealogyRecord, SimulationError
 
@@ -46,27 +46,24 @@ class StoppingError(ValueError):
     pass
 
 
-def _rule_params(*fields: str, optional: Tuple[str, ...] = ()) -> tuple:
-    """A rule kind's fields: every kind takes t_cut and an optional cut_policy."""
-    return ("t_cut", "cut_policy") + fields, ("cut_policy",) + optional
-
-
 @dataclass(frozen=True)
 class StoppingRule(CatalogEntry):
     """A per-particle stopping policy from a closed catalog; `min_of` is the
     composite taking the earlier firing of two rules, and `contact_set`
-    reads a solved value grid, which its JSON form does not hold."""
+    reads a solved value grid.  The JSON form holds only a kind's own
+    fields: neither the grid nor the cut, `t_cut` and `cut_policy`, which
+    the reader is given."""
 
     PARAMS = {
-        "trivial_root": _rule_params(),
-        "fixed_time": _rule_params("t"),
-        "first_branch": _rule_params(),
-        "exit_ball": _rule_params("center", "radius", "cap_t", optional=("cap_t",)),
-        "contact_set": _rule_params("epsilon"),
-        "never": _rule_params(),
-        "min_of": _rule_params("parts"),
+        "trivial_root": ((), ()),
+        "fixed_time": (("t",), ()),
+        "first_branch": ((), ()),
+        "exit_ball": (("center", "radius", "cap_t"), ("cap_t",)),
+        "contact_set": (("epsilon",), ()),
+        "never": ((), ()),
+        "min_of": (("parts",), ()),
     }
-    READ = {"cut_policy": text, "center": finites, "cap_t": finite_or_inf, "parts": list}
+    READ = {"center": finites, "cap_t": finite_or_inf, "parts": list}
     CATALOG = "rule"
     ERROR = StoppingError
 
@@ -99,9 +96,9 @@ class StoppingRule(CatalogEntry):
             raise StoppingError("exit_ball rule needs a finite radius > 0 and cap_t > 0")
 
     @classmethod
-    def from_json(cls, obj: dict, dimension: int,
+    def from_json(cls, obj: dict, dimension: int, t_cut: float, cut_policy: str,
                   grid: Optional[Callable[[], ValueGrid]] = None) -> "StoppingRule":
-        return rule_from_json(obj, dimension, grid)
+        return rule_from_json(obj, dimension, t_cut, cut_policy, grid)
 
 
 def trivial_root_rule(t_cut: float, cut_policy: str = ABANDON) -> StoppingRule:
@@ -429,29 +426,26 @@ def _reader(record: GenealogyRecord):
 _PENDING_GRID = object()  # what a contact_set part is checked with, before its grid is solved
 
 
-def rule_from_json(obj: dict, dimension: int,
+def rule_from_json(obj: dict, dimension: int, t_cut: float, cut_policy: str,
                    grid: Optional[Callable[[], ValueGrid]] = None) -> StoppingRule:
-    """Build a rule for a model of `dimension` from its JSON form; a malformed
-    field, and an exit_ball center of another dimension, are a StoppingError.
+    """Build a rule for a model of `dimension` from its JSON form, every part
+    cut at `t_cut` under `cut_policy`; a malformed field, a `t_cut` or
+    `cut_policy` field among them, and an exit_ball center of another
+    dimension are a StoppingError.
 
     `grid()` gives the solved grid that a contact_set part reads.  It is
     called once, when the first such part's own fields have been checked, so
     that part and every part read before it are checked before any solve,
-    and never for a rule without one.  The two parts of a min_of rule must
-    share t_cut and cut_policy, and the min_of rule's own t_cut, and its
-    cut_policy if given, must be theirs.
+    and never for a rule without one.
     """
     grid = functools.cache(grid or (lambda: None))  # the parts share its one call
     kind, values = StoppingRule.json_fields(obj)
     if kind == "min_of":
-        parts = [rule_from_json(p, dimension, grid) for p in values["parts"]]
+        parts = [rule_from_json(p, dimension, t_cut, cut_policy, grid) for p in values["parts"]]
         if len(parts) != 2:
             raise StoppingError("min_of takes exactly two parts")
-        rule = min_of_rules(parts[0], parts[1])
-        if (values["t_cut"], values.get("cut_policy", rule.cut_policy)) != \
-                (rule.t_cut, rule.cut_policy):
-            raise StoppingError("a min_of rule's t_cut and cut_policy must be its parts'")
-        return rule
+        return min_of_rules(*parts)
+    values.update(t_cut=t_cut, cut_policy=cut_policy)
     if kind == "contact_set":
         return replace(StoppingRule(kind, grid=_PENDING_GRID, **values), grid=grid())
     rule = StoppingRule(kind, **values)

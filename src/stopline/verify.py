@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,19 +201,17 @@ def subtree_reward_samples(
     so the two samples must agree outcome by outcome.  The A subtrees are
     the lines of one `line_rewards` call, and the fresh starts of another;
     only the particles the walks read are drawn.  A mother is drawn only to
-    the branch window.  An A subtree's forest runs to `branch_window + s +
-    2 dt` and a fresh start's only to s + 2 dt past the branch, but the walk
-    draws every particle born by s only to s + 2 dt past the branch in both,
-    so the shared-stream control no longer compares two draw lengths; the
-    walk's own tests pin that its outcomes do not depend on the horizon.
+    the branch window, and both lines' forests run to s + 2 dt past the
+    branch, which is as far as the walk reads any of their particles.
     """
     if spec.alpha_bar <= 0:
         raise VerifyError("branching test needs a nonzero branch rate")
     s = functional_horizon
     t_cut_sub = s + dt
-    horizon_a = branch_window + s + 2 * dt
     rule = fixed_time_rule(s, t_cut_sub, "abandon")
-    ((_, x0),) = forest_start(spec, [(MOTHER, [float(point)])], horizon_a, dt)
+    # a replication's forest: the window, then a line past the branch
+    ((_, x0),) = forest_start(spec, [(MOTHER, [float(point)])],
+                              branch_window + t_cut_sub + dt, dt)
     seeds = [replication_seed(seed, r, "A") for r in range(reps)]
     # (replication, branch time, branch place) of each mother that branches in the window
     branched: List[Tuple[int, float, np.ndarray]] = []
@@ -226,15 +225,15 @@ def subtree_reward_samples(
             if max_samples is not None and len(branched) >= max_samples:
                 break
 
-    # child 0's subtree, on a clock that starts at the branch; the mother is
-    # one of the particles of its forest
-    a = line_rewards(spec, rule, [Line(CHILD0, base, x, seeds[r], horizon_a, base)
-                                  for r, base, x in branched], dt, DEFAULT_MAX_PARTICLES - 1)
-    # the fresh forest starts at the recorded branch epoch, and its clock is
-    # rebased like the subtree's, so reward atoms align bit for bit
-    b = line_rewards(spec, rule, [Line(CHILD0, base, x, seeds[r] if shared_streams else
-                                       replication_seed(seed, r, "B"), base + t_cut_sub + dt, base)
-                                  for r, base, x in branched], dt, DEFAULT_MAX_PARTICLES)
+    def lines(seed_of):
+        # child 0 at the branch, on a clock that starts there, so that reward
+        # atoms of a subtree and of a fresh start align bit for bit
+        return [Line(CHILD0, base, x, seed_of(r), base + t_cut_sub + dt, base)
+                for r, base, x in branched]
+    # a subtree's mother is one of the particles of its forest
+    a = line_rewards(spec, rule, lines(seeds.__getitem__), dt, DEFAULT_MAX_PARTICLES - 1)
+    fresh = seeds.__getitem__ if shared_streams else partial(replication_seed, seed, salt="B")
+    b = line_rewards(spec, rule, lines(fresh), dt, DEFAULT_MAX_PARTICLES)
     return a, b
 
 

@@ -27,9 +27,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # SHA-256 of the result files of the five commands on each shipped config, as
 # `test_every_command_runs_on_every_shipped_config` runs them
 SHIPPED_RESULT_DIGESTS = {
-    "bump.json": "7e6b95e5e2d4afd0",
+    "bump.json": "1498c4fdd43dd87d",
     "poisson_check.json": "7b682cd08877a317",
-    "put.json": "d6f1fa8706c2b39e",
+    "put.json": "1af73b73f50db8e0",
     "yule.json": "06c0fcc589c84cf1",
 }
 
@@ -110,7 +110,7 @@ def test_simulate_writes_forest_and_paths(tmp_path):
 
 def test_value_trivial_root(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
-                      **{"rule": {"kind": "trivial_root", "t_cut": 6.0},
+                      **{"rule": {"kind": "trivial_root"},
                          "mc.reps": 25})
     assert run_cli(["value", cfg]) == 0
     est = json.loads((tmp_path / "out" / "value.json").read_text())
@@ -123,13 +123,24 @@ def test_value_equals_api_estimate(tmp_path):
     assert run_cli(["value", cfg]) == 0
     est = json.loads((tmp_path / "out" / "value.json").read_text())
     config = json.loads(cfg.read_text())
-    rule = rule_from_json(config["rule"], 1)
+    mc = config["mc"]
+    rule = rule_from_json(config["rule"], 1, mc["t_cut"], mc["cut_policy"])
     assert rule.kind == "fixed_time"
     start = (parse_label(config["start"]["label"]), np.asarray(config["start"]["x"], dtype=float))
-    mc = config["mc"]
     api = mc_value(ModelSpec.from_json(config["model"]), rule, start, 64, mc["dt"], mc["seed"])
     assert est["mean"] == api.mean
     assert est["stderr"] == api.stderr
+
+
+@pytest.mark.parametrize("override, t_cut, cut_policy, mean", [
+    ("mc.cut_policy=force_stop", 1.0, "force_stop", 0.18061310037115233),
+    ("mc.t_cut=0.5", 0.5, "abandon", 0.973318856852148),
+])
+def test_value_cuts_its_lines_at_mc(tmp_path, override, t_cut, cut_policy, mean):
+    cfg = copy_config(tmp_path, "poisson_check.json")
+    assert run_cli(["value", cfg, "--set", override]) == 0
+    est = json.loads((tmp_path / "out" / "value.json").read_text())
+    assert (est["t_cut"], est["cut_policy"], est["mean"]) == (t_cut, cut_policy, mean)
 
 
 def test_override_flag_changes_scalar(tmp_path):
@@ -174,34 +185,30 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", "start.lable=root"),
     ("value", 'model.reward.levels=[{"kind":"bump","a":0.8,"widht":3.0}]'),
     ("value", "rule.cut_polcy=force_stop"),
+    # the cut is mc's alone: a rule that gives its own is refused, not obeyed
+    ("value", "rule.t_cut=6.0"),
     ("value", 'strat={"x":[0.5]}'),
     ("verify", "verify.points=[0.5]"),
-    # a min_of rule's own t_cut and cut_policy are its parts', never dropped
-    ("value", 'rule={"kind":"min_of","t_cut":6.0,"cut_policy":"abandon","parts":['
-              '{"kind":"fixed_time","t":0.5,"t_cut":6.0,"cut_policy":"force_stop"},'
-              '{"kind":"never","t_cut":6.0,"cut_policy":"force_stop"}]}'),
-    ("value", 'rule={"kind":"min_of","t_cut":5.0,"parts":['
-              '{"kind":"fixed_time","t":0.5,"t_cut":6.0},{"kind":"never","t_cut":6.0}]}'),
     # both legs would silently truncate a count above K_MAX to K_MAX
     ("solve", 'model.offspring={"kind":"deterministic","k0":100}'),
     ("value", 'model.offspring={"kind":"deterministic","k0":100}'),
     ("simulate", 'model.offspring={"kind":"deterministic","k0":100}'),
     # an exit_ball center must have the model's dimension, not be broadcast
-    ("value", 'rule={"kind":"exit_ball","center":[0,0],"radius":1.0,"t_cut":6.0}'),
-    ("value", 'rule={"kind":"min_of","t_cut":6.0,"parts":[{"kind":"never","t_cut":6.0},'
-              '{"kind":"exit_ball","center":[],"radius":1.0,"t_cut":6.0}]}'),
+    ("value", 'rule={"kind":"exit_ball","center":[0,0],"radius":1.0}'),
+    ("value", 'rule={"kind":"min_of","parts":[{"kind":"never"},'
+              '{"kind":"exit_ball","center":[],"radius":1.0}]}'),
     ("verify", 'verify.dpp_theta={"kind":"exit_ball","center":[0,0],"radius":1.0}'),
     # a NaN rule field would pass a "<= 0" test; a NaN contact epsilon never fires
-    ("value", 'rule={"kind":"contact_set","epsilon":NaN,"t_cut":6.0}'),
-    ("value", "rule.t_cut=NaN"),
+    ("value", 'rule={"kind":"contact_set","epsilon":NaN}'),
+    ("value", "mc.t_cut=NaN"),
     ("value", "rule.t=NaN"),
     # a NaN radius never fires, and a negative one stops every lineage at birth
-    ("value", 'rule={"kind":"exit_ball","center":[0.0],"radius":NaN,"cap_t":NaN,"t_cut":6.0}'),
-    ("value", 'rule={"kind":"exit_ball","center":[0.0],"radius":-1,"t_cut":6.0}'),
+    ("value", 'rule={"kind":"exit_ball","center":[0.0],"radius":NaN,"cap_t":NaN}'),
+    ("value", 'rule={"kind":"exit_ball","center":[0.0],"radius":-1}'),
     # every number is read as finite, and every count as whole, before any work
     ("value", 'start={"x":[NaN]}'),
     ("value", 'model.diffusion={"kind":"constant","value":Infinity}'),
-    ("value", 'rule={"kind":"exit_ball","center":[NaN],"radius":1.0,"t_cut":6.0}'),
+    ("value", 'rule={"kind":"exit_ball","center":[NaN],"radius":1.0}'),
     ("solve", "solver.x_lo=NaN"),
     ("solve", "solver.bc_hi_value=NaN"),
     ("solve", 'model.reward.levels=[{"kind":"bump","a":NaN}]'),
@@ -214,13 +221,15 @@ def test_override_flag_changes_scalar(tmp_path):
     ("check", 'model.offspring={"kind":"binary","p0":NaN,"p2":0.5}'),
     ("verify", "verify.epsilon=Infinity"),
     ("value", "mc.dt=NaN"),
+    # a step that no line cut at mc.t_cut can take
+    ("value", "mc.dt=10"),
     ("simulate", "simulate.horizon=NaN"),
     # a negative rate is a malformed model, not a solve that fails to converge
     ("solve", "model.branch_rate.value=-1"),
     ("check", 'model.branch_rate={"kind":"logistic","cap":-1}'),
     # a fixed_time rule below every birth time never fires
     ("value", "rule.t=-1"),
-    # dpp_theta takes t_cut and cut_policy from mc, never silently replaced
+    # dpp_theta is cut at mc's t_cut under its cut_policy: a cut of its own is refused
     ("verify", 'verify.dpp_theta={"kind":"fixed_time","t":0.5,"t_cut":1,"cut_policy":"abandon"}'),
     ("verify", 'verify.dpp_theta={"kind":"fixed_time","t":0.5,"t_cut":6.0}'),
     ("verify", 'verify.dpp_theta={"kind":"first_branch","cut_policy":"force_stop"}'),
@@ -242,7 +251,6 @@ def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override
 
 
 @pytest.mark.parametrize("command, override", [
-    ("value", "mc.dt=10"),
     ("simulate", "simulate.horizon=-1"),
     # more steps than MAX_STEPS would reach numpy, which refuses the arrays
     ("value", "mc.dt=1e-300"),
@@ -370,8 +378,8 @@ def test_branching_test_on_a_model_that_cannot_branch_is_usage_error(tmp_path, c
 
 @pytest.mark.parametrize("cut_policy", ["contact_set", "abandonn"])
 def test_value_decides_to_solve_from_the_rule_kind(tmp_path, capsys, cut_policy):
-    # no solver section: a rule with no contact part needs no solve, whatever its text
-    cfg = copy_config(tmp_path, "yule.json", **{"rule.cut_policy": cut_policy})
+    # no solver section: a rule with no contact part needs no solve, whatever the cut's text
+    cfg = copy_config(tmp_path, "yule.json", **{"mc.cut_policy": cut_policy})
     config = json.loads(cfg.read_text())
     del config["solver"]
     cfg.write_text(json.dumps(config))
@@ -381,9 +389,9 @@ def test_value_decides_to_solve_from_the_rule_kind(tmp_path, capsys, cut_policy)
 
 def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, capsys):
     # no solver section: the part read before the contact part is what is refused
-    contact = {"kind": "contact_set", "epsilon": 0.0002, "t_cut": 1.0}
-    cfg = copy_config(tmp_path, "yule.json", rule={"kind": "min_of", "t_cut": 1.0, "parts": [
-        {"kind": "never", "t_cut": 1.0, "cut_polcy": "abandon"}, contact]})
+    contact = {"kind": "contact_set", "epsilon": 0.0002}
+    cfg = copy_config(tmp_path, "yule.json", rule={"kind": "min_of", "parts": [
+        {"kind": "never", "cut_polcy": "abandon"}, contact]})
     config = json.loads(cfg.read_text())
     del config["solver"]
     cfg.write_text(json.dumps(config))
@@ -392,13 +400,15 @@ def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, caps
     assert err == "error: rule never has unknown field(s): cut_polcy\n"
 
 
+CONTACT = 'rule={"kind":"contact_set","epsilon":0.0002}'
+
+
 @pytest.mark.parametrize("command, overrides", [
     ("verify", ["points=[99.0]"]),
-    ("value", ['rule={"kind":"contact_set","epsilon":0.0002,"t_cut":6.0}',
-               'start={"x":[0.0,0.0]}']),
+    ("value", [CONTACT, 'start={"x":[0.0,0.0]}']),
     ("verify", ['verify.dpp_theta={"kind":"fixed_time","tt":0.5}']),
     ("verify", ["mc.t_cut=0"]),
-    ("value", ['rule={"kind":"contact_set","epsilon":0,"t_cut":6}']),
+    ("value", ['rule={"kind":"contact_set","epsilon":0}']),
     # verify's Monte Carlo settings are read before the solve, not after it
     ("verify", ["verify.epsilon=0"]),
     ("verify", ["verify.epsilon=-0.001"]),
@@ -406,6 +416,10 @@ def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, caps
     ("verify", ["mc.dt=-0.005"]),
     ("verify", ["mc.dt=6.0"]),
     ("verify", ["mc.reps=1"]),
+    # and so are value's, for a contact rule that would be solved for
+    ("value", [CONTACT, "mc.dt=0"]),
+    ("value", [CONTACT, "mc.dt=10"]),
+    ("value", [CONTACT, "mc.reps=1"]),
 ])
 def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                     overrides):
@@ -421,8 +435,7 @@ def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatc
 
 def test_value_with_contact_rule_solves_grid(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
-                      **{"rule": {"kind": "contact_set", "epsilon": 0.0002,
-                                  "t_cut": 6.0, "cut_policy": "force_stop"},
+                      **{"rule": {"kind": "contact_set", "epsilon": 0.0002},
                          "mc.reps": 200, "solver.n_cells": 800,
                          "start": {"label": "∅", "x": [0.0]}})
     assert run_cli(["value", cfg]) == 0
@@ -431,11 +444,10 @@ def test_value_with_contact_rule_solves_grid(tmp_path):
 
 
 def test_value_min_of_with_contact_part_solves_grid(tmp_path):
-    contact = {"kind": "contact_set", "epsilon": 0.0002, "t_cut": 6.0,
-               "cut_policy": "force_stop"}
-    fixed = {"kind": "fixed_time", "t": 0.5, "t_cut": 6.0, "cut_policy": "force_stop"}
+    contact = {"kind": "contact_set", "epsilon": 0.0002}
+    fixed = {"kind": "fixed_time", "t": 0.5}
     cfg = copy_config(tmp_path, "bump.json",
-                      **{"rule": {"kind": "min_of", "t_cut": 6.0, "parts": [contact, fixed]},
+                      **{"rule": {"kind": "min_of", "parts": [contact, fixed]},
                          "mc.reps": 20, "solver.n_cells": 200})
     assert run_cli(["value", cfg]) == 0
 

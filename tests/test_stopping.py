@@ -14,6 +14,7 @@ from stopline.pde import SolverError, SolverSettings, ValueGrid, solve_scalar
 from stopline.reward import mc_value
 from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
+    ABANDON,
     FORCE_STOP,
     Line,
     LineOutcome,
@@ -194,12 +195,12 @@ def test_fixed_time_requires_room_below_t_cut():
 
 def test_rule_json_roundtrip():
     rule = min_of_rules(fixed_time_rule(0.5, 2.0), exit_ball_rule([1.0], 0.5, 1.5, 2.0))
-    clone = rule_from_json(rule.to_json(), 1)
+    clone = rule_from_json(rule.to_json(), 1, 2.0, ABANDON)
     assert clone.kind == "min_of"
     assert clone.parts[0].t == approx(0.5)
     assert clone.parts[1].radius == approx(0.5)
     with pytest.raises(StoppingError):
-        rule_from_json({"kind": "contact_set", "epsilon": 0.1, "t_cut": 1.0}, 1)
+        rule_from_json({"kind": "contact_set", "epsilon": 0.1}, 1, 1.0, ABANDON)
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +215,8 @@ def test_contact_rule_needs_a_grid():
     with pytest.raises(StoppingError, match="needs a solved grid"):
         contact_set_rule(None, 1e-3, 2.0)
     with pytest.raises(StoppingError, match="needs a solved grid"):
-        rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
-            {"kind": "never", "t_cut": 2.0},
-            {"kind": "contact_set", "epsilon": 0.1, "t_cut": 2.0}]}, 1)
+        rule_from_json({"kind": "min_of", "parts": [
+            {"kind": "never"}, {"kind": "contact_set", "epsilon": 0.1}]}, 1, 2.0, ABANDON)
 
 
 def test_every_rule_kind_survives_json_roundtrip(small_grid):
@@ -235,31 +235,33 @@ def test_every_rule_kind_survives_json_roundtrip(small_grid):
     for rule in rules:
         obj = json.loads(json.dumps(rule.to_json()))
         assert set(obj) == {"kind", *StoppingRule.PARAMS[rule.kind][0]}
-        assert rule_from_json(obj, 1, lambda: small_grid) == rule
+        assert rule_from_json(obj, 1, rule.t_cut, rule.cut_policy, lambda: small_grid) == rule
 
 
 @pytest.mark.parametrize("obj", [
-    {"kind": "trivial_root", "t_cut": 2.0, "cut_polcy": "force_stop"},
-    {"kind": "fixed_time", "t": 0.5, "t_cut": 2.0, "radius": 1.0},
-    {"kind": "exit_ball", "center": [0.0], "radius": 1.0, "cap_tt": 1.0, "t_cut": 2.0},
-    {"kind": "min_of", "t_cut": 2.0, "parts": [
-        {"kind": "never", "t_cut": 2.0},
-        {"kind": "first_branch", "t_cut": 2.0, "cut_polcy": "force_stop"}]},
+    {"kind": "trivial_root", "cut_polcy": "force_stop"},
+    {"kind": "fixed_time", "t": 0.5, "radius": 1.0},
+    {"kind": "exit_ball", "center": [0.0], "radius": 1.0, "cap_tt": 1.0},
+    {"kind": "min_of", "parts": [
+        {"kind": "never"}, {"kind": "first_branch", "cut_polcy": "force_stop"}]},
+    # the cut is the reader's, not a rule's or a part's
+    {"kind": "fixed_time", "t": 0.5, "t_cut": 2.0},
+    {"kind": "min_of", "parts": [{"kind": "never", "cut_policy": "abandon"}, {"kind": "never"}]},
 ])
 def test_misspelt_rule_field_is_refused(obj):
     with pytest.raises(StoppingError, match="unknown field"):
-        rule_from_json(obj, 1)
+        rule_from_json(obj, 1, 2.0, ABANDON)
 
 
 @pytest.mark.parametrize("obj", [
-    {"kind": "never"},
-    {"kind": "fixed_time", "t_cut": 2.0},
-    {"kind": "exit_ball", "center": [0.0], "t_cut": 2.0},
-    {"kind": "min_of", "t_cut": 2.0},
+    {"kind": "contact_set"},
+    {"kind": "fixed_time"},
+    {"kind": "exit_ball", "center": [0.0]},
+    {"kind": "min_of"},
 ])
 def test_missing_rule_field_is_refused(obj):
     with pytest.raises(StoppingError, match="missing"):
-        rule_from_json(obj, 1)
+        rule_from_json(obj, 1, 2.0, ABANDON, _no_grid)
 
 
 def _no_grid():
@@ -267,32 +269,30 @@ def _no_grid():
 
 
 def test_rule_from_json_asks_for_the_grid_only_for_a_contact_part(small_grid):
-    contact = {"kind": "contact_set", "epsilon": 1e-3, "t_cut": 2.0}
-    rule = rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
-        {"kind": "never", "t_cut": 2.0}, {"kind": "fixed_time", "t": 0.5, "t_cut": 2.0}]},
-        1, _no_grid)
+    contact = {"kind": "contact_set", "epsilon": 1e-3}
+    rule = rule_from_json({"kind": "min_of", "parts": [
+        {"kind": "never"}, {"kind": "fixed_time", "t": 0.5}]}, 1, 2.0, ABANDON, _no_grid)
     assert rule == min_of_rules(never_rule(2.0), fixed_time_rule(0.5, 2.0))
     # a part read before the contact part is refused before the grid is asked for
     with pytest.raises(StoppingError, match="cut_polcy"):
-        rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [
-            {"kind": "never", "t_cut": 2.0, "cut_polcy": "abandon"}, contact]}, 1, _no_grid)
+        rule_from_json({"kind": "min_of", "parts": [
+            {"kind": "never", "cut_polcy": "abandon"}, contact]}, 1, 2.0, ABANDON, _no_grid)
     asked = []
 
     def grid():
         asked.append(small_grid)
         return small_grid
-    rule = rule_from_json({"kind": "min_of", "t_cut": 2.0, "parts": [contact, contact]}, 1, grid)
+    rule = rule_from_json({"kind": "min_of", "parts": [contact, contact]}, 1, 2.0, ABANDON, grid)
     assert asked == [small_grid]
     assert [part.grid for part in rule.parts] == [small_grid, small_grid]
 
 
 @pytest.mark.parametrize("center", [[], [0.0, 0.0]])
 def test_exit_ball_center_of_another_dimension_is_refused(center):
-    ball = {"kind": "exit_ball", "center": center, "radius": 1.0, "cap_t": 3.0, "t_cut": 6.0}
+    ball = {"kind": "exit_ball", "center": center, "radius": 1.0, "cap_t": 3.0}
     with pytest.raises(StoppingError, match="exit_ball center"):
-        rule_from_json({"kind": "min_of", "t_cut": 6.0, "parts": [
-            {"kind": "never", "t_cut": 6.0}, ball]}, 1)
-    assert rule_from_json(ball, len(center)).center == tuple(center)
+        rule_from_json({"kind": "min_of", "parts": [{"kind": "never"}, ball]}, 1, 6.0, ABANDON)
+    assert rule_from_json(ball, len(center), 6.0, ABANDON).center == tuple(center)
     # a rule built in Python is refused by the walk, before anything is drawn
     spec = make_spec(diffusion=("constant", 1.0), alpha=0.25, offspring=("deterministic", 2),
                      rewards=(RewardFunction("bump", a=0.8),))
