@@ -28,7 +28,7 @@ from .model import (ModelError, ModelSpec, check_assumptions, finite, finites, m
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
-from .stopping import StoppingError, rule_from_json
+from .stopping import ABANDON, FORCE_STOP, StoppingError, rule_from_json
 from .verify import VerifyError, branching_property_test, cross_validate, dpp_consistency
 
 EXIT_OK = 0
@@ -69,7 +69,20 @@ class _Mc(NamedTuple):
     reps: int = 1000
     dt: float = 0.01
     t_cut: float = 1.0
-    cut_policy: str = "force_stop"
+    cut_policy: str = FORCE_STOP
+
+
+def _positive(value) -> float:
+    value = finite(value)
+    if not value > 0:
+        raise ValueError(f"{value!r} is not positive")
+    return value
+
+
+def _cut_policy(value) -> str:
+    if text(value) not in (ABANDON, FORCE_STOP):
+        raise ValueError(f"{value!r} is neither {ABANDON!r} nor {FORCE_STOP!r}")
+    return value
 
 
 class _Start(NamedTuple):
@@ -108,7 +121,8 @@ class Config(NamedTuple):
 _read_config = _record(
     Config, "config",
     model=ModelSpec.from_json,
-    mc=_record(_Mc, "mc section", seed=whole, reps=whole, cut_policy=text),
+    mc=_record(_Mc, "mc section", seed=whole, reps=whole, t_cut=_positive,
+               cut_policy=_cut_policy),
     solver=_record(SolverSettings, "solver section", n_cells=whole),
     rule=of_type(dict),
     start=_record(_Start, "start section", x=finites, label=lambda s: parse_label(text(s))),

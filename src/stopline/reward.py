@@ -5,6 +5,10 @@ exp(-gamma tau) g_n(x); the empty product is one, and a particle that
 leaves the population unstopped contributes nothing.  Products are
 accumulated in log space because many small factors underflow.
 
+One scorer, `reward_of_outcomes`, scores a batch of lines: it reads the
+factors of all their stops with one call per reward level (and per grid
+level), then sums each line's logs in stop order in plain floats, so a
+line scores the same double alone (`reward_of_outcome`) or in any batch.
 One replication engine, `line_rewards`, walks and scores every stop line.
 Given a solved grid it scores the line of theta ^ tau as the right-hand side
 of the dynamic-programming identity: a theta stop or a stop forced at the cut
@@ -35,24 +39,56 @@ class RewardError(ValueError):
     pass
 
 
-def reward_of_outcome(spec: ModelSpec, outcome: LineOutcome, grid=None) -> float:
-    """Product of discounted reward factors over the stop line, in log space.
+def reward_of_outcomes(spec: ModelSpec, outcomes: Sequence[LineOutcome], grid=None) -> np.ndarray:
+    """Each outcome's product of discounted reward factors over its stop line.
 
     Each stop contributes exp(-gamma time) g_n(x).  With a solved `grid`, a
     stop made by part 0 of a min_of rule (theta) or forced at the cut
     contributes exp(-gamma time) v_n(x) instead, v read off the grid; outside
     the grid's domain it keeps g_n(x).  A part-1 stop (tau) always takes g.
+
+    The factors of all the stops are read at once: one `grid.contains` on the
+    part-0 stops, one `grid.values_at` per grid level on those inside, and
+    one reward call per reward level on the rest.  Each line then sums
+    -gamma time + log f over its stops in stop order, in plain floats with
+    libm's log and exp, so a line scores the same double alone or in any
+    batch.  A factor <= 0 makes the line 0, and a line without stops is 1.
     """
-    log_total = 0.0
-    for s in outcome.stops:
-        if grid is not None and s.part == 0 and grid.contains(s.position[:1])[0]:
-            f = float(grid.values_at(s.generation, s.position[:1])[0])
-        else:
-            f = spec.reward_at(s.generation)(s.position)
-        if f <= 0.0:
-            return 0.0
-        log_total += -spec.gamma * s.time + math.log(f)
-    return math.exp(log_total)
+    stops = [s for out in outcomes for s in out.stops]
+    factors = np.empty(len(stops))
+    if stops:
+        positions = np.array([s.position for s in stops], dtype=float)
+        generations = np.array([s.generation for s in stops])
+        from_g = np.ones(len(stops), dtype=bool)
+        if grid is not None:
+            theta = np.flatnonzero([s.part == 0 for s in stops])
+            theta = theta[grid.contains(positions[theta, 0])]
+            levels = np.minimum(generations[theta], grid.depth)
+            for n in set(levels.tolist()):
+                at = theta[levels == n]
+                factors[at] = grid.values_at(n, positions[at, 0])
+            from_g[theta] = False
+        levels = np.minimum(generations, spec.reward_depth)
+        for n in set(levels[from_g].tolist()):
+            at = from_g & (levels == n)
+            factors[at] = spec.reward_levels[n](positions[at])
+    factors, gamma = factors.tolist(), spec.gamma
+    rewards, end = [], 0
+    for out in outcomes:
+        start, end = end, end + len(out.stops)
+        log_total = 0.0
+        for s, f in zip(out.stops, factors[start:end]):
+            if f <= 0.0:
+                log_total = -math.inf
+                break
+            log_total += -gamma * s.time + math.log(f)
+        rewards.append(math.exp(log_total))
+    return np.array(rewards)
+
+
+def reward_of_outcome(spec: ModelSpec, outcome: LineOutcome, grid=None) -> float:
+    """The reward of one stop line: `reward_of_outcomes` of it alone."""
+    return float(reward_of_outcomes(spec, [outcome], grid)[0])
 
 
 @dataclass
@@ -101,17 +137,18 @@ def estimate_from_samples(samples: np.ndarray, seed: int, t_cut: float,
 
 def line_rewards(spec: ModelSpec, rule: StoppingRule, lines: Sequence[Line], dt: float,
                  max_particles: int, grid=None) -> np.ndarray:
-    """Each line's reward under the rule, as `reward_of_outcome` scores it with
-    `grid`, by one block walk (`walk_lines`) that draws at step dt only the
-    particles a line reads, at most `max_particles` per line, each only to
-    two steps past its rule's firing deadline, so each reward is bit for bit
-    its full forest's.  A grid solved for another model is refused before
-    anything is drawn."""
+    """Each line's reward under the rule, scored with `grid` in one batch by
+    `reward_of_outcomes`, after one block walk (`walk_lines`) that draws at
+    step dt only the particles a line reads, at most `max_particles` per
+    line, each only to two steps past its rule's firing deadline, so each
+    reward is bit for bit its full forest's, and the one `reward_of_outcome`
+    gives that line alone.  A grid solved for another model is refused
+    before anything is drawn."""
     if grid is not None and not grid.model_hash.startswith(model_hash(spec)):
         raise RewardError("grid was solved for a different model")
     outcomes = walk_lines(rule, lines, partial(draw_particles, spec, dt), model_hash(spec),
                           max_particles)
-    return np.array([reward_of_outcome(spec, out, grid) for out in outcomes])
+    return reward_of_outcomes(spec, outcomes, grid)
 
 
 def mc_value(

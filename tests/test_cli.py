@@ -242,12 +242,26 @@ def test_override_flag_changes_scalar(tmp_path):
     ("value", 'start={"x":[]}'),
     ("verify", "points=[99.0]"),
     ("verify", "points=[0.0,-8.5]"),
+    # mc's cut is read, and refused, for every command
+    ("check", "mc.cut_policy=bogus"),
+    ("simulate", "mc.t_cut=-1"),
+    ("verify", "mc.t_cut=0"),
 ])
 def test_invalid_config_field_is_usage_error(tmp_path, capsys, command, override):
     cfg = copy_config(tmp_path, "bump.json")
     assert run_cli([command, cfg, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override", ["mc.t_cut=0", "mc.cut_policy=bogus"])
+@pytest.mark.parametrize("command", ["check", "solve", "simulate", "value", "verify"])
+def test_bad_cut_is_blamed_on_its_own_field(tmp_path, capsys, command, override):
+    # not on mc.dt, which must lie below t_cut, nor on a rule built with the cut
+    cfg = copy_config(tmp_path, "bump.json")
+    assert run_cli([command, cfg, "--set", override]) == 2
+    field = override.partition("=")[0].split(".")[1]
+    assert capsys.readouterr().err.startswith(f"error: mc section: {field}: ")
 
 
 @pytest.mark.parametrize("command, override", [
@@ -384,7 +398,8 @@ def test_value_decides_to_solve_from_the_rule_kind(tmp_path, capsys, cut_policy)
     del config["solver"]
     cfg.write_text(json.dumps(config))
     assert run_cli(["value", cfg]) == 2
-    assert capsys.readouterr().err == f"error: unknown cut policy {cut_policy!r}\n"
+    assert capsys.readouterr().err == (f"error: mc section: cut_policy: {cut_policy!r} is "
+                                       "neither 'abandon' nor 'force_stop'\n")
 
 
 def test_value_refuses_a_malformed_part_before_asking_for_a_solve(tmp_path, capsys):

@@ -18,6 +18,7 @@ from stopline.reward import (
     estimate_from_samples,
     mc_value,
     reward_of_outcome,
+    reward_of_outcomes,
 )
 from stopline.simulator import draw_particles, replication_seed, simulate_forest
 from stopline.stopping import (
@@ -82,6 +83,97 @@ def test_many_small_factors_do_not_underflow(dummy_record):
     stops = [Stop((k,), 500.0, np.array([0.0]), 1) for k in range(3)]
     val = reward_of_outcome(spec, outcome_with(dummy_record, stops))
     assert val == approx(math.exp(3 * (-500.0 + math.log(0.5))), rel=1e-9)
+
+
+# --- the batched scorer against the scorer one stop at a time
+
+
+def reference_reward(spec, outcome, grid=None):
+    """One line's reward scored stop by stop, one reward call each, as the
+    library did before it scored a batch at once."""
+    log_total = 0.0
+    for s in outcome.stops:
+        if grid is not None and s.part == 0 and grid.contains(s.position[:1])[0]:
+            f = float(grid.values_at(s.generation, s.position[:1])[0])
+        else:
+            f = spec.reward_at(s.generation)(s.position)
+        if f <= 0.0:
+            return 0.0
+        log_total += -spec.gamma * s.time + math.log(f)
+    return math.exp(log_total)
+
+
+# numpy's AVX-512 log rounds log(c) one ulp away from libm's, so a scorer
+# that takes its logs from numpy scores the lines of c differently
+LOG_ROUNDED_APART = 0.863857216916683
+DEPTH2_REWARDS = (RewardFunction("clipped_put", strike=1.0),
+                  RewardFunction("bump", a=0.9, center=0.5, width=1.5),
+                  RewardFunction("constant", c=LOG_ROUNDED_APART))
+
+
+@pytest.fixture(scope="module", params=["depth2_grid", "depth2", "bump_2d"])
+def scored_batch(request):
+    """A model, a grid or None, and a mixed batch of lines to score."""
+    if request.param == "bump_2d":
+        spec = make_spec(dimension=2, gamma=0.8,
+                         rewards=(RewardFunction("bump", a=1.0, center=0.3, width=2.0),))
+    else:
+        spec = make_spec(diffusion=("constant", 1.0), alpha=0.5, gamma=1.3,
+                         offspring=("deterministic", 2), rewards=DEPTH2_REWARDS)
+    grid = (solve_scalar(spec, SolverSettings(x_lo=-4.0, x_hi=4.0, n_cells=200))
+            if request.param == "depth2_grid" else None)
+    rng = np.random.default_rng(30)
+    d = spec.dimension
+
+    def stop(time, x, generation, forced=False, part=0):
+        return Stop((len(lines), generation), time, np.full(d, x, dtype=float), generation,
+                    forced=forced, part=part)
+
+    def random_stop():
+        # a third forced, the rest parts 0 and 1; about a quarter outside [-4, 4]
+        forced = rng.random() < 1 / 3
+        x = rng.uniform(-6.0, 6.0, d)
+        return Stop((len(lines),), float(rng.uniform(0.0, 6.0)), x, int(rng.integers(0, 5)),
+                    forced=forced, part=0 if forced else int(rng.integers(0, 2)))
+
+    lines = []
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 50] * 4:
+        lines.append([random_stop() for _ in range(n)])
+    lines.append([])
+    zero = stop(0.5, 40.0, 0, part=1)  # g is 0 there at level 0, and tau takes g
+    lines.append([zero] + [random_stop() for _ in range(4)])
+    lines.append([random_stop() for _ in range(3)] + [zero] + [random_stop() for _ in range(3)])
+    lines.append([stop(0.2, math.nan, 1, part=1)])
+    lines.append([stop(0.2, math.nan, 1, part=1), zero])
+    # factors of 1 and one term far above the rest, which it absorbs when it
+    # comes first: summed in the other order the total differs
+    one = 0.3 if d == 2 else 0.0  # where g_0 is 1
+    lines.append([stop(1.0, one, 0, part=1)] + [stop(4e-17, one, 0, part=1)] * 20)
+    lines.append([stop(0.0, 0.0, 2, part=1)] * 20)
+    outcomes = [LineOutcome(stops, []) for stops in lines]
+    return spec, grid, outcomes
+
+
+def test_batched_scores_equal_the_stop_by_stop_reference(scored_batch):
+    spec, grid, outcomes = scored_batch
+    rewards = reward_of_outcomes(spec, outcomes, grid)
+    expected = [reference_reward(spec, out, grid) for out in outcomes]
+    assert rewards.dtype == float and len(rewards) == len(outcomes)
+    assert np.array_equal(rewards, expected, equal_nan=True)
+    assert rewards[-7] == 1.0 and rewards[-6] == rewards[-5] == rewards[-3] == 0.0
+    assert math.isnan(rewards[-4])
+    # the sum of the second last line depends on the order of its stops
+    order_swapped = LineOutcome(outcomes[-2].stops[::-1], [])
+    assert reference_reward(spec, order_swapped, grid) != expected[-2]
+
+
+def test_line_alone_scores_as_in_the_batch(scored_batch):
+    spec, grid, outcomes = scored_batch
+    rewards = reward_of_outcomes(spec, outcomes, grid)
+    for out, reward in zip(outcomes, rewards.tolist()):
+        assert np.array_equal(reward_of_outcomes(spec, [out], grid), [reward], equal_nan=True)
+        assert np.array_equal(reward_of_outcome(spec, out, grid), reward, equal_nan=True)
+    assert len(reward_of_outcomes(spec, [], grid)) == 0
 
 
 def test_mc_trivial_root_deterministic():
