@@ -127,7 +127,8 @@ _read_config = _record(
     rule=of_type(dict),
     start=_record(_Start, "start section", x=finites, label=lambda s: parse_label(text(s))),
     points=finites, check_grid=finites, outputs=text,
-    verify=_record(_Verify, "verify section", sweep_times=finites, dpp_theta=of_type(dict),
+    verify=_record(_Verify, "verify section", sweep_times=finites, branch_window=_positive,
+                   functional_horizon=_positive, dpp_theta=of_type(dict),
                    branching=of_type(bool)),
     simulate=_record(_Simulate, "simulate section"),
 )
@@ -284,6 +285,11 @@ def cmd_verify(config: Config) -> int:
         raise ConfigError(f"point {outside[0]} lies outside the solver domain "
                           f"[{solver.x_lo}, {solver.x_hi}]")
     sweep_times = (mc.t_cut / 4, mc.t_cut / 2) if ver.sweep_times is None else ver.sweep_times
+    # each is a fixed_time rule, which can fire only at a t in [0, t_cut)
+    late = [t for t in sweep_times if not 0 <= t < mc.t_cut]
+    if late:
+        raise ConfigError(f"verify.sweep_times must lie in [0, mc.t_cut) = [0, {mc.t_cut:g}), "
+                          f"not {late[0]:g}")
     # theta is read before the solve, which it shares
     solve = functools.cache(lambda: solve_scalar(spec, solver))
     theta = rule_from_json(ver.dpp_theta, spec.dimension, mc.t_cut, mc.cut_policy, solve)

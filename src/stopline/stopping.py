@@ -186,7 +186,7 @@ def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times:
     the birth times as `times`, one sample a particle.
     """
     def per_sample(values):
-        return values if len(values) == len(times) else np.repeat(values, np.diff(starts))
+        return np.repeat(values, np.diff(starts))
 
     if rule.kind in ("trivial_root", "first_branch"):
         # the root owns a trivial_root stop, and its children a first_branch stop
@@ -234,8 +234,6 @@ def first_fire(rule: StoppingRule, depth: int, level: int, births: np.ndarray,
                 first, part = np.where(earlier, fire, first), np.where(earlier, k, part)
         return first, part
     hits = _hits(rule, depth, level, births, times, positions, starts)
-    if len(times) == n:  # one sample each, as in the birth test
-        return np.where(hits, starts[:-1], -1), np.zeros(n, dtype=int)
     rows = np.flatnonzero(hits)
     first = np.concatenate((rows, [len(times)]))[np.searchsorted(rows, starts[:-1])]
     return np.where(first < starts[1:], first, -1), np.zeros(n, dtype=int)

@@ -15,7 +15,7 @@ import pytest
 
 from stopline.cli import main as cli_main
 from stopline.labels import MOTHER
-from stopline.model import RewardFunction, moment_report, value_bound
+from stopline.model import ModelSpec, RewardFunction, moment_report, value_bound
 from stopline.pde import SolverSettings, contact_boundary, solve_scalar
 from stopline.reward import mc_value
 from stopline.simulator import empirical_moment_bound_check, population_count, replication_seed, simulate_forests
@@ -40,6 +40,13 @@ def bump_model():
                      rewards=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),))
     grid = solve_scalar(spec, SolverSettings(x_lo=-8, x_hi=8, n_cells=1600))
     return spec, grid
+
+
+@pytest.fixture(scope="module")
+def branching_model():
+    return make_spec(diffusion=("constant", 0.4), alpha=1.0,
+                     offspring=("binary", (0.3, 0.7)), gamma=1.0,
+                     rewards=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),))
 
 
 def test_criterion_01_yule_mean():
@@ -198,10 +205,8 @@ def test_criterion_09_first_contact_optimality(bump_model):
            f"min sweep margin={min(margins):+.4f})")
 
 
-def test_criterion_10_branching_property():
-    spec = make_spec(diffusion=("constant", 0.4), alpha=1.0,
-                     offspring=("binary", (0.3, 0.7)), gamma=1.0,
-                     rewards=(RewardFunction("bump", a=0.8, center=0.0, width=1.0),))
+def test_criterion_10_branching_property(branching_model):
+    spec = branching_model
     result = branching_property_test(spec, point=0.3, reps=18_000, dt=0.02,
                                      seed=1881, branch_window=2.0,
                                      functional_horizon=0.5,
@@ -215,6 +220,19 @@ def test_criterion_10_branching_property():
            and result.p_value >= 0.01 and control,
            f"(n={result.n_samples}, ks={result.ks_stat:.4f}, p={result.p_value:.3f}, "
            f"shared-stream control identical: {control})")
+
+
+def test_branching_config_ships_criterion_10(tmp_path, branching_model):
+    # the shipped KS demo: criterion 10's model, at its dt and seed, from the point 0
+    config = json.loads((CONFIGS / "branching.json").read_text())
+    assert ModelSpec.from_json(config["model"]) == branching_model
+    config["outputs"] = str(tmp_path / "out")
+    cfg = tmp_path / "branching.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main(["verify", str(cfg)]) == 0
+    branching = json.loads((tmp_path / "out" / "verify.json").read_text())["branching"]
+    assert not branching["insufficient"]
+    assert branching["n_samples"] >= 100 and branching["p_value"] >= 0.01
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -27,6 +27,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # SHA-256 of the result files of the five commands on each shipped config, as
 # `test_every_command_runs_on_every_shipped_config` runs them
 SHIPPED_RESULT_DIGESTS = {
+    "branching.json": "a380f5e46cd759b3",
     "bump.json": "1498c4fdd43dd87d",
     "poisson_check.json": "7b682cd08877a317",
     "put.json": "1af73b73f50db8e0",
@@ -435,6 +436,10 @@ CONTACT = 'rule={"kind":"contact_set","epsilon":0.0002}'
     ("value", [CONTACT, "mc.dt=0"]),
     ("value", [CONTACT, "mc.dt=10"]),
     ("value", [CONTACT, "mc.reps=1"]),
+    # and so are the sweep's times and the branching test's settings
+    ("verify", ["verify.sweep_times=[-1]"]),
+    ("verify", ["verify.branching=true", "verify.branch_window=-1"]),
+    ("verify", ["verify.branching=true", "verify.functional_horizon=-1"]),
 ])
 def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                     overrides):
