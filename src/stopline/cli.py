@@ -27,7 +27,8 @@ from .model import (ModelError, ModelSpec, check_assumptions, finite, finites, m
                     of_type, read_fields, text, whole, write_json)
 from .pde import SolverError, SolverSettings, solve_scalar
 from .reward import RewardError, mc_value
-from .simulator import SimulationError, simulate_forest, write_forest_csv, write_paths_csv
+from .simulator import (MAX_STEPS, SimulationError, simulate_forest, within_steps,
+                         write_forest_csv, write_paths_csv)
 from .stopping import ABANDON, FORCE_STOP, StoppingError, rule_from_json
 from .verify import VerifyError, branching_property_test, cross_validate, dpp_consistency
 
@@ -290,6 +291,11 @@ def cmd_verify(config: Config) -> int:
     if late:
         raise ConfigError(f"verify.sweep_times must lie in [0, mc.t_cut) = [0, {mc.t_cut:g}), "
                           f"not {late[0]:g}")
+    # the branching test draws its mothers to the window and a line past it
+    span = ver.branch_window + ver.functional_horizon + 2 * mc.dt
+    if ver.branching and not within_steps(span, mc.dt):
+        raise ConfigError("verify.branch_window + verify.functional_horizon + 2 mc.dt = "
+                          f"{span:g} takes more than {MAX_STEPS} steps of mc.dt")
     # theta is read before the solve, which it shares
     solve = functools.cache(lambda: solve_scalar(spec, solver))
     theta = rule_from_json(ver.dpp_theta, spec.dimension, mc.t_cut, mc.cut_policy, solve)

@@ -11,10 +11,12 @@ its root's state and not on what siblings do.
 One function, `draw_particles`, draws particles at one step size: many at
 a time, each from its own stream with the same calls in the same order, in
 chunks of about CHUNK_SAMPLES samples whose per-sample arithmetic is done
-once, each up to its horizon or two steps past its stopping rule's
-deadline.  The block walk draws a generation of many lines this way, for
-the estimators and for `simulate_forests`, whose forests are never-rule
-lines.
+once, in one pass over the chunk's segments, each up to its horizon or two
+steps past its stopping rule's deadline.  A particle's loop reads its marks
+and its offspring pick through cheap scalar calls that give numpy's exact
+results (see `draw_particles`).  The block walk draws a generation of many
+lines this way, for the estimators and for `simulate_forests`, whose
+forests are never-rule lines.
 
 A stream is the Philox generator that `label_stream` builds for (seed,
 label).  `draw_particles` does not build one per particle: it derives the
@@ -25,6 +27,7 @@ numbers its own `label_stream` would give.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import math
@@ -275,8 +278,12 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     `label_stream(seed, label)`: exponential candidate event times at rate
     alpha_bar, the Euler-Maruyama path up to each, and a uniform mark on
     [0, alpha_bar] that rejects the candidate or picks the offspring count.
-    The keys of all the items' streams are derived at once, in numpy, and
-    each particle re-keys one reused Philox; no items, no chunk.
+    The mark is read as alpha_bar * random(), the double uniform(0,
+    alpha_bar) gives, with the stream left where uniform leaves it, and the
+    count as bisect_right on the cdf as a Python list, which picks what
+    searchsorted(side="right") picks, without numpy's per-call cost.  The
+    keys of all the items' streams are derived at once, in numpy, and each
+    particle re-keys one reused Philox; no items, no chunk.
 
     A particle is drawn up to min(horizon, deadline + 2 dt), the deadline
     being the forest time by which its stopping rule has fired (inf for
@@ -288,16 +295,17 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     the shorter horizon is not drawn.
 
     When the coefficients are constant, a particle's loop draws only its
-    random numbers, and the chunk's per-sample arithmetic is done once over
-    all its segments, with one sequential cumsum per segment, so every path
-    is bit for bit the one drawn alone; where a mark reads the position, the
-    loop forms each segment's end by the same elementwise arithmetic.  For
-    general coefficients each segment's path is computed before its mark
-    reads it, by `_diffuse_general`.
+    random numbers, and `_chunk` does the per-sample arithmetic in one pass
+    over the chunk's segments, with one `_increments` call for the chunk and
+    one sequential cumulative sum per segment, so every path is bit for bit
+    the one drawn alone; where a mark reads the position, the loop forms each
+    segment's end by the same elementwise arithmetic.  For general
+    coefficients each segment's path is computed before its mark reads it,
+    by `_diffuse_general`.
     """
     a_bar = spec.alpha_bar
     coefficients = spec.constant_coefficients
-    cdf = spec.offspring_cdf
+    cdf = None if spec.offspring_cdf is None else spec.offspring_cdf.tolist()
     rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
     batch, n_samples, sums = [], 0, np.zeros(1)
     items = list(items)
@@ -338,15 +346,15 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
             if proposal > horizon:
                 break
             proposals += 1
-            u = rng.uniform(0.0, a_bar)
+            u = a_bar * rng.random()  # rng.uniform(0.0, a_bar), the same double
             # x is the path's last sample wherever a mark reads it; a mark with a
             # cdf reads no position, and x stays at birth under constant coefficients
             alpha_here = spec.branch_rate(x) if cdf is None else rate
             if u < alpha_here:
                 # accepted event: the same mark picks the offspring interval,
                 # residual mass going to K_MAX
-                row = cdf if cdf is not None else spec.offspring.pmf(x[:1], K_MAX)[0].cumsum()
-                count = min(int(row.searchsorted(u / alpha_here, side="right")), K_MAX)
+                row = cdf or spec.offspring.pmf(x[:1], K_MAX)[0].cumsum().tolist()
+                count = min(bisect.bisect_right(row, u / alpha_here), K_MAX)
                 break
         batch.append((birth, start, segments, t if count >= 0 else math.inf, count, proposals))
         n_samples += 1
@@ -377,14 +385,20 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
     random numbers: (start time, whole dt steps, residual, normals or None);
     `sums` is `_dt_sums` for dt, long enough for every segment."""
     b, s, noisy = coefficients
-    births, xs, starts, segments = [], [], [0], []
+    births, xs, starts, segments, residuals, zs = [], [], [0], [], {}, []
+    lo = 0  # the segment's first row of `steps` and the increments
     for birth, x, segs, *_ in batch:
         births.append(birth)
         xs.append(x)
         row = starts[-1] + 1  # the particle's birth takes the row before
         for t, n_full, residual, z in segs:
-            segments.append((t, n_full, residual, row, z))
-            row += n_full + (residual > 0.0)
+            n = n_full + (residual > 0.0)
+            segments.append((t, n_full, residual, row, n, lo))
+            if residual:
+                residuals[lo + n_full] = residual
+            zs.append(z)
+            row += n
+            lo += n
         starts.append(row)
     times = np.empty(row)
     positions = np.empty((row, len(b)))
@@ -392,28 +406,28 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
     times[heads] = births
     positions[heads] = xs
     if segments:
-        steps = np.full(sum(n_full + (res > 0.0) for _, n_full, res, _, _ in segments), dt)
-        lo = 0
-        for t, n_full, residual, row, _ in segments:
+        steps = np.full(lo, dt)
+        steps[list(residuals)] = list(residuals.values())
+        incr = _increments(b, s, noisy, steps, np.concatenate(zs) if noisy else None)
+        for t, n_full, residual, row, n, lo in segments:
             # t + cumsum(steps): the dt sums, then the residual
             np.add(t, sums[1:n_full + 1], out=times[row:row + n_full])
             if residual:
                 times[row + n_full] = t + (sums[n_full] + residual)
-                steps[lo + n_full] = residual
-            lo += n_full + (residual > 0.0)
-        incr = _increments(b, s, noisy, steps,
-                           np.concatenate([z for *_, z in segments]) if noisy else None)
-        # x + cumsum(incr), one sequential cumsum per segment, x the row before it
-        lo = 0
-        for _, n_full, residual, row, _ in segments:
-            n = n_full + (residual > 0.0)
+            # x + cumsum(incr), one sequential sum per segment (np.cumsum's own
+            # ufunc call), x the row before it
             block = positions[row:row + n]
-            np.cumsum(incr[lo:lo + n], axis=0, out=block)
+            np.add.accumulate(incr[lo:lo + n], axis=0, out=block)
             np.add(positions[row - 1], block, out=block)
-            lo += n
     ends, counts, proposals = zip(*(p[3:] for p in batch))
     return Chunk(times, positions, np.array(starts), np.array(ends, dtype=float),
                  np.array(counts, dtype=int), np.array(proposals, dtype=int))
+
+
+def within_steps(span: float, dt: float) -> bool:
+    """Whether a draw over `span` at step dt has 0 < dt < span and at most
+    MAX_STEPS steps; a NaN is not within."""
+    return 0 < dt < span and span / dt <= MAX_STEPS
 
 
 def forest_start(
@@ -428,7 +442,7 @@ def forest_start(
     # each test is written as "not within", so that a NaN fails it too
     if not t0 < horizon < math.inf:
         raise SimulationError("horizon must be finite and exceed the start time")
-    if not (0 < dt < horizon - t0 and (horizon - t0) / dt <= MAX_STEPS):  # not left to numpy
+    if not within_steps(horizon - t0, dt):  # not left to numpy
         raise SimulationError(f"dt must satisfy 0 < dt < horizon - t0 in at most {MAX_STEPS} steps")
     init = [(tuple(lab), np.atleast_1d(np.asarray(x, dtype=float)).copy())
             for lab, x in initial]

@@ -440,6 +440,9 @@ CONTACT = 'rule={"kind":"contact_set","epsilon":0.0002}'
     ("verify", ["verify.sweep_times=[-1]"]),
     ("verify", ["verify.branching=true", "verify.branch_window=-1"]),
     ("verify", ["verify.branching=true", "verify.functional_horizon=-1"]),
+    # a positive one that the branching test cannot draw in MAX_STEPS steps of mc.dt
+    ("verify", ["verify.branching=true", "verify.branch_window=1e300"]),
+    ("verify", ["verify.branching=true", "verify.functional_horizon=1e6"]),
 ])
 def test_config_mistake_is_refused_before_the_solve(tmp_path, capsys, monkeypatch, command,
                                                     overrides):

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import gc
 import hashlib
@@ -13,7 +14,7 @@ from pytest import approx
 from scipy import stats as sps
 
 from stopline.labels import MOTHER, is_antichain
-from stopline.model import ModelSpec, Offspring, RateFunction
+from stopline.model import K_MAX, ModelSpec, Offspring, RateFunction
 from stopline.simulator import (
     MAX_STEPS,
     SimulationError,
@@ -320,6 +321,27 @@ def test_a_keyed_stream_draws_what_its_label_stream_draws():
             assert np.array_equal(draw(ours), draw(ref))
 
 
+def test_the_draw_reads_a_mark_and_a_pick_as_numpy_would():
+    # a * random() is the double uniform(0, a) draws, and leaves the stream
+    # where uniform leaves it
+    for a in (0.25, 1.0, 1.5):
+        ours, ref = label_stream(5, (1,)), label_stream(5, (1,))
+        for _ in range(100):
+            assert a * ours.random() == ref.uniform(0.0, a)
+        assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    # bisect_right on the cdf as a list is searchsorted(side="right"), at
+    # every entry and at its neighbours
+    for off in (Offspring("deterministic", k0=2), Offspring("binary", p0=0.3, p2=0.7),
+                Offspring("poisson", lam=RateFunction("constant", value=2.5)),
+                Offspring("poisson", lam=RateFunction("constant", value=40.0))):
+        cdf = off.pmf(np.zeros(1), K_MAX)[0].cumsum()
+        row = cdf.tolist()
+        for entry in cdf:
+            for v in (np.nextafter(entry, -np.inf), entry, np.nextafter(entry, np.inf)):
+                assert bisect.bisect_right(row, float(v)) == cdf.searchsorted(float(v),
+                                                                              side="right")
+
+
 def test_label_streams_differ():
     # siblings, mother and child, and the same label under another seed
     pairs = [(1, ()), (1, (0,)), (1, (1,)), (1, (0, 0)), (1, (0, 1)), (1, (10,)), (1, (1, 0)),
@@ -421,6 +443,23 @@ def test_forests_are_pinned():
         together = simulate_forests(PINNED_MODELS[name], initial, horizon, 0.05, seeds, t0=t0)
         assert [rec.seed for rec in together] == seeds
         assert [forest_digest([rec]) for rec in together] == [forest_digest([rec]) for rec in recs]
+
+
+# d = 2, constant coefficients and a logistic rate below alpha_bar, so that
+# thinned candidates give a particle several segments, each started from the
+# last one's end; dt = 0.07 leaves a residual step at the horizon too
+PLANAR_MODEL = dataclasses.replace(
+    make_spec(drift=("constant", -0.2), diffusion=("constant", 0.7), alpha=1.0,
+              offspring=("binary", (0.3, 0.7)), dimension=2),
+    branch_rate=RateFunction("logistic", cap=1.2, center=0.3, width=0.5), alpha_bar=2.5)
+PLANAR_FOREST_DIGEST = "65506b9e276e1019d4583a840dba958aa8f84d958a69e879240b79c39e713573"
+
+
+def test_a_planar_forest_is_pinned():
+    initial = [((0,), [0.1, -0.5]), ((1,), [-0.4, 0.6])]
+    records = [simulate_forest(PLANAR_MODEL, initial, 2.5, 0.07, seed) for seed in range(8)]
+    assert sum(rec.rejections for rec in records) > sum(len(rec.particles) for rec in records)
+    assert forest_digest(records) == PLANAR_FOREST_DIGEST
 
 
 def test_max_particles_is_a_bound_per_root():
