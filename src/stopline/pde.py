@@ -96,6 +96,10 @@ class LevelStats:
         return asdict(self)
 
 
+# What the contact rule's table says of a point (`ValueGrid.contact_entries`)
+CANNOT_FIRE, MAY_FIRE, SURELY_FIRES = 0, 1, 2
+
+
 @dataclass
 class ValueGrid:
     """Solved value functions per generation level on a shared spatial grid."""
@@ -147,12 +151,18 @@ class ValueGrid:
     def contact_candidates(self, n: int, epsilon: float, xs: np.ndarray) -> np.ndarray:
         """A superset of the points of the 1-D array xs where the contact rule
         fires, v_n(x) - g_n(x) <= epsilon with clearance 0 outside the domain
-        (or NaN): a fresh boolean array, False only where it cannot fire.
+        (or NaN): a fresh boolean array, False only where it cannot fire."""
+        return self.contact_entries(n, epsilon, xs) != CANNOT_FIRE
+
+    def contact_entries(self, n: int, epsilon: float, xs: np.ndarray) -> np.ndarray:
+        """What the contact rule's table says of each point of the 1-D array
+        xs: CANNOT_FIRE, MAY_FIRE, or SURELY_FIRES, where the exact test
+        fires for certain.
 
         Each x is mapped to a table entry by one multiply-add and a clip, and
         the entry is read from a table built once per (level, epsilon) by
         `_candidate_table`.  NaN maps to entry 0 and +-inf to an end, which
-        both stand for outside the domain and are always True.
+        both stand for outside the domain and are never CANNOT_FIRE.
         """
         key = (self.level(n), epsilon)
         if key not in self._candidates:
@@ -162,36 +172,51 @@ class ValueGrid:
         return table[entry.astype(np.intp)]
 
     def _candidate_table(self, level: int, epsilon: float) -> Tuple[np.ndarray, float, float]:
-        """The contact rule's candidate table of one level, and its cell map.
+        """The contact rule's table of one level, and its cell map.
 
         Entry j + 1 stands for cell j, [x_j, x_j+1]; entries 0 and n_cells + 1
         stand for the two sides outside the domain, where the rule always
-        fires, and are True.  Entry j + 1 is True when any node of cells j - 1
-        to j + 1 has clearance v - g <= epsilon + delta, or one of those cells
-        is outside the domain.
+        fires, and cells 0 and n_cells - 1 next to them.  An entry covers
+        three cells, j - 1 to j + 1 for entry j + 1, where a side outside the
+        domain counts as a cell.  It is MAY_FIRE when any node of those cells
+        has clearance v - g <= epsilon + delta, or one of them is outside, and
+        SURELY_FIRES when every node of them has clearance <= epsilon - delta
+        (an outside side counting as one that fires); otherwise CANNOT_FIRE.
 
-        Why the exact test cannot fire where the table says False.  On cell j
-        np.interp returns a + s * (x - x_j) with s = (b - a) / (x_j+1 - x_j)
-        rounded, and 0 <= x - x_j <= x_j+1 - x_j after rounding too.  So its
-        result is the exact linear interpolant of the node values a, b at some
-        t in [0, 1], off by at most 7u * max(|a|, |b|) (u the unit roundoff,
-        eps / 2).  The exact interpolant of v less that of g, at the same t,
-        is that of the node clearances, which is at least the smaller of the
-        two.  Both interpolations and the subtraction together miss it by at
-        most 8u * S, with S = max|v| + max|g| over the level.  A point of
-        cell j whose computed clearance is <= epsilon therefore has a node of
-        cell j whose exact clearance is <= epsilon + 8u * S, which is below
-        epsilon + delta for delta = 16 eps (S + tiny) = 32u (S + tiny); as
-        rounding is monotone, the node's computed clearance is then <= the
-        computed epsilon + delta.  The tiny term covers the absolute roundoff
-        of subnormal values.
+        Why the exact test cannot fire where the table says CANNOT_FIRE.  On
+        cell j np.interp returns a + s * (x - x_j) with s = (b - a) / (x_j+1 -
+        x_j) rounded, and 0 <= x - x_j <= x_j+1 - x_j after rounding too.  So
+        its result is the exact linear interpolant of the node values a, b at
+        some t in [0, 1], off by at most 7u * max(|a|, |b|) (u the unit
+        roundoff, eps / 2).  The exact interpolant of v less that of g, at the
+        same t, is that of the node clearances, which lies between the smaller
+        and the larger of the two.  Both interpolations and the subtraction
+        together miss it by at most 8u * S, with S = max|v| + max|g| over the
+        level.  A point of cell j whose computed clearance is <= epsilon
+        therefore has a node of cell j whose exact clearance is <= epsilon +
+        8u * S, which is below epsilon + delta for delta = 16 eps (S + tiny) =
+        32u (S + tiny); as rounding is monotone, the node's computed clearance
+        is then <= the computed epsilon + delta.  The tiny term covers the
+        absolute roundoff of subnormal values.
+
+        Why it surely fires where the table says SURELY_FIRES.  A point of
+        cell j has a computed clearance of at most the larger node clearance
+        of cell j plus 8u * S.  A node's exact clearance is at most its
+        computed one plus u * S, and that is at most the computed epsilon -
+        delta, which is at most epsilon - delta + u * |epsilon - delta|.  So
+        the point's computed clearance is at most epsilon - delta + u *
+        |epsilon - delta| + 9u * S, which is at most epsilon when epsilon <=
+        22 S, as delta >= 32u * S.  When epsilon > 22 S, every computed
+        clearance, at most S (1 + 9u), is below epsilon anyway.  A point
+        outside the domain fires always.
 
         The cell map is entry = floor(x * scale + shift), clipped, and it is
         monotone in x.  The nodes are checked to map within a quarter cell of
         their own entry, which holds for the uniform nodes that `solve_scalar`
         builds; so a point of cell j maps to entry j, j + 1 or j + 2, each of
         which covers cell j, a point below x_lo to entry 0 or 1, and a point
-        above x_hi to entry n_cells or n_cells + 1, all four True.
+        above x_hi to entry n_cells or n_cells + 1, each of which covers that
+        side.
         """
         n_cells = self.n_cells
         scale = n_cells / (self.x_hi - self.x_lo)
@@ -204,10 +229,16 @@ class ValueGrid:
         delta = 16 * finfo.eps * (np.max(np.abs(v)) + np.max(np.abs(g)) + finfo.tiny)
         near = v - g <= epsilon + delta
         cells = np.concatenate(([True], near[:-1] | near[1:], [True]))
-        table = cells.copy()
-        table[1:] |= cells[:-1]
-        table[:-1] |= cells[1:]
-        return table, scale, shift
+        may = cells.copy()
+        may[1:] |= cells[:-1]
+        may[:-1] |= cells[1:]
+        within = v - g <= epsilon - delta
+        cells = np.concatenate(([True], within[:-1] & within[1:], [True]))
+        sure = cells.copy()
+        sure[1:] &= cells[:-1]
+        sure[:-1] &= cells[1:]
+        # sure entries are among the may ones, as epsilon - delta <= epsilon + delta
+        return may.astype(np.uint8) + sure, scale, shift
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:

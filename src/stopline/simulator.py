@@ -12,11 +12,13 @@ One function, `draw_particles`, draws particles at one step size: many at
 a time, each from its own stream with the same calls in the same order, in
 chunks of about CHUNK_SAMPLES samples whose per-sample arithmetic is done
 once, in one pass over the chunk's segments, each up to its horizon or two
-steps past its stopping rule's deadline.  A particle's loop reads its marks
-and its offspring pick through cheap scalar calls that give numpy's exact
-results (see `draw_particles`).  The block walk draws a generation of many
-lines this way, for the estimators and for `simulate_forests`, whose
-forests are never-rule lines.
+steps past its stopping rule's deadline.  A chunk with at least MIN_BLOCK
+particles whose first segment has at most SHORT samples sums those first
+segments side by side, as the rows of one block.  A particle's loop reads
+its marks and its offspring pick through cheap scalar calls that give
+numpy's exact results (see `draw_particles`).  The block walk draws a
+generation of many lines this way, for the estimators and for
+`simulate_forests`, whose forests are never-rule lines.
 
 A stream is the Philox generator that `label_stream` builds for (seed,
 label).  `draw_particles` does not build one per particle: it derives the
@@ -197,9 +199,8 @@ def _segment(t0: float, t1: float, dt: float) -> Tuple[int, float]:
     return n_full, residual if residual > 1e-12 else 0.0
 
 
-def _segment_steps(t0: float, t1: float, dt: float) -> np.ndarray:
-    """Step lengths partitioning [t0, t1] into dt pieces plus a residual."""
-    n_full, residual = _segment(t0, t1, dt)
+def _segment_steps(n_full: int, residual: float, dt: float) -> np.ndarray:
+    """The step lengths of a `_segment`: n_full dt steps, then the residual."""
     steps = np.full(n_full + (residual > 0.0), dt)
     if residual:
         steps[n_full] = residual
@@ -296,22 +297,27 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
 
     When the coefficients are constant, a particle's loop draws only its
     random numbers, and `_chunk` does the per-sample arithmetic in one pass
-    over the chunk's segments, with one `_increments` call for the chunk and
-    one sequential cumulative sum per segment, so every path is bit for bit
-    the one drawn alone; where a mark reads the position, the loop forms each
-    segment's end by the same elementwise arithmetic.  For general
-    coefficients each segment's path is computed before its mark reads it,
-    by `_diffuse_general`.
+    over the chunk's segments: one `_increments` call for the chunk, one
+    accumulate for a block of its short first segments, summed side by side,
+    when it holds MIN_BLOCK of them, and one sequential cumulative sum per
+    other segment, so every path is bit for bit the one drawn alone.  Where
+    a mark reads the position (no `offspring_cdf`), the loop sums each
+    segment's increments itself, by the same elementwise arithmetic, to read
+    its end, and hands the sums to `_chunk`, which then adds only each
+    segment's start.  For general coefficients each segment's path is
+    computed before its mark reads it, by `_diffuse_general`.
     """
     a_bar = spec.alpha_bar
     coefficients = spec.constant_coefficients
     cdf = None if spec.offspring_cdf is None else spec.offspring_cdf.tolist()
     rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
+    # a mark reads the position: the loop sums each segment's increments
+    summed = coefficients is not None and cdf is None
     batch, n_samples, sums = [], 0, np.zeros(1)
     items = list(items)
 
     def chunk():
-        return _chunk(batch, coefficients, dt, sums) if coefficients else _stack(batch)
+        return _chunk(batch, coefficients, dt, sums, summed) if coefficients else _stack(batch)
 
     for (_, _, birth, x, horizon, deadline), key in zip(items, _stream_keys(items)):
         if batch and n_samples >= CHUNK_SAMPLES:
@@ -329,18 +335,20 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
             if not n:
                 t = target
             elif coefficients is not None:
-                z = rng.standard_normal((n, spec.dimension)) if coefficients[2] else None
-                if cdf is None:
-                    # the segment's last sample, as `_chunk` computes it
-                    x = x + np.cumsum(_increments(*coefficients, _segment_steps(t, target, dt), z),
-                                      axis=0)[-1]
-                segments.append((t, n_full, residual, z))
+                part = rng.standard_normal((n, spec.dimension)) if coefficients[2] else None
+                if summed:
+                    # the segment's running sums, to which `_chunk` adds its start;
+                    # x is its last sample, as `_chunk` computes it
+                    part = _increments(*coefficients, _segment_steps(n_full, residual, dt), part)
+                    np.add.accumulate(part, axis=0, out=part)
+                    x = x + part[-1]
+                segments.append((t, n_full, residual, part))
                 if n_full + 1 >= len(sums):
                     sums = _dt_sums(dt, max(1024, 1 << (n_full + 2).bit_length()))
                 # the segment's last sample time, t + cumsum(steps)[-1]
                 t = float(t + (sums[n_full] + residual if residual else sums[n_full]))
             else:
-                ts, xp = _diffuse_general(x, t, _segment_steps(t, target, dt), spec, rng)
+                ts, xp = _diffuse_general(x, t, _segment_steps(n_full, residual, dt), spec, rng)
                 segments.append((ts, xp))
                 t, x = float(ts[-1]), xp[-1]
             if proposal > horizon:
@@ -380,23 +388,43 @@ def _stack(batch) -> Chunk:
     return Chunk.stack(paths, *zip(*(p[3:] for p in batch)))
 
 
-def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
+# A chunk whose particles' first segments include at least MIN_BLOCK of at
+# most SHORT samples sums those side by side, as the rows of one block: about
+# 20 numpy calls for the block against 3 a segment.  On the batches of one
+# benchmark pass, 64 and 8 took `_chunk` on `branching_ks` from 44 to 26 ms and
+# left `bump_verify`'s chunks, which hold about one such segment, as they were;
+# a MIN_BLOCK of 4 cost `bump_verify` 4% of `_chunk` (see CHANGES.md).
+SHORT = 64
+MIN_BLOCK = 8
+
+
+def _chunk(batch, coefficients, dt: float, sums: np.ndarray, summed: bool) -> Chunk:
     """A chunk of constant-coefficient particles whose segments hold only their
-    random numbers: (start time, whole dt steps, residual, normals or None);
-    `sums` is `_dt_sums` for dt, long enough for every segment."""
+    random numbers: (start time, whole dt steps, residual, normals or None),
+    or, when `summed`, the running sums of the segment's increments in place
+    of its normals; `sums` is `_dt_sums` for dt, long enough for every
+    segment.
+
+    Each segment's samples are its start plus the sequential sum of its
+    increments, as np.cumsum sums them: a block of the chunk's short first
+    segments, if it holds MIN_BLOCK of them, and then one segment at a time,
+    each after the one before it on its particle, whose last sample is its
+    start."""
     b, s, noisy = coefficients
-    births, xs, starts, segments, residuals, zs = [], [], [0], [], {}, []
+    births, xs, starts, short, rest, residuals, parts = [], [], [0], [], [], {}, []
     lo = 0  # the segment's first row of `steps` and the increments
     for birth, x, segs, *_ in batch:
         births.append(birth)
         xs.append(x)
         row = starts[-1] + 1  # the particle's birth takes the row before
-        for t, n_full, residual, z in segs:
+        for t, n_full, residual, part in segs:
             n = n_full + (residual > 0.0)
-            segments.append((t, n_full, residual, row, n, lo))
+            # a first segment starts at its particle's birth, and needs no other sum
+            (short if n <= SHORT and row == starts[-1] + 1 else rest).append(
+                (t, n_full, residual, row, n, lo))
             if residual:
                 residuals[lo + n_full] = residual
-            zs.append(z)
+            parts.append(part)
             row += n
             lo += n
         starts.append(row)
@@ -405,11 +433,18 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
     heads = starts[:-1]
     times[heads] = births
     positions[heads] = xs
-    if segments:
-        steps = np.full(lo, dt)
-        steps[list(residuals)] = list(residuals.values())
-        incr = _increments(b, s, noisy, steps, np.concatenate(zs) if noisy else None)
-        for t, n_full, residual, row, n, lo in segments:
+    if parts:
+        if summed:
+            incr = np.concatenate(parts)  # the segments' increments, each summed
+        else:
+            steps = np.full(lo, dt)
+            steps[list(residuals)] = list(residuals.values())
+            incr = _increments(b, s, noisy, steps, np.concatenate(parts) if noisy else None)
+        if len(short) >= MIN_BLOCK:
+            _sum_block(short, times, positions, incr, sums, summed)
+        else:
+            rest = short + rest
+        for t, n_full, residual, row, n, lo in rest:
             # t + cumsum(steps): the dt sums, then the residual
             np.add(t, sums[1:n_full + 1], out=times[row:row + n_full])
             if residual:
@@ -417,11 +452,34 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
             # x + cumsum(incr), one sequential sum per segment (np.cumsum's own
             # ufunc call), x the row before it
             block = positions[row:row + n]
-            np.add.accumulate(incr[lo:lo + n], axis=0, out=block)
-            np.add(positions[row - 1], block, out=block)
+            summed_incr = incr[lo:lo + n] if summed else np.add.accumulate(
+                incr[lo:lo + n], axis=0, out=block)
+            np.add(positions[row - 1], summed_incr, out=block)
     ends, counts, proposals = zip(*(p[3:] for p in batch))
     return Chunk(times, positions, np.array(starts), np.array(ends, dtype=float),
                  np.array(counts, dtype=int), np.array(proposals, dtype=int))
+
+
+def _sum_block(segments, times, positions, incr, sums, summed: bool) -> None:
+    """Write the samples of particles' first segments, each a row of one block
+    padded to the longest, with the doubles the per-segment loop of `_chunk`
+    writes."""
+    t, n_full, residual, row, n, lo = map(np.array, zip(*segments))
+    cols = np.arange(n.max())
+    own = cols < n[:, None]  # a row's own cells; the padding is never read
+    rows = (row[:, None] + cols)[own]
+    # t + cumsum(steps): the dt sums, then each residual
+    block_times = t[:, None] + sums[1:len(cols) + 1]
+    last = residual > 0.0
+    block_times[last, n_full[last]] = t[last] + (sums[n_full[last]] + residual[last])
+    times[rows] = block_times[own]
+    # x + cumsum(incr), each row summed in sequence along axis 1 as np.cumsum
+    # sums a segment, x the particle's birth
+    block = incr.take(lo[:, None] + cols, axis=0, mode="clip")
+    if not summed:
+        np.add.accumulate(block, axis=1, out=block)
+    block += positions[row - 1][:, None, :]
+    positions[rows] = block[own]
 
 
 def within_steps(span: float, dt: float) -> bool:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .labels import Label, generation
 from .model import CatalogEntry, finite_or_inf, finites
-from .pde import ValueGrid
+from .pde import MAY_FIRE, SURELY_FIRES, ValueGrid
 from .simulator import Chunk, GenealogyRecord, SimulationError
 
 ABANDON = "abandon"
@@ -190,7 +190,9 @@ def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times:
 
     if rule.kind in ("trivial_root", "first_branch"):
         # the root owns a trivial_root stop, and its children a first_branch stop
-        return (times == per_sample(births)) & (depth == (0 if rule.kind == "trivial_root" else 1))
+        if depth != (0 if rule.kind == "trivial_root" else 1):
+            return np.zeros(len(times), dtype=bool)
+        return times == per_sample(births)
     if rule.kind == "fixed_time":
         # from t on, and never for a particle born after t
         return times >= per_sample(np.where(rule.t >= births - 1e-12, rule.t - 1e-12, math.inf))
@@ -199,12 +201,15 @@ def _hits(rule: StoppingRule, depth: int, level: int, births: np.ndarray, times:
         return (dist2 >= rule.radius**2) | (times >= rule.cap_t - 1e-12)
     if rule.kind == "contact_set":
         grid, xs = rule.grid, positions[:, 0]
-        # the exact clearance test runs only where the grid's table says it can fire
-        hits = grid.contact_candidates(level, rule.epsilon, xs)
-        if hits.any():
-            x = xs[hits]
+        # the exact clearance test runs only where the grid's table says the
+        # rule may fire, and not where it says it cannot or surely fires
+        entries = grid.contact_entries(level, rule.epsilon, xs)
+        hits = entries == SURELY_FIRES
+        may = np.flatnonzero(entries == MAY_FIRE)
+        if len(may):
+            x = xs[may]
             clearance = grid.values_at(level, x) - grid.obstacles_at(level, x)
-            hits[hits] = np.where(grid.contains(x), clearance, 0.0) <= rule.epsilon
+            hits[may] = np.where(grid.contains(x), clearance, 0.0) <= rule.epsilon
         return hits
     raise StoppingError(f"unhandled rule kind {rule.kind!r}")
 

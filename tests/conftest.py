@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def make_spec(
         reward_levels=tuple(rewards),
         k_g=k_g,
     )
+
+
+# d = 2, constant coefficients and a logistic rate below alpha_bar, so that
+# thinned candidates give a particle several segments, each started from the
+# last one's end
+PLANAR_MODEL = dataclasses.replace(
+    make_spec(drift=("constant", -0.2), diffusion=("constant", 0.7), alpha=1.0,
+              offspring=("binary", (0.3, 0.7)), dimension=2),
+    branch_rate=RateFunction("logistic", cap=1.2, center=0.3, width=0.5), alpha_bar=2.5)
 
 
 def recording_draw(spec, dt):

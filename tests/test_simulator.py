@@ -20,6 +20,7 @@ from stopline.simulator import (
     SimulationError,
     _keyed_stream,
     _philox_keys,
+    _segment,
     _segment_steps,
     _stream_keys,
     empirical_moment_bound_check,
@@ -31,7 +32,7 @@ from stopline.simulator import (
     total_born,
 )
 
-from conftest import make_spec
+from conftest import PLANAR_MODEL, make_spec
 
 START = [(MOTHER, [0.0])]
 
@@ -48,7 +49,7 @@ def test_no_events_when_rate_zero():
 
 @pytest.mark.parametrize("span", [-1.0, 0.0, 1e-15, 1e-13])
 def test_segment_below_the_residual_floor_has_no_steps(span):
-    assert len(_segment_steps(0.0, span, 0.01)) == 0
+    assert len(_segment_steps(*_segment(0.0, span, 0.01), 0.01)) == 0
 
 
 def test_rejects_bad_inputs():
@@ -445,13 +446,7 @@ def test_forests_are_pinned():
         assert [forest_digest([rec]) for rec in together] == [forest_digest([rec]) for rec in recs]
 
 
-# d = 2, constant coefficients and a logistic rate below alpha_bar, so that
-# thinned candidates give a particle several segments, each started from the
-# last one's end; dt = 0.07 leaves a residual step at the horizon too
-PLANAR_MODEL = dataclasses.replace(
-    make_spec(drift=("constant", -0.2), diffusion=("constant", 0.7), alpha=1.0,
-              offspring=("binary", (0.3, 0.7)), dimension=2),
-    branch_rate=RateFunction("logistic", cap=1.2, center=0.3, width=0.5), alpha_bar=2.5)
+# dt = 0.07 leaves a residual step at the horizon too
 PLANAR_FOREST_DIGEST = "65506b9e276e1019d4583a840dba958aa8f84d958a69e879240b79c39e713573"
 
 

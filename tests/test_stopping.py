@@ -10,7 +10,7 @@ from pytest import approx
 
 from stopline.labels import MOTHER, is_antichain
 from stopline.model import RewardFunction, model_hash
-from stopline.pde import SolverError, SolverSettings, ValueGrid, solve_scalar
+from stopline.pde import SURELY_FIRES, SolverError, SolverSettings, ValueGrid, solve_scalar
 from stopline.reward import mc_value
 from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
@@ -330,6 +330,9 @@ def test_exit_ball_stops_a_two_dimensional_forest_outside_the_ball():
 
 # --- the contact rule's candidate table -------------------------------------
 
+EPS = np.finfo(float).eps
+
+
 def _exact_contact(grid, n, epsilon, xs):
     """The contact rule's firing test on every point, with no table."""
     clearance = grid.values_at(n, xs) - grid.obstacles_at(n, xs)
@@ -353,21 +356,35 @@ def _special_positions(grid):
 @st.composite
 def _contact_cases(draw):
     """A grid whose node clearances sit around epsilon, with values up to 1e12,
-    and positions in its cells, near its ends, at its nodes and outside it."""
+    and positions in its cells, near its ends, at its nodes and outside it.
+
+    The solved grids and the stretches of clearances below epsilon give
+    entries where the rule surely fires, and an epsilon below the table's
+    rounding margin leaves none."""
     n_cells = draw(st.integers(4, 24))
     x_lo = draw(st.floats(-50.0, 50.0))
     xs = np.linspace(x_lo, x_lo + draw(st.floats(0.01, 30.0)), n_cells + 1)
-    epsilon = draw(st.floats(1e-6, 0.5))
     magnitude = draw(st.sampled_from([1.0, 1e6, 1e9, 1e12]))
     # generic values from a seeded generator, so that interpolation rounds
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = rng.uniform(0.0, 1.0, n_cells + 1) * magnitude
-    if draw(st.booleans()):
+    solved = draw(st.booleans())
+    # or below 16 eps max|g|, which the margin exceeds
+    top = np.max(_solved_small_grid(magnitude).obstacles[0] if solved else g)
+    epsilon = draw(st.one_of(st.floats(1e-6, 0.5),
+                             st.floats(0.01, 0.99).map(lambda f: f * 16 * EPS * top)))
+    if solved:
         grid = _solved_small_grid(magnitude)
     else:
         # node clearances of exactly epsilon, where only rounding decides the
-        # firing between nodes, or of 0 to 3 epsilon
-        k = 1.0 if draw(st.booleans()) else rng.uniform(0.0, 3.0, n_cells + 1)
+        # firing between nodes, or of 0 to 3 epsilon with a stretch of 0 to 1
+        # epsilon
+        if draw(st.booleans()):
+            k = np.ones(n_cells + 1)
+        else:
+            k = rng.uniform(0.0, 3.0, n_cells + 1)
+            lo = draw(st.integers(0, n_cells))
+            k[lo:lo + draw(st.integers(0, n_cells))] *= 1 / 3
         grid = _hand_grid(xs, g + k * epsilon, g)
     h = (grid.x_hi - grid.x_lo) / grid.n_cells
     positions = np.concatenate([
@@ -413,6 +430,22 @@ def test_candidate_table_margin_grows_with_the_values(magnitude):
     x = rng.uniform(-3.0, 5.0, 20000)
     fires = _exact_contact(grid, 0, epsilon, x)
     assert not np.any(fires & ~grid.contact_candidates(0, epsilon, x))
+
+
+def test_candidate_table_marks_sure_entries_only_above_the_margin():
+    # a stretch of zero clearance gives entries where the rule surely fires,
+    # and the exact test fires on every point of them; an epsilon below the
+    # margin, about 7e-9 here, leaves none
+    rng = np.random.default_rng(16)
+    xs = np.linspace(-3.0, 5.0, 41)
+    g = rng.uniform(0.0, 1.0, len(xs)) * 1e6
+    k = np.full(len(xs), 3.0)
+    k[10:30] = 0.0
+    grid = _hand_grid(xs, g + k * 0.01, g)
+    x = rng.uniform(-3.0, 5.0, 20000)
+    sure = grid.contact_entries(0, 0.01, x) == SURELY_FIRES
+    assert 0 < np.sum(sure) < len(x) and np.all(_exact_contact(grid, 0, 0.01, x[sure]))
+    assert not np.any(grid.contact_entries(0, 1e-9, x) == SURELY_FIRES)
 
 
 def test_candidate_table_refuses_nonuniform_nodes():

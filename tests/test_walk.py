@@ -33,9 +33,12 @@ from stopline.reward import (
     mc_value,
     reward_of_outcome,
 )
+from stopline import simulator
 from stopline.simulator import (
     CHUNK_SAMPLES,
     SimulationError,
+    _chunk,
+    _sum_block,
     draw_particles,
     replication_seed,
     simulate_forest,
@@ -56,7 +59,7 @@ from stopline.stopping import (
 )
 from stopline.verify import _extract_subtree, subtree_reward_samples
 
-from conftest import make_spec, recording_draw
+from conftest import PLANAR_MODEL, make_spec, recording_draw
 
 BUMP = RewardFunction("bump", a=0.8, center=0.0, width=1.0)
 T_CUT, DT, REPS = 2.5, 0.05, 12
@@ -161,21 +164,50 @@ def test_a_line_of_many_chunks_equals_the_replication_loop():
     assert est == reference_value(spec, rule, (MOTHER, [0.3]), 3, dt, 8)
 
 
-def test_chunked_draws_equal_one_particle_draws():
-    # particles of several lengths, drawn together and one by one, a call per dt
-    spec = MODELS["binary"]
-    items = [(seed, (seed % 3,), 0.1 * seed, np.array([0.2 * seed]), 2.0 + seed, math.inf)
-             for seed in range(12) for _ in range(2)]
-    for dt in (0.05, 0.01, 0.2):
-        together = list(draw_particles(spec, dt, items))
-        alone = [next(draw_particles(spec, dt, [item])) for item in items]
-        assert list(draw_particles(spec, dt, [])) == list(draw_particles(spec, dt, iter(()))) == []
-        assert len(together) < len(alone)
-        assert sum(len(c.starts) - 1 for c in together) == len(items)
-        for field in ("times", "positions", "end_time", "count", "proposals"):
-            joined = [getattr(c, field) for c in together]
-            assert np.array_equal(np.concatenate(joined), np.concatenate(
-                [getattr(c, field) for c in alone])), (dt, field)
+def test_chunked_draws_equal_one_particle_draws(monkeypatch):
+    # particles of several lengths, drawn together and one by one, a call per
+    # dt; together, chunks sum their short first segments in a block, and a
+    # chunk of one particle never does, so `alone` is drawn segment by segment
+    blocks = []  # per chunk drawn, the particles of its block, 0 for none
+
+    def chunk(*args):
+        blocks.append(0)
+        return _chunk(*args)
+
+    def sum_block(segments, *args):
+        blocks[-1] = len(segments)
+        return _sum_block(segments, *args)
+
+    monkeypatch.setattr(simulator, "_chunk", chunk)
+    monkeypatch.setattr(simulator, "_sum_block", sum_block)
+    noiseless = make_spec(drift=("constant", 0.4), alpha=1.0, offspring=("binary", (0.3, 0.7)))
+    mixed = 0  # chunks whose block holds some but not all of their particles
+    # noisy and noiseless, each with marks that read no position and with
+    # marks that do, whose loop hands its sums to the chunk
+    for spec in (MODELS["binary"], PLANAR_MODEL, noiseless,
+                 dataclasses.replace(noiseless, branch_rate=PLANAR_MODEL.branch_rate,
+                                     alpha_bar=2.5)):
+        items = [(seed, (seed % 3,), 0.1 * seed, np.full(spec.dimension, 0.2 * seed),
+                  2.0 + seed, math.inf) for seed in range(12) for _ in range(2)]
+        formed = []
+        for dt in (0.05, 0.02, 0.01, 0.2):
+            blocks.clear()
+            together = list(draw_particles(spec, dt, items))
+            assert len(blocks) == len(together)
+            formed += blocks
+            mixed += sum(0 < k < len(c.starts) - 1 for k, c in zip(blocks, together))
+            blocks.clear()
+            alone = [next(draw_particles(spec, dt, [item])) for item in items]
+            assert not any(blocks)
+            assert list(draw_particles(spec, dt, [])) == list(draw_particles(spec, dt, iter(()))) == []
+            assert len(together) < len(alone)
+            assert sum(len(c.starts) - 1 for c in together) == len(items)
+            for field in ("times", "positions", "end_time", "count", "proposals"):
+                joined = [getattr(c, field) for c in together]
+                assert np.array_equal(np.concatenate(joined), np.concatenate(
+                    [getattr(c, field) for c in alone])), (spec, dt, field)
+        assert any(formed), spec
+    assert mixed
 
 
 # items of mixed seeds, label depths, births and horizons, in no particular order
