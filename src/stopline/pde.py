@@ -148,12 +148,6 @@ class ValueGrid:
     def value_at_point(self, n: int, x: float) -> float:
         return float(self.values_at(n, np.array([x]))[0])
 
-    def contact_candidates(self, n: int, epsilon: float, xs: np.ndarray) -> np.ndarray:
-        """A superset of the points of the 1-D array xs where the contact rule
-        fires, v_n(x) - g_n(x) <= epsilon with clearance 0 outside the domain
-        (or NaN): a fresh boolean array, False only where it cannot fire."""
-        return self.contact_entries(n, epsilon, xs) != CANNOT_FIRE
-
     def contact_entries(self, n: int, epsilon: float, xs: np.ndarray) -> np.ndarray:
         """What the contact rule's table says of each point of the 1-D array
         xs: CANNOT_FIRE, MAY_FIRE, or SURELY_FIRES, where the exact test

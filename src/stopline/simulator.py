@@ -10,15 +10,17 @@ its root's state and not on what siblings do.
 
 One function, `draw_particles`, draws particles at one step size: many at
 a time, each from its own stream with the same calls in the same order, in
-chunks of about CHUNK_SAMPLES samples whose per-sample arithmetic is done
-once, in one pass over the chunk's segments, each up to its horizon or two
-steps past its stopping rule's deadline.  A chunk with at least MIN_BLOCK
-particles whose first segment has at most SHORT samples sums those first
-segments side by side, as the rows of one block.  A particle's loop reads
-its marks and its offspring pick through cheap scalar calls that give
-numpy's exact results (see `draw_particles`).  The block walk draws a
-generation of many lines this way, for the estimators and for
-`simulate_forests`, whose forests are never-rule lines.
+chunks of about CHUNK_SAMPLES samples, each particle up to its horizon or
+two steps past its stopping rule's deadline.  A segment reaches its chunk
+in one of two forms: its random numbers, under constant coefficients with
+marks that read no position, for `_chunk` to do the chunk's per-sample
+arithmetic in one pass (a block of at least MIN_BLOCK first segments of
+at most SHORT samples summed side by side); or its path, computed in the
+particle's loop for its mark to read.  The loop reads its marks and its
+offspring pick through cheap scalar calls that give numpy's exact results
+(see `draw_particles`).  The block walk draws a generation of many lines
+this way, for the estimators and for `simulate_forests`, whose forests
+are never-rule lines.
 
 A stream is the Philox generator that `label_stream` builds for (seed,
 label).  `draw_particles` does not build one per particle: it derives the
@@ -207,6 +209,15 @@ def _segment_steps(n_full: int, residual: float, dt: float) -> np.ndarray:
     return steps
 
 
+def _segment_times(t, n_full, residual, sums, out):
+    """Write a segment's sample times t + cumsum(steps) into out and return
+    it: the dt `sums`, then the residual."""
+    np.add(t, sums[1:n_full + 1], out=out[:n_full])
+    if residual:
+        out[n_full] = t + (sums[n_full] + residual)
+    return out
+
+
 def _increments(b, s, noisy, steps, z):
     """Constant-coefficient increments b h + (s sqrt(h)) z, a row per step h."""
     incr = b[None, :] * steps[:, None]
@@ -295,29 +306,27 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     be the shorter draw's residual step, a hair short of dt.  An event past
     the shorter horizon is not drawn.
 
-    When the coefficients are constant, a particle's loop draws only its
-    random numbers, and `_chunk` does the per-sample arithmetic in one pass
-    over the chunk's segments: one `_increments` call for the chunk, one
-    accumulate for a block of its short first segments, summed side by side,
-    when it holds MIN_BLOCK of them, and one sequential cumulative sum per
-    other segment, so every path is bit for bit the one drawn alone.  Where
-    a mark reads the position (no `offspring_cdf`), the loop sums each
-    segment's increments itself, by the same elementwise arithmetic, to read
-    its end, and hands the sums to `_chunk`, which then adds only each
-    segment's start.  For general coefficients each segment's path is
-    computed before its mark reads it, by `_diffuse_general`.
+    When the coefficients are constant and a mark reads no position (an
+    `offspring_cdf`), a particle's loop draws only its random numbers, and
+    `_chunk` does the per-sample arithmetic in one pass over the chunk's
+    segments: one `_increments` call for the chunk, one accumulate for a
+    block of its short first segments, summed side by side, when it holds
+    MIN_BLOCK of them, and one sequential cumulative sum per other segment,
+    so every path is bit for bit the one drawn alone.  Otherwise each
+    segment's path is computed before its mark reads the end, and the chunk
+    stacks the paths: under constant coefficients as the segment's start
+    plus the sequential sum of its increments, the doubles `_chunk` would
+    write, and for general coefficients by `_diffuse_general`.
     """
     a_bar = spec.alpha_bar
     coefficients = spec.constant_coefficients
     cdf = None if spec.offspring_cdf is None else spec.offspring_cdf.tolist()
     rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
-    # a mark reads the position: the loop sums each segment's increments
-    summed = coefficients is not None and cdf is None
     batch, n_samples, sums = [], 0, np.zeros(1)
     items = list(items)
 
     def chunk():
-        return _chunk(batch, coefficients, dt, sums, summed) if coefficients else _stack(batch)
+        return _chunk(batch, coefficients, dt, sums) if coefficients and cdf else _stack(batch)
 
     for (_, _, birth, x, horizon, deadline), key in zip(items, _stream_keys(items)):
         if batch and n_samples >= CHUNK_SAMPLES:
@@ -334,23 +343,27 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
             n_samples += n
             if not n:
                 t = target
-            elif coefficients is not None:
-                part = rng.standard_normal((n, spec.dimension)) if coefficients[2] else None
-                if summed:
-                    # the segment's running sums, to which `_chunk` adds its start;
-                    # x is its last sample, as `_chunk` computes it
-                    part = _increments(*coefficients, _segment_steps(n_full, residual, dt), part)
-                    np.add.accumulate(part, axis=0, out=part)
-                    x = x + part[-1]
-                segments.append((t, n_full, residual, part))
-                if n_full + 1 >= len(sums):
-                    sums = _dt_sums(dt, max(1024, 1 << (n_full + 2).bit_length()))
-                # the segment's last sample time, t + cumsum(steps)[-1]
-                t = float(t + (sums[n_full] + residual if residual else sums[n_full]))
-            else:
+            elif coefficients is None:
                 ts, xp = _diffuse_general(x, t, _segment_steps(n_full, residual, dt), spec, rng)
                 segments.append((ts, xp))
                 t, x = float(ts[-1]), xp[-1]
+            else:
+                part = rng.standard_normal((n, spec.dimension)) if coefficients[2] else None
+                if n_full + 1 >= len(sums):
+                    sums = _dt_sums(dt, max(1024, 1 << (n_full + 2).bit_length()))
+                if cdf is not None:
+                    segments.append((t, n_full, residual, part))
+                    # the segment's last sample time, t + cumsum(steps)[-1]
+                    t = float(t + (sums[n_full] + residual if residual else sums[n_full]))
+                else:
+                    # a mark reads the position: the path is x + cumsum(incr), the
+                    # doubles `_chunk` would write, as IEEE addition commutes
+                    ts = _segment_times(t, n_full, residual, sums, np.empty(n))
+                    xp = _increments(*coefficients, _segment_steps(n_full, residual, dt), part)
+                    np.add.accumulate(xp, axis=0, out=xp)
+                    xp += x
+                    segments.append((ts, xp))
+                    t, x = float(ts[-1]), xp[-1]
             if proposal > horizon:
                 break
             proposals += 1
@@ -398,12 +411,10 @@ SHORT = 64
 MIN_BLOCK = 8
 
 
-def _chunk(batch, coefficients, dt: float, sums: np.ndarray, summed: bool) -> Chunk:
+def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
     """A chunk of constant-coefficient particles whose segments hold only their
-    random numbers: (start time, whole dt steps, residual, normals or None),
-    or, when `summed`, the running sums of the segment's increments in place
-    of its normals; `sums` is `_dt_sums` for dt, long enough for every
-    segment.
+    random numbers: (start time, whole dt steps, residual, normals or None);
+    `sums` is `_dt_sums` for dt, long enough for every segment.
 
     Each segment's samples are its start plus the sequential sum of its
     increments, as np.cumsum sums them: a block of the chunk's short first
@@ -434,33 +445,26 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray, summed: bool) -> Ch
     times[heads] = births
     positions[heads] = xs
     if parts:
-        if summed:
-            incr = np.concatenate(parts)  # the segments' increments, each summed
-        else:
-            steps = np.full(lo, dt)
-            steps[list(residuals)] = list(residuals.values())
-            incr = _increments(b, s, noisy, steps, np.concatenate(parts) if noisy else None)
+        steps = np.full(lo, dt)
+        steps[list(residuals)] = list(residuals.values())
+        incr = _increments(b, s, noisy, steps, np.concatenate(parts) if noisy else None)
         if len(short) >= MIN_BLOCK:
-            _sum_block(short, times, positions, incr, sums, summed)
+            _sum_block(short, times, positions, incr, sums)
         else:
             rest = short + rest
         for t, n_full, residual, row, n, lo in rest:
-            # t + cumsum(steps): the dt sums, then the residual
-            np.add(t, sums[1:n_full + 1], out=times[row:row + n_full])
-            if residual:
-                times[row + n_full] = t + (sums[n_full] + residual)
+            _segment_times(t, n_full, residual, sums, times[row:row + n])
             # x + cumsum(incr), one sequential sum per segment (np.cumsum's own
             # ufunc call), x the row before it
             block = positions[row:row + n]
-            summed_incr = incr[lo:lo + n] if summed else np.add.accumulate(
-                incr[lo:lo + n], axis=0, out=block)
-            np.add(positions[row - 1], summed_incr, out=block)
+            np.add.accumulate(incr[lo:lo + n], axis=0, out=block)
+            np.add(positions[row - 1], block, out=block)
     ends, counts, proposals = zip(*(p[3:] for p in batch))
     return Chunk(times, positions, np.array(starts), np.array(ends, dtype=float),
                  np.array(counts, dtype=int), np.array(proposals, dtype=int))
 
 
-def _sum_block(segments, times, positions, incr, sums, summed: bool) -> None:
+def _sum_block(segments, times, positions, incr, sums) -> None:
     """Write the samples of particles' first segments, each a row of one block
     padded to the longest, with the doubles the per-segment loop of `_chunk`
     writes."""
@@ -476,8 +480,7 @@ def _sum_block(segments, times, positions, incr, sums, summed: bool) -> None:
     # x + cumsum(incr), each row summed in sequence along axis 1 as np.cumsum
     # sums a segment, x the particle's birth
     block = incr.take(lo[:, None] + cols, axis=0, mode="clip")
-    if not summed:
-        np.add.accumulate(block, axis=1, out=block)
+    np.add.accumulate(block, axis=1, out=block)
     block += positions[row - 1][:, None, :]
     positions[rows] = block[own]
 

@@ -457,6 +457,22 @@ def test_a_planar_forest_is_pinned():
     assert forest_digest(records) == PLANAR_FOREST_DIGEST
 
 
+# noiseless, so a mark reads a position that only the drift moves; dt = 0.07
+# and 0.2 leave a residual step at the horizon too
+NOISELESS_FOREST_DIGEST = "a5175a4400014419bbd62108ca43910dacd5b1dfadbffc9a12bcdd6514045d01"
+
+
+def test_a_noiseless_forest_with_a_logistic_rate_is_pinned():
+    spec = dataclasses.replace(
+        make_spec(drift=("constant", 0.4), alpha=1.0, offspring=("binary", (0.3, 0.7))),
+        branch_rate=PLANAR_MODEL.branch_rate, alpha_bar=2.5)
+    initial = [((0,), [-0.6]), ((1,), [0.5])]
+    records = [simulate_forest(spec, initial, 2.5, dt, seed)
+               for dt in (0.05, 0.07, 0.2) for seed in range(8)]
+    assert sum(rec.rejections for rec in records) > sum(len(rec.particles) for rec in records)
+    assert forest_digest(records) == NOISELESS_FOREST_DIGEST
+
+
 def test_max_particles_is_a_bound_per_root():
     spec = make_spec(alpha=2.0, offspring=("deterministic", 2))
     initial = [((0,), [0.0]), ((1,), [0.0])]

@@ -10,7 +10,8 @@ from pytest import approx
 
 from stopline.labels import MOTHER, is_antichain
 from stopline.model import RewardFunction, model_hash
-from stopline.pde import SURELY_FIRES, SolverError, SolverSettings, ValueGrid, solve_scalar
+from stopline.pde import (CANNOT_FIRE, SURELY_FIRES, SolverError, SolverSettings, ValueGrid,
+                          solve_scalar)
 from stopline.reward import mc_value
 from stopline.simulator import replication_seed, simulate_forest
 from stopline.stopping import (
@@ -429,7 +430,7 @@ def test_candidate_table_margin_grows_with_the_values(magnitude):
     grid = _hand_grid(xs, g + epsilon, g)
     x = rng.uniform(-3.0, 5.0, 20000)
     fires = _exact_contact(grid, 0, epsilon, x)
-    assert not np.any(fires & ~grid.contact_candidates(0, epsilon, x))
+    assert not np.any(fires & (grid.contact_entries(0, epsilon, x) == CANNOT_FIRE))
 
 
 def test_candidate_table_marks_sure_entries_only_above_the_margin():
@@ -452,13 +453,13 @@ def test_candidate_table_refuses_nonuniform_nodes():
     xs = np.geomspace(1.0, 100.0, 9)
     grid = _hand_grid(xs, np.ones(9), np.zeros(9))
     with pytest.raises(SolverError, match="uniformly spaced"):
-        grid.contact_candidates(0, 0.1, xs)
+        grid.contact_entries(0, 0.1, xs)
 
 
 def test_candidate_table_stays_out_of_repr_equality_and_log(small_grid):
     log = small_grid.log_json()
-    assert small_grid.contact_candidates(0, 1e-3, np.array([0.0, 9.0, math.nan])).tolist() == \
-        [True, True, True]
+    entries = small_grid.contact_entries(0, 1e-3, np.array([0.0, 9.0, math.nan]))
+    assert (entries != CANNOT_FIRE).tolist() == [True, True, True]
     assert small_grid._candidates
     assert "_candidates" not in repr(small_grid)
     assert small_grid.log_json() == log

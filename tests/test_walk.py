@@ -182,23 +182,23 @@ def test_chunked_draws_equal_one_particle_draws(monkeypatch):
     monkeypatch.setattr(simulator, "_sum_block", sum_block)
     noiseless = make_spec(drift=("constant", 0.4), alpha=1.0, offspring=("binary", (0.3, 0.7)))
     mixed = 0  # chunks whose block holds some but not all of their particles
-    # noisy and noiseless, each with marks that read no position and with
-    # marks that do, whose loop hands its sums to the chunk
-    for spec in (MODELS["binary"], PLANAR_MODEL, noiseless,
-                 dataclasses.replace(noiseless, branch_rate=PLANAR_MODEL.branch_rate,
-                                     alpha_bar=2.5)):
+    # noisy and noiseless, each with marks that read no position, whose chunks
+    # `_chunk` builds, and with marks that do, whose loop finishes each path
+    for spec, built in ((MODELS["binary"], True), (PLANAR_MODEL, False), (noiseless, True),
+                        (dataclasses.replace(noiseless, branch_rate=PLANAR_MODEL.branch_rate,
+                                             alpha_bar=2.5), False)):
         items = [(seed, (seed % 3,), 0.1 * seed, np.full(spec.dimension, 0.2 * seed),
                   2.0 + seed, math.inf) for seed in range(12) for _ in range(2)]
         formed = []
         for dt in (0.05, 0.02, 0.01, 0.2):
             blocks.clear()
             together = list(draw_particles(spec, dt, items))
-            assert len(blocks) == len(together)
+            assert len(blocks) == (len(together) if built else 0)
             formed += blocks
             mixed += sum(0 < k < len(c.starts) - 1 for k, c in zip(blocks, together))
             blocks.clear()
             alone = [next(draw_particles(spec, dt, [item])) for item in items]
-            assert not any(blocks)
+            assert blocks == [0] * (len(items) if built else 0)
             assert list(draw_particles(spec, dt, [])) == list(draw_particles(spec, dt, iter(()))) == []
             assert len(together) < len(alone)
             assert sum(len(c.starts) - 1 for c in together) == len(items)
@@ -206,7 +206,7 @@ def test_chunked_draws_equal_one_particle_draws(monkeypatch):
                 joined = [getattr(c, field) for c in together]
                 assert np.array_equal(np.concatenate(joined), np.concatenate(
                     [getattr(c, field) for c in alone])), (spec, dt, field)
-        assert any(formed), spec
+        assert any(formed) == built, spec
     assert mixed
 
 
