@@ -14,11 +14,11 @@ upwinding for the drift, which keeps the system a tridiagonal M-matrix.  Each
 linear complementarity problem is then solved exactly by policy iteration
 (Howard's algorithm, here the same as the primal-dual active-set method):
 every interior row is either a PDE row or an obstacle row, each iteration is
-one banded solve, and the iteration stops when the row choice repeats.  The
-first row choice comes from the same problem solved on a grid of half as
-many cells, recursively (Brandt & Cryer 1983), so each level needs only a
-few iterations and the whole solve is O(n); the answer does not depend on
-that first choice.
+one LAPACK `dgtsv` call on the three diagonals, and the iteration stops when
+the row choice repeats.  The first row choice comes from the same problem
+solved on a grid of half as many cells, recursively (Brandt & Cryer 1983),
+so each level needs only a few iterations and the whole solve is O(n); the
+answer does not depend on that first choice.
 """
 from __future__ import annotations
 
@@ -81,8 +81,9 @@ def settings_hash(settings: SolverSettings) -> str:
 @dataclass
 class LevelStats:
     picard_iterations: int
-    # Policy iterations of each linear obstacle solve; the name predates the
-    # exact solver and stays because solver_log.json and the benchmark read it.
+    # Policy iterations (dgtsv calls) of each linear obstacle solve; the name
+    # predates the exact solver and stays because solver_log.json and the
+    # benchmark read it.
     psor_sweeps: List[int]
     step_norms: List[float]
     step_ratios: List[float]
@@ -272,12 +273,17 @@ def _build_stencil(spec: ModelSpec, xs: np.ndarray) -> _Stencil:
     b = spec.drift(xs)
     s = spec.diffusion(xs)
     alpha = spec.branch_rate(xs[:, None])
-    diff = 0.5 * s * s / (h * h)
-    b_plus = np.maximum(b, 0.0)
-    b_minus = np.maximum(-b, 0.0)
-    lower = diff + b_minus / h
-    upper = diff + b_plus / h
-    diag = lower + upper + alpha + spec.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = 0.5 * s * s / (h * h)
+        b_plus = np.maximum(b, 0.0)
+        b_minus = np.maximum(-b, 0.0)
+        lower = diff + b_minus / h
+        upper = diff + b_plus / h
+        diag = lower + upper + alpha + spec.gamma
+    # a sum is finite only if every term is, so diag speaks for the stencil
+    if not np.isfinite(diag).all():
+        raise SolverError("the stencil's coefficients overflow: drift or diffusion is too "
+                          "large for this grid")
     if np.any(lower < -1e-15) or np.any(upper < -1e-15):
         raise SolverError("discretization lost monotonicity (negative off-diagonal)")
     if np.any(diag <= 0):
@@ -323,7 +329,7 @@ def _solve_lcp(stencils: List[_Stencil], source: np.ndarray, g: np.ndarray,
     these nodes.  That choice only sets where the iteration starts: it still
     stops only when the row choice repeats, so the result is exact whatever
     the first choice.  Returns the solution, the interior obstacle rows and
-    the banded solves over all grids.
+    the tridiagonal (`dgtsv`) solves over all grids.
     """
     st = stencils[0]
     coarse_solves = 0
@@ -345,32 +351,41 @@ def _policy_iteration(st: _Stencil, source: np.ndarray, g: np.ndarray, v0: np.nd
     v_i - g_i < (A v - source)_i, and a PDE row ((A v)_i = source_i)
     otherwise; when `obstacle` is None the first choice is read off v0.  On an
     M-matrix the policy settles in at most n iterations (Bokanowski, Maroso
-    & Zidani 2009).  Returns the solution, the obstacle rows and the number
-    of banded solves.
+    & Zidani 2009).  Each iteration is one LAPACK `dgtsv` call on the three
+    diagonals; scipy's banded-solve wrapper calls the same routine, but its
+    per-call checks cost about a fifth of a put solve, so the checks it made
+    are made here: the stencil is finite when built, and a non-finite
+    right-hand side or a nonzero `info` is a SolverError.  Returns the
+    solution, the obstacle rows and the number of tridiagonal solves.
     """
     # scipy.linalg takes a noticeable share of start-up; only solves need it
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     n = len(g)
     v = v0.copy()
     v[0], v[-1] = bc_vals
     if obstacle is None:
         obstacle = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
+    diag, lower, upper = st.diag[1:-1], st.lower[1:-1], st.upper[1:-1]
+    below, above = -st.lower[2:-1], -st.upper[1:-2]
+    g_in, source_in = g[1:-1], source[1:-1]
     for it in range(1, n + 1):
         # Known values (boundary data, obstacle rows) move to the right-hand
         # side, so obstacle rows decouple and come out exactly equal to g;
         # an identity row coupled to rows scaled by 1/h^2 would be pivoted
         # against them and pick up their rounding.
-        v[1:-1] = np.where(obstacle, g[1:-1], 0.0)
+        v[1:-1] = np.where(obstacle, g_in, 0.0)
         coupled = ~obstacle[1:] & ~obstacle[:-1]
-        ab = np.zeros((3, n - 2))
-        ab[0, 1:] = np.where(coupled, -st.upper[1:-2], 0.0)
-        ab[1] = np.where(obstacle, 1.0, st.diag[1:-1])
-        ab[2, :-1] = np.where(coupled, -st.lower[2:-1], 0.0)
-        rhs = np.where(obstacle, g[1:-1],
-                       source[1:-1] + st.lower[1:-1] * v[:-2] + st.upper[1:-1] * v[2:])
-        v[1:-1] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-        new = v[1:-1] - g[1:-1] < _lcp_residual(st, source, v)
+        rhs = np.where(obstacle, g_in, source_in + lower * v[:-2] + upper * v[2:])
+        if not np.isfinite(rhs).all():
+            raise SolverError("policy iteration met a non-finite right-hand side")
+        *_, x, info = dgtsv(np.where(coupled, below, 0.0), np.where(obstacle, 1.0, diag),
+                            np.where(coupled, above, 0.0), rhs, overwrite_dl=True,
+                            overwrite_d=True, overwrite_du=True, overwrite_b=True)
+        if info != 0:
+            raise SolverError(f"tridiagonal solve failed (LAPACK dgtsv info {info})")
+        v[1:-1] = x
+        new = v[1:-1] - g_in < _lcp_residual(st, source, v)
         if np.array_equal(new, obstacle):
             return v, obstacle, it
         obstacle = new

@@ -346,6 +346,16 @@ def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert run_cli(["solve", cfg]) == 3
 
 
+# numpy's overflow warnings would reach stderr ahead of the one error line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("override", ["model.drift.value=1e308", "model.diffusion.value=1e200"])
+def test_a_stencil_that_overflows_is_a_solver_error(tmp_path, capsys, override):
+    cfg = copy_config(tmp_path, "bump.json")
+    assert run_cli(["solve", cfg, "--set", override]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+
+
 def test_determinism_byte_identical_outputs(tmp_path):
     cfg = copy_config(tmp_path, "bump.json",
                       **{"mc.reps": 50, "solver.n_cells": 400})

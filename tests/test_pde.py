@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from stopline import pde
-from stopline.model import RewardFunction
+from stopline.model import ModelSpec, RewardFunction
 from stopline.pde import (
     SolverError,
     SolverSettings,
@@ -260,3 +264,76 @@ def test_warm_picard_steps_equal_cascade_every_step(model, n_cells, put_spec, bu
 ])
 def test_put_contact_boundary_pinned(put_spec, n_cells, boundary):
     assert contact_boundary(solve_scalar(put_spec, put_settings(n_cells))) == boundary
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# SHA-256 of grid.values and each level's policy iterations on the benchmark's
+# grids, the configs' other solver settings kept; computed with the
+# scipy.linalg.solve_banded call that LAPACK dgtsv replaced, whose coarse
+# cascade is six grids deep on put and five on bump
+BENCHMARK_GRID_PINS = {
+    ("put.json", 4000): ("76cf692b12810d5d5b4de2261e3f6f5bd10609adb15476d6acf385ca3825dfa5",
+                         [[27, 11]]),
+    ("bump.json", 1600): ("9c54c7e85d70d199325e27624f585eb76f5385f76a46f3a6bd7e314d47a9fd68",
+                          [[13, 13, 3, 1, 1, 1, 1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name,n_cells", sorted(BENCHMARK_GRID_PINS))
+def test_benchmark_grids_are_pinned(name, n_cells):
+    config = json.loads((CONFIGS / name).read_text())
+    grid = solve_scalar(ModelSpec.from_json(config["model"]),
+                        SolverSettings(**{**config["solver"], "n_cells": n_cells}))
+    values_sha, iterations = BENCHMARK_GRID_PINS[name, n_cells]
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == values_sha
+    assert [s.psor_sweeps for s in grid.stats] == iterations
+
+
+def banded_policy_iteration(stencil, source, g, v0, bc_vals, obstacle):
+    """pde._policy_iteration as it was with scipy.linalg.solve_banded."""
+    from scipy.linalg import solve_banded
+
+    n = len(g)
+    v = v0.copy()
+    v[0], v[-1] = bc_vals
+    if obstacle is None:
+        obstacle = v[1:-1] - g[1:-1] < pde._lcp_residual(stencil, source, v)
+    for it in range(1, n + 1):
+        v[1:-1] = np.where(obstacle, g[1:-1], 0.0)
+        coupled = ~obstacle[1:] & ~obstacle[:-1]
+        ab = np.zeros((3, n - 2))
+        ab[0, 1:] = np.where(coupled, -stencil.upper[1:-2], 0.0)
+        ab[1] = np.where(obstacle, 1.0, stencil.diag[1:-1])
+        ab[2, :-1] = np.where(coupled, -stencil.lower[2:-1], 0.0)
+        rhs = np.where(obstacle, g[1:-1],
+                       source[1:-1] + stencil.lower[1:-1] * v[:-2] + stencil.upper[1:-1] * v[2:])
+        v[1:-1] = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
+        new = v[1:-1] - g[1:-1] < pde._lcp_residual(stencil, source, v)
+        if np.array_equal(new, obstacle):
+            return v, obstacle, it
+        obstacle = new
+    raise SolverError(f"policy iteration did not settle within {n} iterations")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(unknowns=st.integers(3, 60), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e3, 1e7]), first=st.sampled_from(["none", "all", "random"]))
+def test_policy_iteration_equals_the_banded_solve(unknowns, seed, scale, first):
+    # random M-matrix stencils, some rows without a neighbour on one side
+    rng = np.random.default_rng(seed)
+    n = unknowns + 2
+    lower, upper = (rng.uniform(0.0, scale, n) * (rng.random(n) < 0.9) for _ in range(2))
+    diag = lower + upper + rng.uniform(0.01, 2.0, n)
+    stencil = pde._Stencil(xs=np.arange(float(n)), diag=diag, lower=lower, upper=upper,
+                           alpha=np.zeros(n))
+    g, source, v0 = rng.normal(size=n), rng.normal(0.0, scale, n), rng.normal(size=n)
+    bc_vals = tuple(rng.normal(size=2))
+    obstacle = {"none": None, "all": np.ones(unknowns, dtype=bool),
+                "random": rng.random(unknowns) < 0.5}[first]
+    args = (stencil, source, g, v0, bc_vals)
+    v, rows, iterations = pde._policy_iteration(*args, None if obstacle is None
+                                                else obstacle.copy())
+    v_ref, rows_ref, iterations_ref = banded_policy_iteration(*args, obstacle)
+    assert v.tobytes() == v_ref.tobytes()
+    assert np.array_equal(rows, rows_ref)
+    assert iterations == iterations_ref
