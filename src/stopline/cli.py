@@ -25,7 +25,7 @@ import numpy as np
 from .labels import MOTHER, Label, parse_label
 from .model import (ModelError, ModelSpec, check_assumptions, finite, finites, moment_report,
                     of_type, read_fields, text, whole, write_json)
-from .pde import SolverError, SolverSettings, solve_scalar
+from .pde import SolverError, SolverSettings, contraction, solve_scalar
 from .reward import RewardError, mc_value
 from .simulator import (MAX_STEPS, SimulationError, simulate_forest, within_steps,
                          write_forest_csv, write_paths_csv)
@@ -206,19 +206,31 @@ def _write_sidecar(out: Path, command: str) -> None:
     })
 
 
+def _grid_contraction(config: Config, v_bar: float) -> Optional[float]:
+    """The solver's contraction factor on the config's grid (`pde.contraction`
+    over its interior nodes), or None without a solver section or in d != 1."""
+    spec, s = config.model, config.solver
+    if s is None or spec.dimension != 1:
+        return None
+    xs = np.linspace(s.x_lo, s.x_hi, s.n_cells + 1)[1:-1]
+    return contraction(spec, xs, spec.branch_rate(xs[:, None]), v_bar)
+
+
 def cmd_check(config: Config) -> int:
     if not config.check_grid:
         raise ConfigError("check_grid must list at least one point")
     report = moment_report(config.model)
     audit = check_assumptions(config.model, np.array(config.check_grid))
+    q = _grid_contraction(config, report.value_bound)
     out = _out_dir(config)
-    write_json(out / "check.json",
-               {"moment_report": report.to_json(), "assumptions": audit.to_json()})
+    write_json(out / "check.json", {"moment_report": report.to_json(),
+                                    "assumptions": audit.to_json(), "contraction": q})
     _write_sidecar(out, "check")
     print(f"M = {report.M:.6g}, M_bar = {report.M_bar:.6g} "
           f"(argmax l = {report.M_bar_argmax}, interior: {report.M_bar_interior})")
     print(f"value bound = {report.value_bound:.6g}, gamma threshold = {report.gamma_threshold:.6g}, "
-          f"unique below bound: {report.unique_below_bound}")
+          f"unique below bound: {report.unique_below_bound}, contraction factor on the "
+          f"solver grid = {'n/a' if q is None else f'{q:.6g}'}")
     for w in audit.warnings:
         print(f"warning: {w}")
     for v in audit.hard_violations:
@@ -236,6 +248,10 @@ def cmd_solve(config: Config) -> int:
         print(f"warning: {w}")
     print(f"solved {grid.depth + 1} level(s) on [{grid.x_lo}, {grid.x_hi}] "
           f"with {grid.n_cells} cells -> {out / 'grid.csv'}")
+    s = grid.stats[grid.depth]
+    print(f"picard: {s.picard_iterations} step(s), last step {s.step_norms[-1]:.3g}, "
+          + ("uncertified: tol_fp bounds the last step" if s.contraction is None else
+             f"contraction factor {s.contraction:.6g}, error bound {s.error_bound:.3g}"))
     return EXIT_OK
 
 

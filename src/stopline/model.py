@@ -512,14 +512,19 @@ def generating_function(spec: ModelSpec, xs, w, k_max: int = K_MAX) -> np.ndarra
         raise ModelError("generating function argument w must be nonnegative")
     if k_max < 1:
         raise ModelError("k_max must be >= 1")
-    support = spec.offspring.max_support()
-    top = k_max if support is None else min(k_max, support)
-    p = spec.offspring.pmf(xs, top)
+    p = truncated_pmf(spec, xs, k_max)
     total, power = p[:, 0].copy(), np.ones_like(w)
-    for k in range(1, top + 1):
+    for k in range(1, p.shape[1]):
         power *= w
         total += p[:, k] * power
     return total
+
+
+def truncated_pmf(spec: ModelSpec, xs, k_max: int = K_MAX) -> np.ndarray:
+    """`Offspring.pmf` at each 1-D node of xs up to k_max and the family's
+    support: the terms that `generating_function` sums."""
+    support = spec.offspring.max_support()
+    return spec.offspring.pmf(xs, k_max if support is None else min(k_max, support))
 
 
 def series_tail_bound(spec: ModelSpec, R: float, k_max: int) -> float:

@@ -19,6 +19,15 @@ the row choice repeats.  The first row choice comes from the same problem
 solved on a grid of half as many cells, recursively (Brandt & Cryer 1983),
 so each level needs only a few iterations and the whole solve is O(n); the
 answer does not depend on that first choice.
+
+Certificate and stop: the matrix's interior row sums are alpha_i + gamma,
+so on iterates in [0, v_bar] the Picard map contracts in the sup norm with
+q = max_i alpha_i dG/dw(x_i, v_bar) / (alpha_i + gamma), the max taken over
+every interior row (Barles & Souganidis 1991; Bokanowski, Maroso & Zidani
+2009).  Contact rows are pinned to g and do not feel the source, so q is
+conservative.  Where q < 1 the loop stops once q / (1 - q) times the step,
+a bound on the distance to the discrete fixed point, is below tol_fp; where
+q >= 1, or an iterate rises above v_bar, tol_fp bounds only the last step.
 """
 from __future__ import annotations
 
@@ -36,8 +45,9 @@ from .model import (
     ModelSpec,
     generating_function,
     model_hash,
-    moment_report,
     series_tail_bound,
+    truncated_pmf,
+    value_bound,
 )
 
 MAX_PICARD = 200
@@ -50,7 +60,11 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverSettings:
     """Grid, Picard tolerance and the Dirichlet data at each domain end;
-    a boundary value of None pins v = g there."""
+    a boundary value of None pins v = g there.
+
+    tol_fp bounds the sup-norm error of the self-coupled level where its
+    contraction factor q (over every interior row, contact rows included, so
+    conservative) is below 1, and only the last Picard step otherwise."""
 
     x_lo: float
     x_hi: float
@@ -88,6 +102,13 @@ class LevelStats:
     step_norms: List[float]
     step_ratios: List[float]
     step_signed_max: List[float] = field(default_factory=list)
+    # The self-coupled level's contraction factor q over every interior row,
+    # conservative as contact rows are pinned to g, and the bound
+    # q / (1 - q) * last step on its distance to the fixed point, which the
+    # stop holds below tol_fp; both None when uncertified (q >= 1, or an
+    # iterate above the value bound), where tol_fp bounds only the last step.
+    contraction: Optional[float] = None
+    error_bound: Optional[float] = None
     max_obstacle_violation: float = 0.0
     max_residual_noncontact: float = 0.0
     min_residual_contact: float = 0.0
@@ -297,6 +318,28 @@ def _source(spec: ModelSpec, st: _Stencil, w_next: np.ndarray) -> np.ndarray:
     return st.alpha * generating_function(spec, st.xs, w_next, K_MAX)
 
 
+def contraction(spec: ModelSpec, xs: np.ndarray, alpha: np.ndarray, v_bar: float) -> float:
+    """The Picard map's contraction factor on iterates in [0, v_bar]:
+    q = max_i alpha_i dG/dw(x_i, v_bar) / (alpha_i + gamma) over the nodes xs,
+    with alpha their branch rates (the solver passes its stencil's interior).
+
+    dG/dw sums k p_k w^(k-1) over the pmf that the generating function sums
+    (`truncated_pmf`); it grows with w >= 0, so its value at v_bar bounds
+    the slope of every source between two such iterates.  The upwind rows
+    then move the solution by at most q times the move of the iterate.  A
+    zero p_k or alpha_i contributes nothing even where the power overflows;
+    q is inf where the rest overflows.
+    """
+    pmf = truncated_pmf(spec, xs)
+    slope, power = np.zeros(len(xs)), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, pmf.shape[1]):
+            slope += np.where(pmf[:, k] > 0, k * pmf[:, k] * power, 0.0)
+            power *= v_bar
+        q = np.where(alpha > 0, alpha * slope / (alpha + spec.gamma), 0.0)
+    return float(np.max(q))
+
+
 def _lcp_residual(st: _Stencil, source: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(A v - source) at interior nodes, A being the upwind M-matrix."""
     return (st.diag[1:-1] * v[1:-1] - st.lower[1:-1] * v[:-2]
@@ -408,31 +451,33 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
     below, so backward induction gives it in a single linear obstacle solve;
     with equal rewards (depth 0) there is no such level.  Iterates decrease
     monotonically on every shipped model; the step norms and their ratios
-    are logged and a failed gamma uniqueness condition produces a warning,
-    not an error.  A model of dimension other than 1 is a ModelError.
+    are logged.  The contraction factor q (`contraction`, over every
+    interior row of the grid, conservative as contact rows are pinned to g)
+    is computed once: where q < 1, tol_fp bounds the self-coupled level's
+    error, and its stats carry q and that bound; where q >= 1, tol_fp bounds
+    only the last step, and a warning, not an error, says that the solution
+    may not be unique.  A model of dimension other than 1 is a ModelError.
     """
     if spec.dimension != 1:
         raise ModelError("the PDE solver is restricted to dimension 1")
     depth = spec.reward_depth
     xs = np.linspace(settings.x_lo, settings.x_hi, settings.n_cells + 1)
     stencils = _stencils(spec, xs)
-    report = moment_report(spec)
-    v_bar = report.value_bound
+    v_bar = value_bound(spec)
     if not math.isfinite(v_bar):
         raise SolverError(
             "the uniform value bound overflows for this model; "
             "rescale rewards to k_g = 1 or reduce alpha_bar"
         )
+    q = contraction(spec, xs[1:-1], stencils[0].alpha[1:-1], v_bar)
     warnings: List[str] = []
-    if not report.unique_below_bound:
-        warnings.append(
-            "gamma %.6g below uniqueness threshold %.6g: solution may not be unique"
-            % (spec.gamma, report.gamma_threshold)
-        )
+    if not q < 1:
+        warnings.append("contraction factor %.6g at the value bound is not below 1: "
+                        "solution may not be unique" % q)
     obstacles = np.array([spec.reward_at(n)(xs[:, None]) for n in range(depth + 1)])
     values = np.empty_like(obstacles)
     stats: List[Optional[LevelStats]] = [None] * (depth + 1)
-    values[depth], stats[depth] = _picard(spec, settings, stencils, obstacles[depth], v_bar)
+    values[depth], stats[depth] = _picard(spec, settings, stencils, obstacles[depth], v_bar, q)
     for n in range(depth - 1, -1, -1):
         g = obstacles[n]
         v_start = np.maximum(values[n + 1], g)
@@ -457,7 +502,7 @@ def solve_scalar(spec: ModelSpec, settings: SolverSettings) -> ValueGrid:
 
 
 def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
-            g: np.ndarray, v_bar: float) -> Tuple[np.ndarray, LevelStats]:
+            g: np.ndarray, v_bar: float, q: float) -> Tuple[np.ndarray, LevelStats]:
     """Fixed point of the self-coupled level with obstacle g, from v_bar.
 
     Each step solves the linear obstacle problem with its source frozen at
@@ -466,6 +511,15 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
     contact set barely moves, so each step starts from the previous step's
     obstacle rows instead; the policy iteration still settles on the exact
     solution, and skips the coarse solves.
+
+    q is the contraction factor on iterates in [0, v_bar] (`contraction`,
+    over every interior row, so conservative).  While every interior iterate
+    stays at most v_bar and q < 1, |w_k - v*| <= q / (1 - q) |w_k - w_k-1|,
+    and the loop stops once that bound is below tol_fp; otherwise it stops
+    once the step is, and tol_fp bounds only the last step.  A step of
+    exactly 0 stops either way.  While the iterates stay below v_bar a step
+    ratio above q + 1e-9, on a step above 100 tol_fp, where rounding cannot
+    explain it, contradicts the bound and is a SolverError.
     """
     bc = _boundary_values(g, settings)
     w = np.full_like(g, v_bar)
@@ -475,6 +529,7 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
     ratios: List[float] = []
     signed: List[float] = []
     rows = None
+    bounded = True  # every interior iterate so far is at most v_bar
     for it in range(1, MAX_PICARD + 1):
         v, rows, n_sw = _solve_lcp(stencils, _source(spec, stencils[0], w), g, w, bc,
                                    rows if it > 2 else None)
@@ -484,13 +539,21 @@ def _picard(spec: ModelSpec, settings: SolverSettings, stencils: List[_Stencil],
         signed.append(float(np.max(v - w)))
         if len(norms) > 1 and norms[-2] > 0:
             ratios.append(step / norms[-2])
+            if bounded and step > 100 * settings.tol_fp and ratios[-1] > q + 1e-9:
+                raise SolverError(f"Picard step ratio {ratios[-1]:.6g} exceeds the "
+                                  f"contraction factor {q:.6g}")
+        bounded = bounded and float(np.max(v[1:-1])) <= v_bar
         w = v
-        if step < settings.tol_fp:
+        certified = bounded and q < 1
+        bound = q / (1 - q) * step if certified else step
+        if step == 0 or bound < settings.tol_fp:
             break
     else:
         raise SolverError(f"Picard iteration did not converge in {MAX_PICARD} steps")
     return w, LevelStats(picard_iterations=it, psor_sweeps=sweeps,
-                         step_norms=norms, step_ratios=ratios, step_signed_max=signed)
+                         step_norms=norms, step_ratios=ratios, step_signed_max=signed,
+                         contraction=q if certified else None,
+                         error_bound=bound if certified else None)
 
 
 def _finalize(spec: ModelSpec, st: _Stencil, grid: ValueGrid) -> None:

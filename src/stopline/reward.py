@@ -12,7 +12,8 @@ line scores the same double alone (`reward_of_outcome`) or in any batch.
 One replication engine, `line_rewards`, walks and scores every stop line.
 Given a solved grid it scores the line of theta ^ tau as the right-hand side
 of the dynamic-programming identity: a theta stop or a stop forced at the cut
-takes v_n(x) read off the grid in place of g_n(x).
+takes v_n(x) read off the grid, the interpolant raised to g_n(x) where it
+falls below, in place of g_n(x).
 """
 from __future__ import annotations
 
@@ -44,15 +45,17 @@ def reward_of_outcomes(spec: ModelSpec, outcomes: Sequence[LineOutcome], grid=No
 
     Each stop contributes exp(-gamma time) g_n(x).  With a solved `grid`, a
     stop made by part 0 of a min_of rule (theta) or forced at the cut
-    contributes exp(-gamma time) v_n(x) instead, v read off the grid; outside
-    the grid's domain it keeps g_n(x).  A part-1 stop (tau) always takes g.
+    contributes exp(-gamma time) v_n(x) instead, v read off the grid as the
+    larger of its interpolant and g_n(x), as `verify` reads it; outside the
+    grid's domain it keeps g_n(x).  A part-1 stop (tau) always takes g.
 
     The factors of all the stops are read at once: one `grid.contains` on the
-    part-0 stops, one `grid.values_at` per grid level on those inside, and
-    one reward call per reward level on the rest.  Each line then sums
-    -gamma time + log f over its stops in stop order, in plain floats with
-    libm's log and exp, so a line scores the same double alone or in any
-    batch.  A factor <= 0 makes the line 0, and a line without stops is 1.
+    part-0 stops, one `grid.values_at` and one reward call per grid level on
+    those inside, and one reward call per reward level on the rest.  Each
+    line then sums -gamma time + log f over its stops in stop order, in
+    plain floats with libm's log and exp, so a line scores the same double
+    alone or in any batch.  A factor <= 0 makes the line 0, and a line
+    without stops is 1.
     """
     stops = [s for out in outcomes for s in out.stops]
     factors = np.empty(len(stops))
@@ -66,7 +69,8 @@ def reward_of_outcomes(spec: ModelSpec, outcomes: Sequence[LineOutcome], grid=No
             levels = np.minimum(generations[theta], grid.depth)
             for n in set(levels.tolist()):
                 at = theta[levels == n]
-                factors[at] = grid.values_at(n, positions[at, 0])
+                factors[at] = np.maximum(grid.values_at(n, positions[at, 0]),
+                                         spec.reward_at(n)(positions[at]))
             from_g[theta] = False
         levels = np.minimum(generations, spec.reward_depth)
         for n in set(levels[from_g].tolist()):

@@ -4,12 +4,15 @@ Small 1-D models are drawn from every coefficient, rate, offspring and
 reward kind.  On each, the solved value lies between the obstacle and the
 value bound, a contact-rule line started at a contact node scores that
 node's obstacle, and the dynamic-programming line whose theta stops the
-root at once scores the solved value.
+root at once scores the solved value.  Where the solver's contraction
+factor q is below 1, its certified stop is within tol_fp of the fixed point
+and no step ratio exceeds q.
 """
+import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stopline.labels import MOTHER
 from stopline.model import (
@@ -20,7 +23,7 @@ from stopline.model import (
     RewardFunction,
     value_bound,
 )
-from stopline.pde import SolverSettings, solve_scalar
+from stopline.pde import SolverSettings, contraction, solve_scalar
 from stopline.reward import mc_value
 from stopline.stopping import FORCE_STOP, contact_set_rule, trivial_root_rule
 from stopline.verify import dpp_consistency
@@ -106,3 +109,17 @@ def test_solve_and_monte_carlo_agree_across_the_catalog(spec, point):
                           reps=4, dt=DT, seed=1, epsilon=EPSILON)
     assert chk.estimate.stderr == 0.0
     assert abs(chk.estimate.mean - chk.v_pde) <= round_trip(chk.v_pde)
+
+
+@given(models())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_certified_stop_is_within_tol_fp_of_the_fixed_point(spec):
+    solver = SolverSettings(x_lo=X_LO, x_hi=X_HI, n_cells=200)
+    xs = np.linspace(X_LO, X_HI, 201)[1:-1]
+    q = contraction(spec, xs, spec.branch_rate(xs[:, None]), value_bound(spec))
+    assume(q < 1)
+    grid = solve_scalar(spec, solver)
+    tight = solve_scalar(spec, dataclasses.replace(solver, tol_fp=solver.tol_fp * 1e-4))
+    assert grid.stats[-1].contraction == q
+    assert np.max(np.abs(grid.values - tight.values)) <= solver.tol_fp
+    assert all(r <= q for g in (grid, tight) for r in g.stats[-1].step_ratios)

@@ -27,11 +27,11 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # SHA-256 of the result files of the five commands on each shipped config, as
 # `test_every_command_runs_on_every_shipped_config` runs them
 SHIPPED_RESULT_DIGESTS = {
-    "branching.json": "a380f5e46cd759b3",
-    "bump.json": "1498c4fdd43dd87d",
-    "poisson_check.json": "7b682cd08877a317",
-    "put.json": "1af73b73f50db8e0",
-    "yule.json": "06c0fcc589c84cf1",
+    "branching.json": "118673d7b8b0a402",
+    "bump.json": "72d74b87ca518556",
+    "poisson_check.json": "52ea1e290ccdee18",
+    "put.json": "830605a7096a3535",
+    "yule.json": "4e630a9b0d317cb0",
 }
 
 
@@ -72,6 +72,46 @@ def test_check_gamma_warning_is_not_failure(tmp_path, capsys):
     cfg = copy_config(tmp_path, "poisson_check.json", **{"model.gamma": 0.01})
     assert run_cli(["check", cfg]) == 0
     assert "warning" in capsys.readouterr().out
+
+
+def test_check_reports_the_contraction_factor_on_the_solver_grid(tmp_path, capsys):
+    cfg = copy_config(tmp_path, "bump.json")
+    assert run_cli(["check", cfg]) == 0
+    assert run_cli(["solve", cfg]) == 0
+    out = capsys.readouterr().out
+    check = json.loads((tmp_path / "out" / "check.json").read_text())
+    log = json.loads((tmp_path / "out" / "solver_log.json").read_text())
+    level = log["levels"][0]
+    assert check["contraction"] == level["contraction"] == pytest.approx(0.4)
+    assert 0 < level["error_bound"] < log["settings"]["tol_fp"]
+    assert "contraction factor on the solver grid = 0.4" in out
+    assert f"contraction factor 0.4, error bound {level['error_bound']:.3g}" in out
+    assert "warning" not in out.split("solved")[1]
+    del check["contraction"]
+    config = json.loads(cfg.read_text())
+    del config["solver"]
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["check", cfg]) == 0
+    no_solver = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert no_solver.pop("contraction") is None
+    assert no_solver == check
+
+
+def test_step_ratio_above_the_contraction_factor_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pde, "contraction", lambda *args: 0.1)
+    assert run_cli(["solve", copy_config(tmp_path, "bump.json")]) == 3
+    assert capsys.readouterr().err.startswith("solver error: Picard step ratio")
+
+
+def test_verify_reads_g_between_contact_nodes(tmp_path, capsys):
+    # at 0.3, inside branching's contact region but off the 200-cell nodes,
+    # the grid's interpolant lies below g, which every contact line scores
+    cfg = copy_config(tmp_path, "branching.json")
+    assert run_cli(["verify", cfg, "--set", "points=[0.3]", "--set", "solver.n_cells=200",
+                    "--set", "mc.reps=40", "--set", "verify.branching=false"]) == 0
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    (point,), (dpp,) = report["points"], report["dpp"]
+    assert point["gap"] == dpp["gap"] == 0.0 and point["estimate"]["stderr"] == 0.0
 
 
 def test_missing_config_is_usage_error(tmp_path):

@@ -90,13 +90,13 @@ def test_many_small_factors_do_not_underflow(dummy_record):
 
 def reference_reward(spec, outcome, grid=None):
     """One line's reward scored stop by stop, one reward call each, as the
-    library did before it scored a batch at once."""
+    library did before it scored a batch at once; a theta or cut stop inside
+    the grid takes the grid's interpolant, raised to g where it falls below."""
     log_total = 0.0
     for s in outcome.stops:
+        f = spec.reward_at(s.generation)(s.position)
         if grid is not None and s.part == 0 and grid.contains(s.position[:1])[0]:
-            f = float(grid.values_at(s.generation, s.position[:1])[0])
-        else:
-            f = spec.reward_at(s.generation)(s.position)
+            f = max(float(grid.values_at(s.generation, s.position[:1])[0]), f)
         if f <= 0.0:
             return 0.0
         log_total += -spec.gamma * s.time + math.log(f)

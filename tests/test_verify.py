@@ -172,7 +172,8 @@ def test_contact_rule_huge_epsilon_dominates(bump_grid):
 def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
     # independent oracle: walk each forest by hand; theta claims a particle
     # when it fires no later than tau (v factor), tau when it fires earlier
-    # (g factor), and a particle unresolved at t_cut takes a v factor there
+    # (g factor), and a particle unresolved at t_cut takes a v factor there;
+    # a v factor is the grid's interpolant, raised to g where it falls below
     from stopline.reward import _dpp_rule, dpp_product, estimate_from_samples, mc_value
     from stopline.simulator import replication_seed, simulate_forest
     from stopline.stopping import fixed_time_rule, never_rule
@@ -184,6 +185,9 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
         tau = never_rule(t_cut, cut_policy="force_stop")
     else:
         tau = fixed_time_rule(t_tau, t_cut, cut_policy="force_stop")
+
+    def solved(lab, x):
+        return max(float(grid.values_at(len(lab), x[:1])[0]), spec.reward_at(len(lab))(x))
 
     def fire_index(p, at):
         if at is None or at < p.birth_time - 1e-12:
@@ -206,7 +210,7 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
             p = rec.particles[lab]
             i_th, i_ta = fire_index(p, t), fire_index(p, t_tau)
             if i_th is not None and (i_ta is None or p.times[i_th] <= p.times[i_ta]):
-                v = float(grid.values_at(len(lab), p.positions[i_th][:1])[0])
+                v = solved(lab, p.positions[i_th])
                 log_prod += -spec.gamma * p.times[i_th] + math.log(v)
             elif i_ta is not None:
                 g = spec.reward_at(len(lab))(p.positions[i_ta])
@@ -215,7 +219,7 @@ def test_dpp_product_equals_hand_walk(bump_grid, t_tau):
                 stack.extend(lab + (k,) for k in range(p.offspring_count))
             else:
                 j = min(int(np.searchsorted(p.times, t_cut - 1e-12)), len(p.times) - 1)
-                v = float(grid.values_at(len(lab), p.positions[j][:1])[0])
+                v = solved(lab, p.positions[j])
                 log_prod += -spec.gamma * t_cut + math.log(v)
         vals[r] = math.exp(log_prod)
         assert dpp_product(spec, rec, theta, tau, grid) == vals[r]
