@@ -11,23 +11,29 @@ its root's state and not on what siblings do.
 One function, `draw_particles`, draws particles at one step size: many at
 a time, each from its own stream with the same calls in the same order, in
 chunks of about CHUNK_SAMPLES samples, each particle up to its horizon or
-two steps past its stopping rule's deadline.  A segment reaches its chunk
-in one of two forms: its random numbers, under constant coefficients with
-marks that read no position, for `_chunk` to do the chunk's per-sample
-arithmetic in one pass (a block of at least MIN_BLOCK first segments of
-at most SHORT samples summed side by side); or its path, computed in the
-particle's loop for its mark to read.  The loop reads its marks and its
-offspring pick through cheap scalar calls that give numpy's exact results
-(see `draw_particles`).  The block walk draws a generation of many lines
-this way, for the estimators and for `simulate_forests`, whose forests
-are never-rule lines.
+two steps past its stopping rule's deadline.  Its loop files each particle
+straight into its chunk's lists.  A segment reaches its chunk in one of two
+forms: its random numbers, under constant coefficients with marks that read
+no position, for `_chunk` to do the chunk's per-sample arithmetic in one
+pass (a block of at least MIN_BLOCK first segments of at most SHORT samples
+summed side by side); or its path, computed in the particle's loop for its
+mark to read.  The loop reads its marks and its offspring pick through
+cheap scalar calls that give numpy's exact results (see `draw_particles`).
+The block walk (`stopping.walk_lines`) keeps a generation of many lines as
+columns and hands a round's particles to the draw as one `zip` over them,
+for the estimators and for `simulate_forests`, whose forests are never-rule
+lines.
 
 A stream is the Philox generator that `label_stream` builds for (seed,
-label).  `draw_particles` does not build one per particle: it derives the
-Philox keys of all its items in one numpy pass, numpy's `SeedSequence`
-mixing run over every label's entropy words at once, and re-keys one
-reused Philox at the start of each particle, so every particle reads the
-numbers its own `label_stream` would give.
+label), keyed on the SHA-256 of the text "seed||label path".  Each item of
+a draw carries that text's hash state: a root's is hashed whole
+(`stream_state`), and the walk continues a child's from a copy of its
+mother's (`child_state`), so a lineage's text is hashed once however deep
+it grows.  `draw_particles` does not build a generator per particle: it
+derives the Philox keys of all its items in one numpy pass, numpy's
+`SeedSequence` mixing run over every state's entropy words at once, and
+re-keys one reused Philox at the start of each particle, so every particle
+reads the numbers its own `label_stream` would give.
 """
 from __future__ import annotations
 
@@ -61,6 +67,21 @@ def _entropy(seed: int, label: Label) -> bytes:
     """The 128-bit entropy of the stream for (seed, label), little endian: the
     first 16 bytes of a SHA-256 of the seed and the label path."""
     return hashlib.sha256((f"{seed}||" + ".".join(map(str, label))).encode()).digest()[:16]
+
+
+def stream_state(seed: int, label: Label):
+    """The SHA-256 state of the stream text of (seed, label), hashed whole:
+    its digest's first 16 bytes are `_entropy(seed, label)`."""
+    return hashlib.sha256((f"{seed}||" + ".".join(map(str, label))).encode())
+
+
+def child_state(mother, label: Label):
+    """`stream_state` of a child label, continued from a copy of its mother's
+    state rather than hashed whole: after the empty label the text gains
+    str(k), and otherwise "." + str(k), k being the label's last index."""
+    state = mother.copy()
+    state.update(f"{'.' if len(label) > 1 else ''}{label[-1]}".encode())
+    return state
 
 
 def label_stream(seed: int, label: Label) -> np.random.Generator:
@@ -131,9 +152,9 @@ def _philox_keys(words: np.ndarray) -> np.ndarray:
     return pool.astype("<u4", copy=False).view("<u8")
 
 
-def _stream_keys(items) -> List[List[int]]:
-    """The Philox key of each (seed, label, ...) item's `label_stream`."""
-    words = np.frombuffer(b"".join(_entropy(seed, label) for seed, label, *_ in items),
+def _stream_keys(states) -> List[List[int]]:
+    """The Philox key of the `label_stream` of each `stream_state`."""
+    words = np.frombuffer(b"".join([state.digest()[:16] for state in states]),
                           dtype="<u4").reshape(-1, 4)
     return _philox_keys(words).tolist()
 
@@ -285,17 +306,18 @@ class Chunk:
 def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     """Draw particles in chunks of about CHUNK_SAMPLES samples, in item order.
 
-    Each item is (seed, label, birth time, birth position, horizon, deadline),
-    and its particle is drawn at step dt from the numbers of
-    `label_stream(seed, label)`: exponential candidate event times at rate
-    alpha_bar, the Euler-Maruyama path up to each, and a uniform mark on
-    [0, alpha_bar] that rejects the candidate or picks the offspring count.
-    The mark is read as alpha_bar * random(), the double uniform(0,
-    alpha_bar) gives, with the stream left where uniform leaves it, and the
-    count as bisect_right on the cdf as a Python list, which picks what
-    searchsorted(side="right") picks, without numpy's per-call cost.  The
-    keys of all the items' streams are derived at once, in numpy, and each
-    particle re-keys one reused Philox; no items, no chunk.
+    Each item is (seed, label, birth time, birth position, horizon, deadline,
+    stream), `stream` being the `stream_state` of (seed, label), and its
+    particle is drawn at step dt from the numbers of `label_stream(seed,
+    label)`: exponential candidate event times at rate alpha_bar, the
+    Euler-Maruyama path up to each, and a uniform mark on [0, alpha_bar] that
+    rejects the candidate or picks the offspring count.  The mark is read as
+    alpha_bar * random(), the double uniform(0, alpha_bar) gives, with the
+    stream left where uniform leaves it, and the count as bisect_right on the
+    cdf as a Python list, which picks what searchsorted(side="right") picks,
+    without numpy's per-call cost.  The keys of all the items' streams are
+    derived at once, in numpy, and each particle re-keys one reused Philox;
+    no items, no chunk.
 
     A particle is drawn up to min(horizon, deadline + 2 dt), the deadline
     being the forest time by which its stopping rule has fired (inf for
@@ -306,55 +328,83 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
     be the shorter draw's residual step, a hair short of dt.  An event past
     the shorter horizon is not drawn.
 
+    The loop files each particle straight into its chunk's lists: its first
+    row, birth, birth place, end, count and proposals, and each segment.
     When the coefficients are constant and a mark reads no position (an
-    `offspring_cdf`), a particle's loop draws only its random numbers, and
-    `_chunk` does the per-sample arithmetic in one pass over the chunk's
+    `offspring_cdf`), a segment is filed as its random numbers and its rows,
+    and `_chunk` does the per-sample arithmetic in one pass over the chunk's
     segments: one `_increments` call for the chunk, one accumulate for a
     block of its short first segments, summed side by side, when it holds
     MIN_BLOCK of them, and one sequential cumulative sum per other segment,
     so every path is bit for bit the one drawn alone.  Otherwise each
-    segment's path is computed before its mark reads the end, and the chunk
-    stacks the paths: under constant coefficients as the segment's start
-    plus the sequential sum of its increments, the doubles `_chunk` would
-    write, and for general coefficients by `_diffuse_general`.
+    segment's path is computed before its mark reads the end, and filed:
+    under constant coefficients as the segment's start plus the sequential
+    sum of its increments, the doubles `_chunk` would write, and for general
+    coefficients by `_diffuse_general`.  The loop reads the dt sums as
+    Python floats, the same doubles as the array.
     """
     a_bar = spec.alpha_bar
     coefficients = spec.constant_coefficients
+    d = spec.dimension
     cdf = None if spec.offspring_cdf is None else spec.offspring_cdf.tolist()
-    rate = None if cdf is None else spec.branch_rate(np.zeros(spec.dimension))
-    batch, n_samples, sums = [], 0, np.zeros(1)
+    rate = None if cdf is None else spec.branch_rate(np.zeros(d))
+    summed = coefficients is not None and cdf is not None  # filed for `_chunk`
+    noisy = coefficients is not None and coefficients[2]
+    sums, floats = np.zeros(1), (0.0,)
     items = list(items)
+    # the chunk's particles: each one's first row (and the row past the
+    # last), birth, birth place, end time, count and proposals
+    starts, births, places, ends, counts, proposed = filed = [0], [], [], [], [], []
+    # its segments: for `_chunk`, the short first ones and the rest as (start
+    # time, whole dt steps, residual, first row, samples, first increment),
+    # the residual steps by increment, and the normals (None without noise);
+    # otherwise each one's (times, positions) path, in `parts`
+    short, rest, residuals, parts = segments = [], [], {}, []
+    lo = 0  # the chunk's increments so far
 
     def chunk():
-        return _chunk(batch, coefficients, dt, sums) if coefficients and cdf else _stack(batch)
+        return (_chunk(filed, segments, coefficients, dt, sums) if summed
+                else _stack(filed, parts, d))
 
-    for (_, _, birth, x, horizon, deadline), key in zip(items, _stream_keys(items)):
-        if batch and n_samples >= CHUNK_SAMPLES:
+    for (_, _, birth, x, horizon, deadline, _), key in zip(
+            items, _stream_keys([item[6] for item in items])):
+        if births and starts[-1] >= CHUNK_SAMPLES:
             yield chunk()
-            batch, n_samples = [], 0
+            for column in filed[1:] + segments:
+                column.clear()
+            del starts[1:]
+            lo = 0
         horizon = min(horizon, deadline + 2 * dt)
         rng = _keyed_stream(key)
-        segments, t, count, proposals, start = [], birth, -1, 0, x
+        births.append(birth)
+        places.append(x)
+        row = first = starts[-1] + 1  # the particle's birth takes the row before
+        t, count, proposals = birth, -1, 0
         while True:
             proposal = t + rng.exponential(1.0 / a_bar) if a_bar > 0 else math.inf
             target = min(proposal, horizon)
             n_full, residual = _segment(t, target, dt)
             n = n_full + (residual > 0.0)
-            n_samples += n
             if not n:
                 t = target
             elif coefficients is None:
                 ts, xp = _diffuse_general(x, t, _segment_steps(n_full, residual, dt), spec, rng)
-                segments.append((ts, xp))
+                parts.append((ts, xp))
                 t, x = float(ts[-1]), xp[-1]
             else:
-                part = rng.standard_normal((n, spec.dimension)) if coefficients[2] else None
-                if n_full + 1 >= len(sums):
-                    sums = _dt_sums(dt, max(1024, 1 << (n_full + 2).bit_length()))
-                if cdf is not None:
-                    segments.append((t, n_full, residual, part))
+                part = rng.standard_normal((n, d)) if noisy else None
+                if n_full + 1 >= len(floats):
+                    sums, floats = _dt_sums(dt, max(1024, 1 << (n_full + 2).bit_length()))
+                if summed:
+                    # a first segment starts at its particle's birth, and needs no other sum
+                    (short if n <= SHORT and row == first else rest).append(
+                        (t, n_full, residual, row, n, lo))
+                    if residual:
+                        residuals[lo + n_full] = residual
+                    parts.append(part)
+                    lo += n
                     # the segment's last sample time, t + cumsum(steps)[-1]
-                    t = float(t + (sums[n_full] + residual if residual else sums[n_full]))
+                    t = t + (floats[n_full] + residual if residual else floats[n_full])
                 else:
                     # a mark reads the position: the path is x + cumsum(incr), the
                     # doubles `_chunk` would write, as IEEE addition commutes
@@ -362,8 +412,9 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
                     xp = _increments(*coefficients, _segment_steps(n_full, residual, dt), part)
                     np.add.accumulate(xp, axis=0, out=xp)
                     xp += x
-                    segments.append((ts, xp))
+                    parts.append((ts, xp))
                     t, x = float(ts[-1]), xp[-1]
+            row += n
             if proposal > horizon:
                 break
             proposals += 1
@@ -374,31 +425,52 @@ def draw_particles(spec: ModelSpec, dt: float, items) -> Iterator[Chunk]:
             if u < alpha_here:
                 # accepted event: the same mark picks the offspring interval,
                 # residual mass going to K_MAX
-                row = cdf or spec.offspring.pmf(x[:1], K_MAX)[0].cumsum().tolist()
-                count = min(bisect.bisect_right(row, u / alpha_here), K_MAX)
+                row_cdf = cdf or spec.offspring.pmf(x[:1], K_MAX)[0].cumsum().tolist()
+                count = min(bisect.bisect_right(row_cdf, u / alpha_here), K_MAX)
                 break
-        batch.append((birth, start, segments, t if count >= 0 else math.inf, count, proposals))
-        n_samples += 1
-    if batch:
+        starts.append(row)
+        ends.append(t if count >= 0 else math.inf)
+        counts.append(count)
+        proposed.append(proposals)
+    if births:
         yield chunk()
 
 
 @lru_cache(maxsize=8)
-def _dt_sums(dt: float, size: int) -> np.ndarray:
+def _dt_sums(dt: float, size: int) -> Tuple[np.ndarray, Tuple[float, ...]]:
     """[0, dt, dt + dt, ...], `size` sums of dt steps taken in sequence as
-    np.cumsum takes them; read-only, as calls share it."""
+    np.cumsum takes them, as a read-only array and as Python floats, which
+    calls share."""
     sums = np.zeros(size)
     np.cumsum(np.full(size - 1, dt), out=sums[1:])
     sums.flags.writeable = False
-    return sums
+    return sums, tuple(sums.tolist())
 
 
-def _stack(batch) -> Chunk:
-    """A chunk of particles whose segments' paths are already computed."""
-    paths = [(np.concatenate([[birth]] + [ts for ts, _ in segs]),
-              np.concatenate([x[None, :]] + [xs for _, xs in segs], axis=0))
-             for birth, x, segs, *_ in batch]
-    return Chunk.stack(paths, *zip(*(p[3:] for p in batch)))
+def _filed(filed, d: int) -> Chunk:
+    """A chunk of the filed particles (first rows, births, birth places, ends,
+    counts, proposals), each birth in its first row and every other row
+    unwritten."""
+    starts, births, places, ends, counts, proposed = filed
+    times = np.empty(starts[-1])
+    positions = np.empty((starts[-1], d))
+    heads = starts[:-1]
+    times[heads] = births
+    positions[heads] = places
+    return Chunk(times, positions, np.array(starts), np.array(ends, dtype=float),
+                 np.array(counts, dtype=int), np.array(proposed, dtype=int))
+
+
+def _stack(filed, paths, d: int) -> Chunk:
+    """A chunk of filed particles whose segments' paths are already computed,
+    each a (times, positions) pair, in row order."""
+    chunk = _filed(filed, d)
+    if paths:
+        body = np.ones(len(chunk.times), dtype=bool)
+        body[chunk.starts[:-1]] = False
+        chunk.times[body] = np.concatenate([ts for ts, _ in paths])
+        chunk.positions[body] = np.concatenate([xs for _, xs in paths])
+    return chunk
 
 
 # A chunk whose particles' first segments include at least MIN_BLOCK of at
@@ -411,10 +483,10 @@ SHORT = 64
 MIN_BLOCK = 8
 
 
-def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
-    """A chunk of constant-coefficient particles whose segments hold only their
-    random numbers: (start time, whole dt steps, residual, normals or None);
-    `sums` is `_dt_sums` for dt, long enough for every segment.
+def _chunk(filed, segments, coefficients, dt: float, sums: np.ndarray) -> Chunk:
+    """A chunk of filed constant-coefficient particles whose segments hold
+    only their random numbers, as `draw_particles` files them; `sums` is
+    `_dt_sums` for dt, long enough for every segment.
 
     Each segment's samples are its start plus the sequential sum of its
     increments, as np.cumsum sums them: a block of the chunk's short first
@@ -422,30 +494,11 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
     each after the one before it on its particle, whose last sample is its
     start."""
     b, s, noisy = coefficients
-    births, xs, starts, short, rest, residuals, parts = [], [], [0], [], [], {}, []
-    lo = 0  # the segment's first row of `steps` and the increments
-    for birth, x, segs, *_ in batch:
-        births.append(birth)
-        xs.append(x)
-        row = starts[-1] + 1  # the particle's birth takes the row before
-        for t, n_full, residual, part in segs:
-            n = n_full + (residual > 0.0)
-            # a first segment starts at its particle's birth, and needs no other sum
-            (short if n <= SHORT and row == starts[-1] + 1 else rest).append(
-                (t, n_full, residual, row, n, lo))
-            if residual:
-                residuals[lo + n_full] = residual
-            parts.append(part)
-            row += n
-            lo += n
-        starts.append(row)
-    times = np.empty(row)
-    positions = np.empty((row, len(b)))
-    heads = starts[:-1]
-    times[heads] = births
-    positions[heads] = xs
+    short, rest, residuals, parts = segments
+    chunk = _filed(filed, len(b))
+    times, positions = chunk.times, chunk.positions
     if parts:
-        steps = np.full(lo, dt)
+        steps = np.full(len(times) - len(chunk.end_time), dt)
         steps[list(residuals)] = list(residuals.values())
         incr = _increments(b, s, noisy, steps, np.concatenate(parts) if noisy else None)
         if len(short) >= MIN_BLOCK:
@@ -459,9 +512,7 @@ def _chunk(batch, coefficients, dt: float, sums: np.ndarray) -> Chunk:
             block = positions[row:row + n]
             np.add.accumulate(incr[lo:lo + n], axis=0, out=block)
             np.add(positions[row - 1], block, out=block)
-    ends, counts, proposals = zip(*(p[3:] for p in batch))
-    return Chunk(times, positions, np.array(starts), np.array(ends, dtype=float),
-                 np.array(counts, dtype=int), np.array(proposals, dtype=int))
+    return chunk
 
 
 def _sum_block(segments, times, positions, incr, sums) -> None:

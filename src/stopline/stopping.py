@@ -29,14 +29,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .labels import Label, generation
 from .model import CatalogEntry, finite_or_inf, finites
 from .pde import MAY_FIRE, SURELY_FIRES, ValueGrid
-from .simulator import Chunk, GenealogyRecord, SimulationError
+from .simulator import Chunk, GenealogyRecord, SimulationError, child_state, stream_state
 
 ABANDON = "abandon"
 FORCE_STOP = "force_stop"
@@ -156,13 +156,15 @@ class LineOutcome:
     stops: List[Stop]
     passed_alive: List[Label]
     record: Optional[GenealogyRecord] = None  # the forest walked, if any
+    # the summed time in play of the particles above or on the line: each from
+    # its birth to its stop, its branch or death, or the cut, on the line's clock
+    time_in_play: float = 0.0
 
     def stop_labels(self) -> List[Label]:
         return [s.label for s in self.stops]
 
 
-@dataclass(frozen=True, slots=True)
-class Line:
+class Line(NamedTuple):
     """One root of a block walk, with what its particles are drawn from: the
     stream seed and horizon of its forest.  The rule reads the line's clock,
     which is the forest's time less `base`."""
@@ -282,16 +284,24 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str,
     The walk advances all lines together, one generation per round.  A round
     tests the rule once on the birth states of all its particles (a root's
     line start, or its mother's end state); a particle stopped there is never
-    drawn.  `draw(items)` draws the others at its one step size, each item
-    being (seed, label, birth time, position, horizon, deadline), in chunks
-    (`simulator.Chunk`), and the rule is tested on each chunk's samples.  The
-    deadline is the particle's `firing_deadline` on its forest's clock, and
-    the draw ends the particle two steps past it, where the rule has fired:
-    the walk reads no sample beyond that, so each outcome is bit for bit the
-    one of the whole path to the forest's horizon.  A
-    drawn particle is stopped at its first firing, passes eligibility to its
-    children if it dies before t_cut, and is otherwise force-stopped at t_cut
-    or abandoned, as the cut policy says.  The stop set is thus an ancestry antichain.
+    drawn.  The round keeps its particles as columns: line, label, birth
+    time, birth place and the mother's stream state.  It hands `draw(items)`
+    the others as one `zip` over those columns, each item being (seed,
+    label, birth time, position, horizon, deadline, stream), where a root's
+    stream state hashes its text whole (`simulator.stream_state`) and a
+    child's continues a copy of its mother's (`simulator.child_state`).  The
+    draw draws them at its one step size, in chunks (`simulator.Chunk`), and
+    the rule is tested on each chunk's samples.  The deadline is the
+    particle's `firing_deadline` on its forest's clock, and the draw ends the
+    particle two steps past it, where the rule has fired: the walk reads no
+    sample beyond that, so each outcome is bit for bit the one of the whole
+    path to the forest's horizon.  A drawn particle is stopped at its first
+    firing, passes eligibility to its children if it dies before t_cut, and
+    is otherwise force-stopped at t_cut or abandoned, as the cut policy says.
+    The stop set is thus an ancestry antichain.  Each drawn particle's time
+    in play, from its birth to its stop, its branch or death, or t_cut, is
+    added to its line's `time_in_play` in walk order; one stopped at its
+    birth adds nothing.
 
     Each line's stops and abandoned particles come back in depth-first
     order, children by descending index, as a stack walk of one forest gives
@@ -305,7 +315,7 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str,
     if any(not leaf.grid.model_hash.startswith(spec_hash)
            for leaf in leaves if leaf.kind == "contact_set"):
         raise StoppingError("value grid was solved for a different model")
-    t_cut = rule.t_cut
+    t_cut, forced = rule.t_cut, rule.cut_policy == FORCE_STOP
     for line in lines:
         if t_cut > line.horizon - line.base + 1e-12:
             raise StoppingError(
@@ -320,82 +330,109 @@ def walk_lines(rule: StoppingRule, lines: Sequence[Line], draw, spec_hash: str,
             outcomes.update(zip(ids, walks))
         return [outcomes[i] for i in range(len(lines))]
     outcomes = [LineOutcome([], []) for _ in lines]
+    played = [0.0] * len(lines)
     drawn = [0] * len(lines)
+    seeds = [line.seed for line in lines]
+    horizons = [line.horizon for line in lines]
     bases = np.array([line.base for line in lines])
     rebased = bases.any()  # else each line's clock is the forest's, times - 0 being times
     level = levels[0]
-    # the round's particles: their line, label, birth time and birth place
+    # the round's particles: their line, label, birth time, birth place and
+    # mother's stream state (none for the roots)
     at = list(range(len(lines)))
     labels = [line.label for line in lines]
     born = [line.birth for line in lines]
     places = np.array([line.position for line in lines], dtype=float).reshape(len(lines), -1)
+    mothers = None
     for leaf in leaves:
         _check_center(leaf, places.shape[1])
     depth = 0
     while labels:
-        n = len(labels)
         births = np.array(born) - bases[at] if rebased else np.array(born)
-        fire, part = first_fire(rule, depth, level, births, births, places, np.arange(n + 1))
-        todo = []
-        for i, (row, k, birth) in enumerate(zip(fire.tolist(), part.tolist(), births.tolist())):
-            if row >= 0 and birth < t_cut:
-                outcomes[at[i]].stops.append(
-                    Stop(labels[i], birth, places[i].copy(), level, part=k))
-                continue
-            todo.append(i)
-            drawn[at[i]] += 1
-            if drawn[at[i]] > max_particles:
+        fire, part = first_fire(rule, depth, level, births, births, places,
+                                np.arange(len(labels) + 1))
+        birth_times = births.tolist()
+        stopped = [i for i in np.flatnonzero(fire >= 0).tolist() if birth_times[i] < t_cut]
+        if stopped:
+            for i in stopped:
+                outcomes[at[i]].stops.append(Stop(labels[i], birth_times[i], places[i].copy(),
+                                                  level, part=int(part[i])))
+            kept = np.delete(np.arange(len(labels)), stopped).tolist()
+            if not kept:
+                break
+            at, labels, born, birth_times = (
+                [column[i] for i in kept] for column in (at, labels, born, birth_times))
+            if mothers is not None:
+                mothers = [mothers[i] for i in kept]
+            births, places = births[kept], places[kept]
+        for a in at:
+            drawn[a] += 1
+            if drawn[a] > max_particles:
                 raise SimulationError(f"population exceeded max_particles={max_particles}")
+        streams = ([stream_state(seeds[a], label) for a, label in zip(at, labels)]
+                   if mothers is None else list(map(child_state, mothers, labels)))
         # on the forests' clocks, for the draw, which adds its two steps
         deadlines = (firing_deadline(rule, births) + bases[at]).tolist()
-        items = ((lines[at[i]].seed, labels[i], born[i], places[i], lines[at[i]].horizon,
-                  deadlines[i]) for i in todo)
-        next_at, next_labels, next_born, next_places = [], [], [], []
+        chunks = draw(zip(map(seeds.__getitem__, at), labels, born, places,
+                          map(horizons.__getitem__, at), deadlines, streams))
+        next_at, next_labels, next_born, next_mothers, next_places = [], [], [], [], []
         done = 0
-        for chunk in draw(items):
+        for chunk in chunks:
             starts = chunk.starts
-            ids = todo[done:done + len(starts) - 1]
-            done += len(ids)
-            ends = chunk.end_time
-            times = chunk.times
+            lo, done = done, done + len(starts) - 1
+            ends, times, positions = chunk.end_time, chunk.times, chunk.positions
+            deaths = ends.tolist()  # on the forest's clock, which the children are born on
             if rebased:
                 # the line's clock, elementwise as a subtree's times - base
-                shift = bases[[at[i] for i in ids]]
+                shift = bases[at[lo:done]]
                 times = times - np.repeat(shift, np.diff(starts))
                 ends = ends - shift
-            fire, part = first_fire(rule, depth, level, births[ids], times, chunk.positions,
-                                    starts)
+            fire, part = first_fire(rule, depth, level, births[lo:done], times, positions, starts)
             rows = []
-            for i, row, k, lo, hi, end, count, died in zip(
-                    ids, fire.tolist(), part.tolist(), starts[:-1].tolist(), starts[1:].tolist(),
-                    ends.tolist(), chunk.count.tolist(), chunk.end_time.tolist()):
-                out, label = outcomes[at[i]], labels[i]
-                if row >= 0 and times[row] < min(end, t_cut):
-                    out.stops.append(Stop(label, float(times[row]), chunk.positions[row].copy(),
-                                          level, part=k))
-                elif end <= t_cut + 1e-15:
+            bounds = starts.tolist()
+            for a, label, birth, stream, row, k, first, hi, end, count, death in zip(
+                    at[lo:done], labels[lo:done], birth_times[lo:done], streams[lo:done],
+                    fire.tolist(), part.tolist(), bounds, bounds[1:],
+                    ends.tolist() if rebased else deaths, chunk.count.tolist(), deaths):
+                if row >= 0:
+                    fired = float(times[row])
+                    if fired < end and fired < t_cut:
+                        outcomes[a].stops.append(Stop(label, fired, positions[row].copy(), level,
+                                                      part=k))
+                        played[a] += fired - birth
+                        continue
+                if end <= t_cut + 1e-15:
                     # resolved by its own death before the cut; children inherit
-                    next_at += [at[i]] * count
-                    next_labels += [label + (c,) for c in range(count)]
-                    next_born += [died] * count
-                    rows += [hi - 1] * count
-                elif rule.cut_policy == FORCE_STOP:
-                    row = lo + min(int(np.searchsorted(times[lo:hi], t_cut - 1e-15)), hi - lo - 1)
-                    out.stops.append(Stop(label, t_cut, chunk.positions[row].copy(), level,
-                                          forced=True))
+                    played[a] += end - birth
+                    if count:
+                        next_at += [a] * count
+                        next_labels += [label + (c,) for c in range(count)]
+                        next_born += [death] * count
+                        next_mothers += [stream] * count
+                        rows += [hi - 1] * count
+                    continue
+                played[a] += t_cut - birth
+                if forced:
+                    row = first + min(int(np.searchsorted(times[first:hi], t_cut - 1e-15)),
+                                      hi - first - 1)
+                    outcomes[a].stops.append(Stop(label, t_cut, positions[row].copy(), level,
+                                                  forced=True))
                 else:
-                    out.passed_alive.append(label)
+                    outcomes[a].passed_alive.append(label)
             # a copy: a view of the mothers' rows would keep the whole chunk alive
-            next_places.append(chunk.positions[rows])
-        at, labels, born = next_at, next_labels, next_born
+            next_places.append(positions[rows])
+        at, labels, born, mothers = next_at, next_labels, next_born, next_mothers
         places = np.concatenate(next_places) if next_labels else places[:0]
         depth += 1
         level += 1
-    for line, out in zip(lines, outcomes):
+    for line, out, total in zip(lines, outcomes, played):
+        out.time_in_play = total
         # depth first below the root, children by descending index
         root = len(line.label)
-        out.stops.sort(key=lambda s: [-c for c in s.label[root:]])
-        out.passed_alive.sort(key=lambda label: [-c for c in label[root:]])
+        if len(out.stops) > 1:
+            out.stops.sort(key=lambda s: [-c for c in s.label[root:]])
+        if len(out.passed_alive) > 1:
+            out.passed_alive.sort(key=lambda label: [-c for c in label[root:]])
     return outcomes
 
 
@@ -410,7 +447,7 @@ def evaluate_line(record: GenealogyRecord, rule: StoppingRule) -> LineOutcome:
     outcomes = walk_lines(rule, lines, _reader(record), record.spec_hash)
     return LineOutcome(stops=[s for out in outcomes for s in out.stops],
                        passed_alive=[lab for out in outcomes for lab in out.passed_alive],
-                       record=record)
+                       record=record, time_in_play=sum(out.time_in_play for out in outcomes))
 
 
 def _reader(record: GenealogyRecord):

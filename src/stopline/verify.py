@@ -32,6 +32,7 @@ from .simulator import (
     draw_particles,
     forest_start,
     replication_seed,
+    stream_state,
 )
 from .stopping import (
     FORCE_STOP,
@@ -196,7 +197,6 @@ def subtree_reward_samples(
     branch_window: float,
     functional_horizon: float,
     shared_streams: bool = False,
-    max_samples: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Paired reward samples for the branching-property test.
 
@@ -224,14 +224,15 @@ def subtree_reward_samples(
     # (replication, branch time, branch place) of each mother that branches in the window
     branched: List[Tuple[int, float, np.ndarray]] = []
     # a mother is read only if her event lies in the window: drawn that far
-    mothers = draw_particles(spec, dt, ((seed_a, MOTHER, 0.0, x0, branch_window, math.inf)
-                                        for seed_a in seeds))
-    for r, (_, positions, end, count, _) in enumerate(p for chunk in mothers
-                                                      for p in chunk.particles()):
-        if count > 0 and end <= branch_window:
-            branched.append((r, end, positions[-1].copy()))
-            if max_samples is not None and len(branched) >= max_samples:
-                break
+    first = 0  # the replication of the chunk's first mother
+    for chunk in draw_particles(spec, dt, [(seed_a, MOTHER, 0.0, x0, branch_window, math.inf,
+                                            stream_state(seed_a, MOTHER)) for seed_a in seeds]):
+        ends = chunk.end_time
+        at = np.flatnonzero((chunk.count > 0) & (ends <= branch_window))
+        # a mother's branch place is her last row
+        branched += zip((at + first).tolist(), ends[at].tolist(),
+                        chunk.positions[chunk.starts[at + 1] - 1])
+        first += len(ends)
 
     def lines(seed_of):
         # child 0 at the branch, on a clock that starts there, so that reward
@@ -266,11 +267,10 @@ def branching_property_test(
     seed: int,
     branch_window: float = 2.0,
     functional_horizon: float = 0.5,
-    max_samples: Optional[int] = None,
 ) -> BranchingTest:
     """Two-sample KS test of subtree rewards against fresh-start rewards."""
     a, b = subtree_reward_samples(spec, point, reps, dt, seed, branch_window,
-                                  functional_horizon, max_samples=max_samples)
+                                  functional_horizon)
     if len(a) < KS_MIN_SAMPLES:
         return BranchingTest(ks_stat=math.nan, p_value=math.nan,
                              n_samples=len(a), insufficient=True)

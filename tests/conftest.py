@@ -58,8 +58,8 @@ PLANAR_MODEL = dataclasses.replace(
 def recording_draw(spec, dt):
     """A draw for `walk_lines` that is `draw_particles` for `spec` at step dt,
     and the list of the items (seed, label, birth time, position, horizon,
-    deadline) it has been asked for, so a test can see which particles a walk
-    draws, and how far."""
+    deadline, stream) it has been asked for, so a test can see which particles
+    a walk draws, and how far."""
     asked = []
 
     def draw(items):

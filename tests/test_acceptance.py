@@ -209,8 +209,7 @@ def test_criterion_10_branching_property(branching_model):
     spec = branching_model
     result = branching_property_test(spec, point=0.3, reps=18_000, dt=0.02,
                                      seed=1881, branch_window=2.0,
-                                     functional_horizon=0.5,
-                                     max_samples=10_000)
+                                     functional_horizon=0.5)
     a, b = subtree_reward_samples(spec, point=0.3, reps=2_000, dt=0.02,
                                   seed=1881, branch_window=2.0,
                                   functional_horizon=0.5, shared_streams=True)

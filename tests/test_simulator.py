@@ -18,17 +18,20 @@ from stopline.model import K_MAX, ModelSpec, Offspring, RateFunction
 from stopline.simulator import (
     MAX_STEPS,
     SimulationError,
+    _entropy,
     _keyed_stream,
     _philox_keys,
     _segment,
     _segment_steps,
     _stream_keys,
+    child_state,
     empirical_moment_bound_check,
     label_stream,
     population_count,
     replication_seed,
     simulate_forest,
     simulate_forests,
+    stream_state,
     total_born,
 )
 
@@ -302,10 +305,26 @@ def test_batched_keys_equal_label_stream_keys():
              for seed in (0, 1, -1, -(2**40), replication_seed(3, 0), replication_seed(3, 7, "dpp"),
                           2**64 - 1)
              for label in ((), (0,), (1,), (0, 0), (63, 2), deep[:500], deep)]
-    keys = _stream_keys([(seed, label, 0.0, None, 1.0, 0.1) for seed, label in pairs])
+    keys = _stream_keys([stream_state(seed, label) for seed, label in pairs])
     assert keys == [_key(label_stream(seed, label)) for seed, label in pairs]
     assert len({tuple(k) for k in keys}) == len(pairs)
     assert _stream_keys([]) == []
+
+
+def test_a_child_state_continues_its_mothers_text():
+    # down one lineage 1,000 deep, each state continued from its mother's, and
+    # on the children of the empty label, whose text gains no "."
+    for seed in (0, -7, replication_seed(3, 5)):
+        state, label = stream_state(seed, MOTHER), MOTHER
+        for depth in range(1, 1001):
+            label += ((depth * 7) % 12,)
+            state = child_state(state, label)
+            assert state.digest()[:16] == _entropy(seed, label), (seed, depth)
+        mother = stream_state(seed, MOTHER)
+        for k in range(K_MAX + 1):
+            assert child_state(mother, (k,)).digest()[:16] == _entropy(seed, (k,))
+        # the mother's own state is left as it was
+        assert mother.digest()[:16] == _entropy(seed, MOTHER)
 
 
 def test_a_keyed_stream_draws_what_its_label_stream_draws():
@@ -313,7 +332,7 @@ def test_a_keyed_stream_draws_what_its_label_stream_draws():
     # then re-keyed: every part of the state must start afresh
     for seed, label in [(1, ()), (-4, (2, 0)), (replication_seed(9, 2), (1,) * 40)]:
         _keyed_stream([12345, 678]).random(3, dtype=np.float32)
-        [key] = _stream_keys([(seed, label)])
+        [key] = _stream_keys([stream_state(seed, label)])
         ours, ref = _keyed_stream(key), label_stream(seed, label)
         assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
         for draw in (lambda g: g.exponential(2.0), lambda g: g.standard_normal((3, 2)),
@@ -347,7 +366,7 @@ def test_label_streams_differ():
     # siblings, mother and child, and the same label under another seed
     pairs = [(1, ()), (1, (0,)), (1, (1,)), (1, (0, 0)), (1, (0, 1)), (1, (10,)), (1, (1, 0)),
              (2, (0,)), (-1, (0,)), (11, ()), (1, (1, 1))]
-    keys = _stream_keys(pairs)
+    keys = _stream_keys([stream_state(seed, label) for seed, label in pairs])
     assert keys == [_key(label_stream(seed, label)) for seed, label in pairs]
     assert len({tuple(k) for k in keys}) == len(pairs)
     normals = {tuple(_keyed_stream(key).standard_normal(4).tolist()) for key in keys}

@@ -13,7 +13,7 @@ from stopline.model import RewardFunction, model_hash
 from stopline.pde import (CANNOT_FIRE, SURELY_FIRES, SolverError, SolverSettings, ValueGrid,
                           solve_scalar)
 from stopline.reward import mc_value
-from stopline.simulator import replication_seed, simulate_forest
+from stopline.simulator import draw_particles, replication_seed, simulate_forest
 from stopline.stopping import (
     ABANDON,
     FORCE_STOP,
@@ -132,6 +132,20 @@ def test_cut_policies():
     assert out_fs.stops[0].time == approx(1.0)
     assert out_fs.stops[0].forced
     assert out_fs.passed_alive == []
+
+
+def test_mean_time_in_play_under_the_never_rule():
+    # model C: no motion, alpha = 1, p0 = 0.3, p2 = 0.7, so the population
+    # grows at rate alpha (m - 1) = 0.4, and a line forced at t_cut = 1.5 has
+    # E[time in play] = int_0^1.5 e^{0.4 s} ds = (e^0.6 - 1) / 0.4
+    spec = make_spec(alpha=1.0, offspring=("binary", (0.3, 0.7)))
+    rule = never_rule(t_cut=1.5, cut_policy=FORCE_STOP)
+    lines = [Line(MOTHER, 0.0, np.zeros(1), replication_seed(12, r), rule.t_cut)
+             for r in range(4000)]
+    totals = np.array([out.time_in_play for out in walk_lines(
+        rule, lines, functools.partial(draw_particles, spec, 0.05), model_hash(spec))])
+    expected = (math.exp(0.6) - 1) / 0.4
+    assert abs(totals.mean() - expected) <= 3 * totals.std(ddof=1) / math.sqrt(len(totals))
 
 
 def test_line_property_validator():

@@ -33,7 +33,7 @@ from stopline.reward import (
     mc_value,
     reward_of_outcome,
 )
-from stopline import simulator
+from stopline import simulator, verify
 from stopline.simulator import (
     CHUNK_SAMPLES,
     SimulationError,
@@ -42,6 +42,7 @@ from stopline.simulator import (
     draw_particles,
     replication_seed,
     simulate_forest,
+    stream_state,
 )
 from stopline.stopping import (
     ABANDON,
@@ -188,7 +189,8 @@ def test_chunked_draws_equal_one_particle_draws(monkeypatch):
                         (dataclasses.replace(noiseless, branch_rate=PLANAR_MODEL.branch_rate,
                                              alpha_bar=2.5), False)):
         items = [(seed, (seed % 3,), 0.1 * seed, np.full(spec.dimension, 0.2 * seed),
-                  2.0 + seed, math.inf) for seed in range(12) for _ in range(2)]
+                  2.0 + seed, math.inf, stream_state(seed, (seed % 3,)))
+                 for seed in range(12) for _ in range(2)]
         formed = []
         for dt in (0.05, 0.02, 0.01, 0.2):
             blocks.clear()
@@ -212,7 +214,8 @@ def test_chunked_draws_equal_one_particle_draws(monkeypatch):
 
 # items of mixed seeds, label depths, births and horizons, in no particular order
 POOL = [(replication_seed(5, i), (i % 3,) * (i % 4), 0.1 * i, np.array([0.3 * (i % 5) - 0.6]),
-         1.0 + 0.05 * i, math.inf) for i in range(24)]
+         1.0 + 0.05 * i, math.inf, stream_state(replication_seed(5, i), (i % 3,) * (i % 4)))
+        for i in range(24)]
 
 
 def _particles(chunks):
@@ -266,7 +269,7 @@ def test_max_particles_is_a_bound_per_line():
 
 def _outcome(out):
     return ([(s.label, s.time, s.position.tolist(), s.generation, s.forced, s.part)
-             for s in out.stops], out.passed_alive)
+             for s in out.stops], out.passed_alive, out.time_in_play)
 
 
 @pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
@@ -313,7 +316,44 @@ def test_multi_root_stops_come_in_depth_first_order(seed):
     assert len(expected) > len(initial)
 
 
-def reference_subtree_samples(spec, point, reps, dt, seed, window, s, shared, max_samples=None):
+def played_above_or_on(record, outcome, t_cut):
+    """The time in play of a forest's particles above or on its line, on the
+    forest's clock: a stop's from birth to its stop, an abandoned particle's
+    to the cut, and one above the line's to its end.  Summed as the walk sums
+    them: root by root, ascending, each a generation at a time with children
+    ascending, and one stopped at birth adding 0."""
+    on = {s.label: s.time for s in outcome.stops} | dict.fromkeys(outcome.passed_alive, t_cut)
+    total = 0
+    for root in sorted(record.roots()):
+        line, generation = 0.0, [root]
+        while generation:
+            below = []
+            for label in generation:
+                p = record.particles[label]
+                line += on.get(label, p.end_time) - p.birth_time
+                if label not in on:
+                    below += [label + (k,) for k in range(p.offspring_count)]
+            generation = below
+        total += line
+    return total
+
+
+@pytest.mark.parametrize("policy", [ABANDON, FORCE_STOP])
+@pytest.mark.parametrize("model", ["binary", "logistic_rate", "linear_branching"])
+def test_time_in_play_sums_the_particles_above_or_on_the_line(grids, model, policy):
+    spec, x = MODELS[model], STARTS.get(model, 0.3)
+    initial = [((2,), [x]), ((0, 3), [x + 0.2]), ((1,), [x + 0.1])]
+    for name, rule in catalog(grids[model], policy).items():
+        for seed in range(3):
+            for start in ([(MOTHER, [x])], initial):
+                full = simulate_forest(spec, start, T_CUT + 0.5, DT, seed)
+                out = evaluate_line(full, rule)
+                assert out.time_in_play == played_above_or_on(full, out, T_CUT), (name, seed)
+                # a root is in play from its birth unless stopped there
+                assert out.time_in_play > 0 or any(s.time == 0.0 for s in out.stops), name
+
+
+def reference_subtree_samples(spec, point, reps, dt, seed, window, s, shared):
     """subtree_reward_samples as a loop over replications: the subtree of the
     mother's child 0 and a fresh forest from the branch state, each evaluated
     on an `_extract_subtree` view of a whole forest."""
@@ -334,21 +374,33 @@ def reference_subtree_samples(spec, point, reps, dt, seed, window, s, shared, ma
                                 seed=seed_a if shared else replication_seed(seed, r, "B"),
                                 t0=base)
         b_vals.append(reward_of_outcome(spec, evaluate_line(_extract_subtree(rec_b, (0,)), rule)))
-        if max_samples is not None and len(a_vals) >= max_samples:
-            break
     return a_vals, b_vals
 
 
-@pytest.mark.parametrize("max_samples", [None, 7])
+# None keeps CHUNK_SAMPLES; 7 makes the mothers span many chunks, some of
+# them holding several mothers, across which the replication index carries
+@pytest.mark.parametrize("chunk_samples", [None, 7])
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("model", ["binary", "poisson", "logistic_rate", "poisson_of_x",
                                    "linear_branching"])
-def test_subtree_samples_equal_the_pair_loop(model, shared, max_samples):
+def test_subtree_samples_equal_the_pair_loop(monkeypatch, model, shared, chunk_samples):
     spec, point = MODELS[model], STARTS.get(model, 0.3)
     args = (spec, point, 60, 0.02, 21, 1.5, 0.5)
-    a, b = subtree_reward_samples(*args, shared_streams=shared, max_samples=max_samples)
-    a_ref, b_ref = reference_subtree_samples(*args, shared, max_samples)
-    assert len(a_ref) >= (7 if max_samples else 10)
+    mothers = []  # the particles in each chunk of the mothers' draw
+
+    def counted(*draw_args):
+        for chunk in draw_particles(*draw_args):
+            mothers.append(len(chunk.starts) - 1)
+            yield chunk
+    monkeypatch.setattr(verify, "draw_particles", counted)
+    if chunk_samples:
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
+    a, b = subtree_reward_samples(*args, shared_streams=shared)
+    assert sum(mothers) == 60
+    assert (len(mothers) > 10 and max(mothers) > 1) if chunk_samples else mothers == [60]
+    monkeypatch.undo()
+    a_ref, b_ref = reference_subtree_samples(*args, shared)
+    assert len(a_ref) >= 10
     assert a.tolist() == a_ref and b.tolist() == b_ref
     if shared:
         assert np.array_equal(a, b)
@@ -399,11 +451,11 @@ def test_a_particle_is_drawn_only_to_its_deadline_bit_for_bit(grids, model, poli
             base = by_line[seed].base
             if birth - base <= last + 1e-12:
                 assert times[-1] <= base + last + 2 * dt + 1e-9, name
-                assert item[5:] == (base + last,), name
+                assert item[5] == base + last, name
                 clipped += math.isinf(end) and times[-1] < horizon - dt
             else:
                 assert times[-1] == pytest.approx(min(end, horizon), abs=1e-9), name
-                assert item[5:] == (math.inf,), name
+                assert item[5] == math.inf, name
                 late += 1
         assert clipped > 0, name
         if rule.kind != "exit_ball":  # a particle born after cap_t stops at birth
